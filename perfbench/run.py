@@ -12,9 +12,9 @@ Workloads (an op is one unit of user work; see ``inputs.py``):
   acceptance-shaped bases (preperiod <= 3, period <= 4, entries in
   [-3, 3]).  Power iteration is about half the time, the triod passes
   about a quarter, the realization search about a tenth.
-* ``long``: the same op on bases with preperiod <= 6, period <= 10,
+* ``long``: the same op on bases with preperiod <= 6, period <= 8,
   entries in [-5, 5], served one per period length in turn.  The
-  exponential periodic search is about 80% of the time, and only about a
+  exponential periodic search is about half the time, and only about a
   fifth of the searches are for a new itinerary, so a memo or a new
   search shows here.
 * ``queries``: one library call per op -- ``itinerary``, ``same_map``,
@@ -25,16 +25,18 @@ Workloads (an op is one unit of user work; see ``inputs.py``):
 
 Every run happens in fresh interpreters that import ``exptree`` from the
 checkout's ``src``.  With ``--trace 0`` it prints the end-to-end metrics:
-``setup_s`` (median of several starts, from a fresh interpreter through
+``setup_s`` (median of 11 starts, each from a fresh interpreter through
 ``import exptree`` and the first batch of inputs), and from one timed
-run of ``--seconds`` (at least 100 ops): ``ops_per_s`` (ops over the time
-spent in them), ``op_p50_ms``, ``op_p90_ms`` and ``peak_rss_mb``.  Op
-times are scaled to a reference host speed by a calibration task timed
-between ops (see ``calibration.py``); the wall-clock values are printed
-next to them.  Set-up times are wall-clock times.  With ``--trace 1`` it runs the first batch of inputs once
-untraced and once with wrappers around the library's layers, and prints
-per-layer wall times and counts, the import times, and the tracing
-overhead.  A fixed batch makes the counts repeat exactly.
+run of ``--seconds`` (at least 100 ops, in whole rounds of input
+shapes): ``ops_per_s`` (ops over the time spent in them), ``op_p50_ms``,
+``op_p90_ms`` and ``peak_rss_mb``.  Times are scaled to a reference
+host speed by yardsticks that do not use the library (see
+``calibration.py``); the wall-clock values, and the CPU time of the
+starts, are printed next to them.  With ``--trace 1`` it runs the first
+batch of inputs once untraced and once with wrappers around the
+library's layers, and prints per-layer wall times and counts, the import
+times, and the tracing overhead.  A fixed batch makes the counts repeat
+exactly.  Metric units are those given in ``BENCHMARK.json``.
 
 Every answer is checked outside the timed region: trees round-trip
 through ``tree_from_json`` and ``check_tree_invariants``, kneading data,
@@ -57,6 +59,7 @@ import subprocess
 import sys
 import time
 
+import calibration
 from inputs import BATCH, DEFAULT_SEED, WORKLOADS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -64,17 +67,13 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORKER = os.path.join(HERE, "worker.py")
 
-SETUP_STARTS = 5
+SETUP_STARTS = 11
 IMPORT_PROBES = 3
 BUDGET_S = 170  # per workload; a run that takes longer is stopped and fails
 
-END_TO_END_UNITS = {
-    "setup_s": "s",
-    "ops_per_s": "1/s",
-    "op_p50_ms": "ms",
-    "op_p90_ms": "ms",
-    "peak_rss_mb": "MB",
-}
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
+    _spec = json.load(_f)
+UNITS = {m["name"]: m["unit"] for m in _spec["end_to_end"] + _spec["per_layer"]}
 
 
 class ChildFailed(Exception):
@@ -107,13 +106,22 @@ def worker(workload: str, seed: int, *extra: str) -> dict:
     return json.loads(run_child(argv).stdout.splitlines()[-1])
 
 
-def setup_seconds(workload: str, seed: int) -> list[float]:
-    """Wall-clock set-up times of several fresh starts."""
+def setup_seconds(workload: str, seed: int) -> dict[str, list[float]]:
+    """Set-up times of several fresh starts: scaled by the start of the
+    yardstick interpreter next to each (see ``calibration.py``), wall
+    clock, and CPU."""
     worker(workload, seed, "--mode", "setup")  # compiles bytecode, warms the file cache
-    out = []
+    out: dict[str, list[float]] = {"scaled": [], "wall": [], "cpu": []}
     for _ in range(SETUP_STARTS):
         t0 = time.monotonic()
-        out.append(worker(workload, seed, "--mode", "setup")["ready"] - t0)
+        ready = worker(workload, seed, "--mode", "setup")
+        wall = ready["ready"] - t0
+        t0 = time.monotonic()
+        run_child(list(calibration.START_ARGV))
+        yardstick = time.monotonic() - t0
+        out["scaled"].append(wall * calibration.START_REF_S / yardstick)
+        out["wall"].append(wall)
+        out["cpu"].append(ready["cpu_s"])
     return out
 
 
@@ -139,11 +147,13 @@ def import_times_ms() -> dict[str, float]:
 
 def measure(workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict[str, int]]:
     """End-to-end metrics: (worker result, metric values, sample counts)."""
-    setups = setup_seconds(workload, seed)
+    setup = {k: statistics.median(v) for k, v in setup_seconds(workload, seed).items()}
     res = worker(workload, seed, "--mode", "run", "--seconds", str(seconds))
-    values = {"setup_s": statistics.median(setups), **res["scaled"]}
+    values = {"setup_s": setup["scaled"], **res["scaled"]}
     values["peak_rss_mb"] = res["peak_rss_mb"]
     samples = {"setup_s": SETUP_STARTS, "peak_rss_mb": 1}
+    res["notes"] = {name: f"wall clock {v:.6g}" for name, v in res["raw"].items()}
+    res["notes"]["setup_s"] = f"wall clock {setup['wall']:.6g}, CPU {setup['cpu']:.6g}"
     return res, values, samples
 
 
@@ -161,18 +171,6 @@ def measure_traced(workload: str, seed: int) -> tuple[dict, dict, dict[str, int]
     samples = {name: 1 for name in values}
     samples.update({"exptree.import_ms": IMPORT_PROBES, "exptree.numpy_import_ms": IMPORT_PROBES})
     return res, values, samples
-
-
-def unit_of(name: str) -> str:
-    if name in END_TO_END_UNITS:
-        return END_TO_END_UNITS[name]
-    if name.endswith("_ms"):
-        return "ms"
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("_frac"):
-        return "ratio"
-    return "count"
 
 
 def record_reference() -> int:
@@ -223,13 +221,13 @@ def main() -> int:
             for err in res["errors"]:
                 print(f"{w} FAILED: {err}")
             for name, value in values.items():
-                unit = unit_of(name)
+                unit = UNITS[name]
                 n = samples.get(name, res["ops"])
                 note = ""
                 if args.trace and unit == "s" and name != "trace.overhead_s":
                     note = f", {value / res['traced_s']:.1%} of traced op time"
-                elif name in res.get("raw", {}):
-                    note = f", wall clock {res['raw'][name]:.6g}"
+                elif name in res.get("notes", {}):
+                    note = ", " + res["notes"][name]
                 shown = value if isinstance(value, int) else f"{value:.6g}"
                 print(f"{w} seed={seed} {name} = {shown} {unit} (n={n}{note})")
                 key = name if len(workloads) == 1 else f"{w}.{name}"

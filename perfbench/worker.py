@@ -8,8 +8,9 @@ Modes:
 
 * ``setup``: import ``exptree`` and make the first batch of inputs, then
   report the monotonic clock, from which ``run.py`` takes the set-up time;
-* ``run``: time ops for ``--seconds`` (at least ``MIN_OPS`` of them) or
-  exactly ``--ops``, checking each answer outside the timed region;
+* ``run``: time ops for ``--seconds`` (at least ``MIN_OPS`` of them, in
+  whole rounds of the workload's input shapes) or exactly ``--ops``,
+  checking each answer outside the timed region;
   ``--trace`` wraps the library modules and reports per-layer numbers,
   ``--record`` prints the answer digests instead of comparing them with
   ``reference.json``.
@@ -360,7 +361,7 @@ def main() -> int:
     stream = task_stream(args.workload, args.seed)
     batch = list(islice(stream, inputs.BATCH[args.workload]))
     if args.mode == "setup":
-        print(json.dumps({"ready": time.monotonic()}))
+        print(json.dumps({"ready": time.monotonic(), "cpu_s": time.process_time()}))
         return 0
 
     reference = None if args.record else load_reference(args.workload, args.seed)
@@ -369,6 +370,7 @@ def main() -> int:
     digests: list = []
     errors: list[str] = []
     raised = wrong = 0
+    whole = inputs.ROUND[args.workload]
     deadline = perf_counter() + args.seconds
     for i, task in enumerate(chain(batch, stream)):
         clock.maybe_calibrate()
@@ -402,7 +404,9 @@ def main() -> int:
         if problem is not None and len(errors) < 5:
             errors.append(problem)
         n = len(clock.durations)
-        if n == args.ops or (not args.ops and n >= MIN_OPS and perf_counter() >= deadline):
+        if n == args.ops:
+            break
+        if not args.ops and n >= MIN_OPS and n % whole == 0 and perf_counter() >= deadline:
             break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     clock.calibrate()
