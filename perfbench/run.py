@@ -18,10 +18,10 @@ Workloads (an op is one unit of user work; see ``inputs.py``):
   fifth of the searches are for a new itinerary, so a memo or a new
   search shows here.
 * ``queries``: one library call per op -- ``itinerary``, ``same_map``,
-  ``middle_point`` + ``classify``, ``separating_addresses`` and
-  ``addresses_of`` of a middle point -- on acceptance-shaped bases.  The
-  inputs share little work and no numpy runs, so a per-call cost or
-  set-up work that tree building hides shows here, and a memo should not.
+  ``middle_point`` + ``classify`` and ``addresses_of`` of a middle
+  point -- on acceptance-shaped bases.  The inputs share little work and
+  no numpy runs, so a per-call cost or set-up work that tree building
+  hides shows here, and a memo should not.
 
 Every run happens in fresh interpreters that import ``exptree`` from the
 checkout's ``src``.  With ``--trace 0`` it prints the end-to-end metrics:
@@ -35,8 +35,9 @@ host speed by yardsticks that do not use the library (see
 starts, are printed next to them.  With ``--trace 1`` it runs the first
 batch of inputs once untraced and once with wrappers around the
 library's layers, and prints per-layer wall times and counts, the import
-times, and the tracing overhead.  A fixed batch makes the counts repeat
-exactly.  Metric units are those given in ``BENCHMARK.json``.
+times, and the tracing overhead (traced minus untraced op time, scaled).
+A fixed batch makes the counts repeat exactly.  Metric units are those
+given in ``BENCHMARK.json``.
 
 Every answer is checked outside the timed region: trees round-trip
 through ``tree_from_json`` and ``check_tree_invariants``, kneading data,
@@ -165,7 +166,9 @@ def measure_traced(workload: str, seed: int) -> tuple[dict, dict, dict[str, int]
     )
     values = dict(traced["layers"])
     values.update(import_times_ms())
-    values["trace.overhead_s"] = traced["op_s_sum"] - plain["op_s_sum"]
+    # Scaled, since the host's speed drifts by more than the overhead
+    # between the two runs.
+    values["trace.overhead_s"] = traced["op_s_scaled_sum"] - plain["op_s_scaled_sum"]
     res = {key: plain[key] + traced[key] for key in ("ops", "raised", "wrong", "errors")}
     res["traced_s"] = traced["op_s_sum"]
     samples = {name: 1 for name in values}

@@ -74,11 +74,6 @@ def q_triod(base, members):
     return ex.middle_point(T), ex.classify(T)
 
 
-def q_separate(base, members):
-    P = ex.validate_base(base)
-    return ex.separating_addresses(P, ex.AddressTriod(members, P))
-
-
 def q_addresses(base, members, m_range):
     P, T = _itinerary_triod(base, members)
     b = ex.middle_point(T)
@@ -91,7 +86,6 @@ QUERY_OPS = {
     "itinerary": q_itinerary,
     "same_map": q_same_map,
     "triod": q_triod,
-    "separate": q_separate,
     "addresses": q_addresses,
 }
 
@@ -156,8 +150,6 @@ class QueryTask:
     def answer(self, r) -> str:
         if self.kind == "triod":
             return f"{r[0]}|{r[1]}"
-        if self.kind == "separate":
-            return f"{r[0]}|" + ";".join(f"{x.address}:{x.gap}:{x.member}" for x in r[1])
         if self.kind == "addresses":
             return f"{r[0]}|" + ";".join(map(str, r[1]))
         return str(r)
@@ -179,20 +171,6 @@ class QueryTask:
             else:
                 want = f"{kind}branched"
             return None if shape == want else f"{where}: shape {shape} != {want}"
-        if self.kind == "separate":
-            found = [(own(x.address), x) for x in r[1]]
-            if len({P.itinerary(a) for a, _ in found}) != 1:
-                return f"{where}: separating addresses disagree on the itinerary"
-            for a, x in found:
-                if x.member is not None:
-                    ok = a == args[x.member - 1]
-                else:
-                    ok = x.gap is not None and inputs.cyclic_between(
-                        args[x.gap - 1], a, args[x.gap % 3]
-                    )
-                if not ok:
-                    return f"{where}: {x} misplaced"
-            return None
         b, found = str(r[0]), [own(a) for a in r[1]]
         if not found or any(P.itinerary(a) != b for a in found):
             return f"{where}: addresses do not realize {b}"
@@ -252,7 +230,6 @@ def install_tracer():
         key=lambda args: (args[0], args[1]),
     )
     tr.timed(realization, "addresses_of", "realization.addresses_of")
-    tr.timed(realization, "separating_addresses", "realization.separating_addresses")
     tr.timed(treebuild, "vertex_set", "treebuild.vertex_set")
     tr.timed(
         treebuild, "build_tree", "treebuild.build_tree", size=lambda t: len(t.vertices)
@@ -287,7 +264,6 @@ def layer_metrics(tr) -> dict[str, float]:
     }
     for name in (
         "realization.addresses_of",
-        "realization.separating_addresses",
         "triods.middle_point",
         "treebuild.vertex_set",
         "treebuild.build_tree",
@@ -413,14 +389,16 @@ def main() -> int:
     if tracer:
         tracer.uninstall()
 
+    scaled = clock.scaled()
     out = {
         "ops": len(clock.durations),
         "raised": raised,
         "wrong": wrong,
         "errors": errors,
         "op_s_sum": math.fsum(clock.durations),
+        "op_s_scaled_sum": math.fsum(scaled),
         "raw": summary(clock.durations),
-        "scaled": summary(clock.scaled()),
+        "scaled": summary(scaled),
         "peak_rss_mb": peak_rss_mb,
     }
     if tracer:
