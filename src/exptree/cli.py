@@ -24,6 +24,7 @@ from . import verify as verify_mod
 from .analysis import core_entropy, same_map
 from .errors import (
     ExptreeError,
+    InternalInvariantError,
     ParseError,
     RealizationBoundExceededError,
     error_name,
@@ -247,7 +248,7 @@ def _run(args: argparse.Namespace) -> int:
                 ok = False
                 print(f"  - {msg}", file=sys.stderr)
         return 0 if ok else 1
-    raise AssertionError(f"unhandled command {cmd}")
+    raise InternalInvariantError(f"unhandled command {cmd}")
 
 
 def main(argv: list[str] | None = None) -> int:

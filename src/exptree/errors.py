@@ -53,6 +53,14 @@ class NotExpansiveError(ExptreeError):
     """Two marked points of a supplied tree share an itinerary."""
 
 
+class InternalInvariantError(ExptreeError):
+    """A guard on the library's own bookkeeping failed.
+
+    Raised where a theorem or an earlier check rules the case out, so it
+    always signals a defect in the library, never bad input.
+    """
+
+
 class ConvergenceFailureError(ExptreeError):
     """Neither the iterative nor the exact spectral-radius method stabilized."""
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
-from .errors import NormalizationWarning, PeriodicBaseError
+from .errors import InternalInvariantError, NormalizationWarning, PeriodicBaseError
 from .sequences import ExtAddress, Ordering, canonicalize, compare_lex
 
 __all__ = [
@@ -143,7 +142,10 @@ def validate_base(s: ExtAddress) -> Partition:
         )
     j0 = s.entry(1) - 1 if s.shift() < s else s.entry(1)
     nu = _itinerary_against(s, j0, s)
-    assert isinstance(nu, Plain), "kneading of a preperiodic base cannot hit the boundary"
+    if not isinstance(nu, Plain):
+        raise InternalInvariantError(
+            f"kneading of the preperiodic base {s} hit the partition boundary"
+        )
     return Partition(base=s, offset_j0=j0, kneading=nu)
 
 
@@ -168,11 +170,6 @@ def _itinerary_against(base: ExtAddress, j0: int, t: ExtAddress) -> Itinerary:
     return Plain(canonicalize(out[: len(t.preperiod)], out[len(t.preperiod) :]))
 
 
-@lru_cache(maxsize=65536)
-def _itinerary_cached(P: Partition, t: ExtAddress) -> Itinerary:
-    return _itinerary_against(P.base, P.offset_j0, t)
-
-
 def itinerary(P: Partition, t: ExtAddress) -> Itinerary:
     """The itinerary of ``t`` with respect to the partition base.
 
@@ -180,7 +177,7 @@ def itinerary(P: Partition, t: ExtAddress) -> Itinerary:
     a boundary hit at step ``k`` yields a :class:`PreSingular` value with
     the ``k-1`` entries collected so far.
     """
-    return _itinerary_cached(P, t)
+    return _itinerary_against(P.base, P.offset_j0, t)
 
 
 def kneading(P: Partition) -> Plain:

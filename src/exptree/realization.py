@@ -6,14 +6,21 @@ length (a multiple of the itinerary's period).  For a purely periodic
 itinerary the search enumerates candidate periodic addresses directly:
 an address inside sector ``I_k`` starts with ``j0 + k`` or ``j0 + k + 1``,
 so a realizing address of period ``m * n`` is determined by a choice of
-offset bit per position.  Preperiodic itineraries are pulled back from
-their periodic part through the inverse branches of the shift, and
+offset bit per position.  The realizations of a rotation ``sigma^k p`` of
+a periodic itinerary are exactly the ``sigma^k`` images of those of
+``p``, so the search runs only for the least rotation of the period word
+and the other rotations are answered by shifting its result.  Searches
+are memoized per ``(partition, least rotation, m_max, candidate_cap,
+paranoid)`` in a bounded LRU cache of 256 entries that lives as long as
+the process.  Preperiodic itineraries are pulled back from their
+periodic part through the inverse branches of the shift, and
 pre-singular itineraries are pullbacks of the partition boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
@@ -21,6 +28,7 @@ from typing import Iterable, Sequence
 from .errors import (
     EmptyRangeError,
     GapAssignmentFailureError,
+    InternalInvariantError,
     RealizationBoundExceededError,
 )
 from .partition import (
@@ -33,7 +41,7 @@ from .partition import (
     itinerary,
     sector_of,
 )
-from .sequences import ExtAddress, canonicalize, cyclic_between
+from .sequences import ExtAddress, _least_rotation, canonicalize, cyclic_between
 from .triods import AddressTriod, TriodShape, classify, middle_point, to_itinerary_triod
 
 __all__ = [
@@ -64,13 +72,13 @@ class AddressSet:
         pre_lens = {len(a.preperiod) for a in self.addresses}
         per_lens = {len(a.period) for a in self.addresses}
         if len(pre_lens) != 1 or len(per_lens) != 1:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"realizing addresses of {self.itinerary} disagree on preperiod/period"
             )
         if isinstance(self.itinerary, Plain):
             n = len(self.itinerary.seq.period)
             if per_lens.pop() % n != 0:
-                raise AssertionError(
+                raise InternalInvariantError(
                     f"address period is not a multiple of the itinerary period for {self.itinerary}"
                 )
 
@@ -109,19 +117,43 @@ def addresses_of_periodic(
 ) -> AddressSet:
     """All periodic external addresses with itinerary ``p``.
 
+    The search runs once per rotation class: it realizes the least
+    rotation ``sigma^k p`` of the period word, and the realizations of
+    ``p`` are the ``(n - k)``-fold shifts of those.  Raises
+    :class:`RealizationBoundExceededError` when ``m_max`` or the
+    candidate cap is exhausted first.
+    """
+    if not isinstance(p, Plain) or p.seq.preperiod:
+        raise ValueError(f"itinerary {p} is not purely periodic")
+    word = p.seq.period
+    k = _least_rotation(word)
+    found = _periodic_search(P, word[k:] + word[:k], m_max, candidate_cap, paranoid)
+    # Each found period word is a multiple of len(word) long, so the
+    # (n - k)-fold shift is a rotation of it.
+    j = (len(word) - k) % len(word)
+    shifted = (canonicalize((), a.period[j:] + a.period[:j]) for a in found)
+    return AddressSet(tuple(sorted(shifted)), p)
+
+
+@lru_cache(maxsize=256)
+def _periodic_search(
+    P: Partition,
+    word: tuple[int, ...],
+    m_max: int,
+    candidate_cap: int,
+    paranoid: bool,
+) -> tuple[ExtAddress, ...]:
+    """The periodic addresses whose itinerary has period ``word``.
+
     For ``m = 1, 2, ...`` every offset vector in ``{0,1}^(m*n)`` is tried;
     the search stops at the first ``m`` with a nonempty result, which is
     exhaustive because all realizing addresses share one minimal period.
     ``paranoid`` additionally scans ``m+1 .. 2m`` and checks that nothing
     new turns up.
-
-    Raises :class:`RealizationBoundExceededError` when ``m_max`` or the
-    candidate cap is exhausted first.
     """
-    if not isinstance(p, Plain) or p.seq.preperiod:
-        raise ValueError(f"itinerary {p} is not purely periodic")
-    target = list(p.seq.period)
+    target = list(word)
     n = len(target)
+    itin = canonicalize((), word)
 
     def scan(m: int) -> set[ExtAddress]:
         found: set[ExtAddress] = set()
@@ -137,7 +169,8 @@ def addresses_of_periodic(
     for m in range(1, m_max + 1):
         if 2 ** (m * n) > candidate_cap:
             raise RealizationBoundExceededError(
-                f"candidate space 2^{m * n} exceeds cap for itinerary {p}"
+                f"candidate space 2^{m * n} exceeds cap for the rotations "
+                f"of itinerary {itin}"
             )
         found = scan(m)
         if found:
@@ -147,12 +180,12 @@ def addresses_of_periodic(
                         break
                     extra = scan(m2) - found
                     if extra:
-                        raise AssertionError(
-                            f"paranoid scan found new addresses {extra} for {p} at m={m2}"
+                        raise InternalInvariantError(
+                            f"paranoid scan found new addresses {extra} for {itin} at m={m2}"
                         )
-            return AddressSet(tuple(sorted(found)), p)
+            return tuple(found)
     raise RealizationBoundExceededError(
-        f"no realizing address of {p} found for m <= {m_max}"
+        f"no realizing address of the rotations of {itin} found for m <= {m_max}"
     )
 
 
@@ -230,7 +263,7 @@ def _stop_stage(A: AddressTriod, max_steps: int = 10_000) -> AddressTriod:
         if nxt is None:
             return cur
         cur = nxt
-    raise AssertionError("address triod did not stop; caller must check the shape first")
+    raise InternalInvariantError("address triod did not stop; caller must check the shape first")
 
 
 def separating_addresses(

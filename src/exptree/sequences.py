@@ -43,6 +43,11 @@ def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
+def _least_rotation(word: tuple) -> int:
+    """The ``k`` whose rotation ``word[k:] + word[:k]`` is least."""
+    return min(range(len(word)), key=lambda i: word[i:] + word[:i])
+
+
 @dataclass(frozen=True, slots=True)
 class ExtAddress:
     """Canonical eventually periodic integer sequence.

@@ -4,12 +4,16 @@ The vertex set consists of the forward orbit of the singular point
 ``*nu`` under the shift together with the middle points of all triods of
 orbit members.  Betweenness of vertices is decided by the triod
 algorithm (``w`` lies on the arc ``[u, v]`` iff the middle point of
-``[u, w, v]`` is ``w``), edges are pairs with nothing in between, the
-vertex dynamics is the shift, and branches at the singular point are
-labeled by the shared first itinerary entry of their vertices.  At every
-other vertex of degree at least three, the realizing external addresses
-of the vertex split the circle at infinity into gaps, one per branch,
-which yields the cyclic order of the branches.
+``[u, w, v]`` is ``w``).  There is one middle point per unordered vertex
+triple: the closure check of the vertex set computes each once, and
+betweenness is read from those same middle points.  Edges are the pairs
+with nothing in between, the vertex dynamics is the shift, and branches
+at the singular point are labeled by the shared first itinerary entry of
+their vertices.  At every other vertex of degree at least three, the
+realizing external addresses of the vertex split the circle at infinity
+into gaps, one per branch, which yields the cyclic order of the
+branches.  Each vertex's realizing addresses are looked up once per
+build.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
 from itertools import combinations
+from typing import Callable
 
 from .errors import (
     ClosureViolationError,
@@ -38,7 +43,7 @@ from .partition import (
     validate_base,
 )
 from .realization import DEFAULT_CANDIDATE_CAP, DEFAULT_M_MAX, addresses_of
-from .sequences import ExtAddress, compare_lex, cyclic_between
+from .sequences import ExtAddress, _least_rotation, compare_lex, cyclic_between
 from .triods import Triod, middle_point
 
 __all__ = [
@@ -98,9 +103,6 @@ class AbstractHubbardTree:
             adj[a].append(b)
             adj[b].append(a)
         return {k: sorted(v) for k, v in adj.items()}
-
-    def degree(self, vid: int) -> int:
-        return sum(1 for a, b in self.edges if vid in (a, b))
 
     def path(self, a: int, b: int) -> list[int]:
         """Vertex ids along the unique tree path from ``a`` to ``b``."""
@@ -164,27 +166,43 @@ def vertex_set(P: Partition) -> list[Itinerary]:
     Verifies closure under the shift and under taking triods of the full
     result; failures raise :class:`ClosureViolationError`.
     """
+    return _vertex_set(P)[0]
+
+
+def _vertex_set(
+    P: Partition,
+) -> tuple[list[Itinerary], dict[tuple[int, int, int], Itinerary]]:
+    """The sorted vertex set and the middle point of every vertex triple
+    ``i < j < k`` (indices into the vertex list)."""
     orbit = omega_plus(P)
     cache: dict = {}
     verts: set[Itinerary] = set(orbit)
     for tri in combinations(orbit, 3):
         verts.add(middle_point(Triod(tri, P), _cache=cache))
-    _check_closure(P, verts, cache)
-    return _sort_itineraries(list(verts))
+    its = _sort_itineraries(list(verts))
+    return its, _check_closure(P, its, cache)
 
 
-def _check_closure(P: Partition, verts: set[Itinerary], cache: dict) -> None:
-    for it in verts:
+def _check_closure(
+    P: Partition, its: list[Itinerary], cache: dict
+) -> dict[tuple[int, int, int], Itinerary]:
+    """Check closure under shift and triods; return the middle points."""
+    verts = set(its)
+    for it in its:
         if not is_in_S_nu(P, it):
             raise ClosureViolationError(f"vertex {it} is not a formal point")
         if shift_itinerary(P, it) not in verts:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
-    for tri in combinations(sorted(verts, key=str), 3):
+    middles: dict[tuple[int, int, int], Itinerary] = {}
+    for ids in combinations(range(len(its)), 3):
+        tri = tuple(its[i] for i in ids)
         b = middle_point(Triod(tri, P), _cache=cache)
         if b not in verts:
             raise ClosureViolationError(
                 f"vertex set not closed under triods: b{tri} = {b}"
             )
+        middles[ids] = b
+    return middles
 
 
 def _first_entries_span(vertices: list[Itinerary]) -> tuple[int, int]:
@@ -208,24 +226,22 @@ def _vertex_addresses(
 def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     if not seq:
         return seq
-    best = min(range(len(seq)), key=lambda i: seq[i:] + seq[:i])
+    best = _least_rotation(seq)
     return seq[best:] + seq[:best]
 
 
 def _cyclic_order_by_gaps(
-    P: Partition,
     vid: int,
     vit: Itinerary,
     branches: list[tuple[int, list[int]]],
     itineraries: dict[int, Itinerary],
-    span: tuple[int, int],
-    m_max: int,
-    candidate_cap: int,
+    addresses: Callable[[int], tuple[ExtAddress, ...]],
     notes: list[str],
 ) -> tuple[int, ...]:
     """Order the branches at a vertex by the cyclic gaps of its realizing
-    addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``."""
-    anchors = _vertex_addresses(P, vit, span, m_max, candidate_cap)
+    addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``;
+    ``addresses`` maps a vertex id to its realizing addresses."""
+    anchors = addresses(vid)
     if len(anchors) < len(branches):
         raise GapAssignmentFailureError(
             f"vertex {vit}: {len(anchors)} addresses for {len(branches)} branches"
@@ -235,7 +251,7 @@ def _cyclic_order_by_gaps(
     for nb, members in branches:
         gaps_seen: set[int] = set()
         for w in members:
-            for a in _vertex_addresses(P, itineraries[w], span, m_max, candidate_cap):
+            for a in addresses(w):
                 gap = next(
                     (
                         i
@@ -310,29 +326,17 @@ def build_tree(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``."""
-    its = vertex_set(P)
+    its, middles = _vertex_set(P)
     n = len(its)
     it2id = {it: i for i, it in enumerate(its)}
-    cache: dict = {}
 
-    def mid(a: Itinerary, b: Itinerary, c: Itinerary) -> Itinerary:
-        return middle_point(Triod((a, b, c), P), _cache=cache)
-
-    # Betweenness scan: between[i][j] = set of vertices strictly inside [i, j].
-    between: dict[tuple[int, int], set[int]] = {
-        (i, j): set() for i in range(n) for j in range(i + 1, n)
-    }
-    for i, j, w in (
-        (i, j, w) for i in range(n) for j in range(i + 1, n) for w in range(n)
-    ):
-        if w == i or w == j:
-            continue
-        if mid(its[i], its[w], its[j]) == its[w]:
-            between[(i, j)].add(w)
-
-    edges = tuple(
-        (i, j) for (i, j), mids in sorted(between.items()) if not mids
-    )
+    # A vertex lies strictly inside the arc between the other two members
+    # of a triple exactly when it is the triple's middle point.
+    separated: set[tuple[int, ...]] = set()
+    for ids, b in middles.items():
+        if it2id[b] in ids:
+            separated.add(tuple(i for i in ids if i != it2id[b]))
+    edges = tuple(pair for pair in combinations(range(n), 2) if pair not in separated)
 
     # Dynamics: the shift; the singular point maps to the kneading vertex.
     sing = it2id[PreSingular(())]
@@ -343,7 +347,8 @@ def build_tree(
         if img not in it2id:
             raise ClosureViolationError(f"shift of vertex {it} left the vertex set")
         dynamics.append(it2id[img])
-    assert dynamics[sing] == nu_id
+    if dynamics[sing] != nu_id:
+        raise ClosureViolationError("the singular point does not map to the singular value")
 
     tree = AbstractHubbardTree(
         partition=P,
@@ -385,6 +390,13 @@ def build_tree(
 
     # Cyclic orders.
     span = _first_entries_span(its)
+    vertex_addresses: dict[int, tuple[ExtAddress, ...]] = {}
+
+    def addresses(w: int) -> tuple[ExtAddress, ...]:
+        if w not in vertex_addresses:
+            vertex_addresses[w] = _vertex_addresses(P, its[w], span, m_max, candidate_cap)
+        return vertex_addresses[w]
+
     notes: list[str] = []
     itineraries = dict(enumerate(its))
     cyclic: list[tuple[int, ...] | None] = []
@@ -408,9 +420,7 @@ def build_tree(
                     "used address gaps for the cyclic order"
                 )
         if order is None:
-            order = _cyclic_order_by_gaps(
-                P, i, it, branches, itineraries, span, m_max, candidate_cap, notes
-            )
+            order = _cyclic_order_by_gaps(i, it, branches, itineraries, addresses, notes)
         cyclic.append(_min_rotation(order))
 
     tree = AbstractHubbardTree(
@@ -558,17 +568,13 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             )
 
 
-def _itinerary_to_text(it: Itinerary) -> str:
-    return str(it)
-
-
 def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
     """Serialize per the library's stable JSON schema."""
     doc = {
         "base": str(tree.partition.base),
         "kneading": str(tree.partition.kneading),
         "vertices": [
-            {"id": v.id, "itinerary": _itinerary_to_text(v.itinerary), "kind": v.kind.value}
+            {"id": v.id, "itinerary": str(v.itinerary), "kind": v.kind.value}
             for v in tree.vertices
         ],
         "edges": [[a, b] for a, b in tree.edges],

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import IsStopCaseError, NotDistinctError
+from .errors import InternalInvariantError, IsStopCaseError, NotDistinctError
 from .partition import (
+    STAR,
     Boundary,
     Itinerary,
     Partition,
@@ -161,7 +162,10 @@ def majority_vote(T: Triod) -> int:
         vote = b
     else:
         raise IsStopCaseError(f"triod {T} is in the stop case")
-    assert vote != "*", "only *nu starts with the star, and members are distinct"
+    if vote == STAR:
+        raise InternalInvariantError(
+            f"triod {T}: two members start with the star, but only *nu does"
+        )
     return vote
 
 

@@ -5,6 +5,9 @@ import pytest
 from exptree.errors import EmptyRangeError, RealizationBoundExceededError
 from exptree.partition import Plain, PreSingular, inverse_branch, itinerary
 from exptree.realization import (
+    DEFAULT_CANDIDATE_CAP,
+    DEFAULT_M_MAX,
+    _periodic_search,
     addresses_of,
     addresses_of_periodic,
     separating_addresses,
@@ -139,6 +142,65 @@ class TestOracleEquivalence:
                     assert got == want
                 else:
                     assert not want
+
+
+def periodic_sample(P, seed, count=12):
+    """Itineraries of random periodic addresses of period at most 3, so
+    every search ends at a multiplier of at most 3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = canonicalize((), [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+        it = itinerary(P, t)
+        if isinstance(it, Plain) and it not in out:
+            out.append(it)
+    return out
+
+
+def rotations(p):
+    word = p.seq.period
+    return [plain([], word[k:] + word[:k]) for k in range(len(word))]
+
+
+class TestRotationSharing:
+    def test_every_rotation_matches_a_fresh_search(self, P_a, P_b):
+        for P, seed in ((P_a, 41), (P_b, 42)):
+            for p in periodic_sample(P, seed):
+                for rot in rotations(p):
+                    fresh = _periodic_search.__wrapped__(
+                        P, rot.seq.period, DEFAULT_M_MAX, DEFAULT_CANDIDATE_CAP, False
+                    )
+                    got = addresses_of_periodic(P, rot)
+                    assert got.addresses == tuple(sorted(fresh)), f"{P.base}: {rot}"
+                    for a in got:
+                        assert itinerary(P, a) == rot
+
+    def test_every_rotation_matches_the_oracle(self, P_a, P_b):
+        for P, seed in ((P_a, 43), (P_b, 44)):
+            s = P.base
+            for p in periodic_sample(P, seed, count=6):
+                for rot in rotations(p):
+                    target = list(rot.seq.period)
+                    limit = oracle_m_limit(len(target), budget=2**12)
+                    raw = epsilon_search(s.preperiod, s.period, target, limit)
+                    got = addresses_of_periodic(P, rot).addresses
+                    if max(len(a.period) for a in got) // len(target) <= limit:
+                        assert set(got) == {canonicalize((), w) for w in raw}
+
+    def test_one_search_per_rotation_class(self, P_b):
+        _periodic_search.cache_clear()
+        p = plain([], [1, 0, 0])
+        results = [addresses_of_periodic(P_b, rot) for rot in rotations(p)]
+        info = _periodic_search.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # The shift maps the realizations of each rotation onto those of
+        # the next one.
+        for cur, nxt in zip(results, results[1:] + results[:1]):
+            assert sorted(a.shift() for a in cur) == list(nxt.addresses)
+
+    def test_bound_error_names_the_rotation_class(self, P_b):
+        with pytest.raises(RealizationBoundExceededError, match="rotations"):
+            addresses_of_periodic(P_b, plain([], [1, 0, 0]), candidate_cap=2)
 
 
 class TestSeparating:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -148,6 +149,36 @@ class TestBetweenness:
     def test_path_endpoints(self, tree_b):
         p = tree_b.path(0, 0)
         assert p == [0]
+
+
+def scan_edges(P, its):
+    """Edges by the full betweenness scan: every pair against every third
+    vertex, one middle point each."""
+    n = len(its)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not any(
+            middle_point(Triod((its[i], its[w], its[j]), P)) == its[w]
+            for w in range(n)
+            if w not in (i, j)
+        )
+    )
+
+
+class TestSinglePassBetweenness:
+    def test_golden_edges_match_the_full_scan(self, P_a, P_b, tree_a, tree_b):
+        for P, tree in ((P_a, tree_a), (P_b, tree_b)):
+            its = [v.itinerary for v in tree.vertices]
+            assert tree.edges == scan_edges(P, its)
+
+    def test_corpus_edges_match_the_full_scan(self, acceptance_corpus):
+        picks = random.Random(47).sample(range(len(acceptance_corpus.trees)), 20)
+        for i in picks:
+            P, tree = acceptance_corpus.partitions[i], acceptance_corpus.trees[i]
+            its = [v.itinerary for v in tree.vertices]
+            assert tree.edges == scan_edges(P, its), str(P.base)
 
 
 class TestSerialization:
