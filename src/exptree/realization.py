@@ -204,6 +204,16 @@ def _boundary_pullbacks(
     return out
 
 
+def _presingular_sheets(firsts: Iterable[int]) -> range:
+    """Sheets for the boundary pullbacks of a pre-singular itinerary,
+    given the first entries of what the pullbacks must separate: from one
+    below the least to one above the greatest, so the sheets reach past
+    both ends.  Where a range is too narrow, the tree build and
+    :func:`separating_addresses` raise :class:`GapAssignmentFailureError`."""
+    firsts = list(firsts)
+    return range(min(firsts) - 1, max(firsts) + 2)
+
+
 def addresses_of(
     P: Partition,
     t: Itinerary,
@@ -290,7 +300,7 @@ def separating_addresses(
         # covered.
         firsts = [x.entry(1) for x in A.members]
         firsts += [x.entry(1) for x in _stop_stage(A).members]
-        addrs = _boundary_pullbacks(P, b.prefix, range(min(firsts) - 1, max(firsts) + 2))
+        addrs = _boundary_pullbacks(P, b.prefix, _presingular_sheets(firsts))
     else:
         addrs = list(addresses_of(P, b, m_max, candidate_cap=candidate_cap))
 

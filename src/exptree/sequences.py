@@ -145,7 +145,7 @@ def canonicalize(preperiod: Iterable[int], period: Iterable[int]) -> ExtAddress:
 def address(text_or_pre, period=None) -> ExtAddress:
     """Convenience constructor: ``address([0], [1])`` or ``address("0(1)")``."""
     if isinstance(text_or_pre, str):
-        from .cli import parse_address
+        from .notation import parse_address
 
         return parse_address(text_or_pre)
     return canonicalize(text_or_pre, period)

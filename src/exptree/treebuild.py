@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     ClosureViolationError,
@@ -42,7 +42,8 @@ from .partition import (
     shift_itinerary,
     validate_base,
 )
-from .realization import DEFAULT_CANDIDATE_CAP, DEFAULT_M_MAX, addresses_of
+from .notation import parse_address, parse_itinerary
+from .realization import DEFAULT_CANDIDATE_CAP, DEFAULT_M_MAX, _presingular_sheets, addresses_of
 from .sequences import ExtAddress, _least_rotation, compare_lex, cyclic_between
 from .triods import Triod, middle_point
 
@@ -98,11 +99,7 @@ class AbstractHubbardTree:
     notes: tuple[str, ...] = ()
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v.id: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {k: sorted(v) for k, v in adj.items()}
+        return _adjacency((v.id for v in self.vertices), self.edges)
 
     def path(self, a: int, b: int) -> list[int]:
         """Vertex ids along the unique tree path from ``a`` to ``b``."""
@@ -135,6 +132,16 @@ class AbstractHubbardTree:
             f"AbstractHubbardTree(base={self.partition.base}, "
             f"|V|={len(self.vertices)}, |E|={len(self.edges)})"
         )
+
+
+def _adjacency(
+    ids: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {i: [] for i in ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {k: sorted(v) for k, v in adj.items()}
 
 
 def omega_plus(P: Partition) -> list[Itinerary]:
@@ -176,17 +183,22 @@ def _vertex_set(
     ``i < j < k`` (indices into the vertex list)."""
     orbit = omega_plus(P)
     cache: dict = {}
-    verts: set[Itinerary] = set(orbit)
-    for tri in combinations(orbit, 3):
-        verts.add(middle_point(Triod(tri, P), _cache=cache))
-    its = _sort_itineraries(list(verts))
-    return its, _check_closure(P, its, cache)
+    known = {
+        frozenset(tri): middle_point(Triod(tri, P), _cache=cache)
+        for tri in combinations(orbit, 3)
+    }
+    its = _sort_itineraries(list(set(orbit) | set(known.values())))
+    return its, _check_closure(P, its, cache, known)
 
 
 def _check_closure(
-    P: Partition, its: list[Itinerary], cache: dict
+    P: Partition, its: list[Itinerary], cache: dict, known: dict
 ) -> dict[tuple[int, int, int], Itinerary]:
-    """Check closure under shift and triods; return the middle points."""
+    """Check closure under shift and triods; return the middle points.
+
+    ``known`` maps the member set of a triple to its solved middle point,
+    which does not depend on the member order; those are not re-solved.
+    """
     verts = set(its)
     for it in its:
         if not is_in_S_nu(P, it):
@@ -196,7 +208,9 @@ def _check_closure(
     middles: dict[tuple[int, int, int], Itinerary] = {}
     for ids in combinations(range(len(its)), 3):
         tri = tuple(its[i] for i in ids)
-        b = middle_point(Triod(tri, P), _cache=cache)
+        b = known.get(frozenset(tri))
+        if b is None:
+            b = middle_point(Triod(tri, P), _cache=cache)
         if b not in verts:
             raise ClosureViolationError(
                 f"vertex set not closed under triods: b{tri} = {b}"
@@ -205,25 +219,7 @@ def _check_closure(
     return middles
 
 
-def _first_entries_span(vertices: list[Itinerary]) -> tuple[int, int]:
-    firsts = [v.first_symbol() for v in vertices if v.first_symbol() != STAR]
-    return min(firsts), max(firsts)
-
-
-def _vertex_addresses(
-    P: Partition,
-    it: Itinerary,
-    span: tuple[int, int],
-    m_max: int,
-    candidate_cap: int,
-) -> tuple[ExtAddress, ...]:
-    if isinstance(it, PreSingular):
-        m_range = range(span[0] - 1, span[1] + 2)
-        return addresses_of(P, it, m_range=m_range).addresses
-    return addresses_of(P, it, m_max, candidate_cap=candidate_cap).addresses
-
-
-def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
+def _min_rotation(seq: tuple) -> tuple:
     if not seq:
         return seq
     best = _least_rotation(seq)
@@ -350,25 +346,13 @@ def build_tree(
     if dynamics[sing] != nu_id:
         raise ClosureViolationError("the singular point does not map to the singular value")
 
-    tree = AbstractHubbardTree(
-        partition=P,
-        vertices=tuple(
-            Vertex(i, it, VertexKind.POST_SINGULAR) for i, it in enumerate(its)
-        ),
-        edges=edges,
-        dynamics=tuple(dynamics),
-        singular_point=sing,
-        sectors=(),
-        cyclic_order=(),
-        notes=(),
-    )
-    if len(edges) != n - 1 or len(_component(tree.adjacency(), 0)) != n:
+    adj = _adjacency(range(n), edges)
+    if len(edges) != n - 1 or len(_component(adj, 0)) != n:
         raise NotATreeError(
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
 
     # Sector labels at the singular point: shared first itinerary entry.
-    adj = tree.adjacency()
     sector_groups: dict[int, list[int]] = {}
     for i, it in enumerate(its):
         if i == sing:
@@ -389,12 +373,18 @@ def build_tree(
             kinds.append(VertexKind.BRANCH_EXTRA)
 
     # Cyclic orders.
-    span = _first_entries_span(its)
+    sheets = _presingular_sheets(
+        it.first_symbol() for it in its if it.first_symbol() != STAR
+    )
     vertex_addresses: dict[int, tuple[ExtAddress, ...]] = {}
 
     def addresses(w: int) -> tuple[ExtAddress, ...]:
         if w not in vertex_addresses:
-            vertex_addresses[w] = _vertex_addresses(P, its[w], span, m_max, candidate_cap)
+            if isinstance(its[w], PreSingular):
+                found = addresses_of(P, its[w], m_range=sheets)
+            else:
+                found = addresses_of(P, its[w], m_max, candidate_cap=candidate_cap)
+            vertex_addresses[w] = found.addresses
         return vertex_addresses[w]
 
     notes: list[str] = []
@@ -408,9 +398,7 @@ def build_tree(
         if len(nbrs) <= 2:
             cyclic.append(_min_rotation(tuple(nbrs)))
             continue
-        branches = [
-            (nb, sorted(_component_without(adj, i, nb))) for nb in nbrs
-        ]
+        branches = [(nb, sorted(_component(adj, nb, removed=i))) for nb in nbrs]
         order: tuple[int, ...] | None = None
         if isinstance(it, PreSingular):
             order = _cyclic_order_presingular(P, it, branches, itineraries)
@@ -437,18 +425,10 @@ def build_tree(
     return tree
 
 
-def _component(adj: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _component_without(adj: dict[int, list[int]], removed: int, start: int) -> set[int]:
+def _component(
+    adj: dict[int, list[int]], start: int, removed: int | None = None
+) -> set[int]:
+    """Vertices reachable from ``start``, not passing through ``removed``."""
     seen = {start}
     stack = [start]
     while stack:
@@ -465,7 +445,6 @@ def _cyclic_subsequence(sub: list, full: list) -> bool:
         return True
     pos = {x: i for i, x in enumerate(full)}
     idx = [pos[x] for x in sub]
-    m = len(full)
     rot = idx.index(min(idx))
     idx = idx[rot:] + idx[:rot]
     return all(idx[i] < idx[i + 1] for i in range(len(idx) - 1))
@@ -515,7 +494,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     if got != expected:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
     for nb in adj[sing]:
-        comp = _component_without(adj, sing, nb)
+        comp = _component(adj, nb, removed=sing)
         firsts = {its[i].first_symbol() for i in comp}
         if len(firsts) != 1:
             raise ClosureViolationError(
@@ -526,7 +505,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
 
     # Dynamics restricted to each branch at the singular point is injective.
     for nb in adj[sing]:
-        comp = sorted(_component_without(adj, sing, nb))
+        comp = sorted(_component(adj, nb, removed=sing))
         images = [tree.dynamics[i] for i in comp]
         if len(set(images)) != len(images):
             raise ClosureViolationError(
@@ -592,11 +571,7 @@ def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
 
 def tree_from_json(text: str) -> AbstractHubbardTree:
     """Rebuild a tree from its JSON form (used by round-trip checks)."""
-    from .cli import parse_itinerary  # grammar lives in the cli module
-
     doc = json.loads(text)
-    from .cli import parse_address
-
     P = validate_base(parse_address(doc["base"]))
     if str(P.kneading) != doc["kneading"]:
         raise ClosureViolationError(

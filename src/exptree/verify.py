@@ -36,7 +36,7 @@ from .partition import (
     shift_itinerary,
     validate_base,
 )
-from .realization import addresses_of, separating_addresses
+from .realization import _presingular_sheets, addresses_of, separating_addresses
 from .sequences import ExtAddress, canonicalize, cyclic_between
 from .treebuild import AbstractHubbardTree, build_tree, omega_plus
 from .triods import (
@@ -163,18 +163,16 @@ def _vertex_address_triod(
     rng: random.Random, P: Partition, tree: AbstractHubbardTree
 ) -> AddressTriod | None:
     """A triod of addresses realizing three random tree vertices."""
-    span = None
     ids = rng.sample(range(len(tree.vertices)), 3)
     members = []
     for i in ids:
         it = tree.vertices[i].itinerary
         if isinstance(it, PreSingular):
-            firsts = [
+            span = _presingular_sheets(
                 v.itinerary.first_symbol()
                 for v in tree.vertices
                 if v.itinerary.first_symbol() != "*"
-            ]
-            span = range(min(firsts) - 1, max(firsts) + 2)
+            )
             addrs = addresses_of(P, it, m_range=span).addresses
         else:
             addrs = addresses_of(P, it).addresses
@@ -535,7 +533,7 @@ def suite_classification(
 
 
 def suite_entropy_agreement(corpus: Corpus, tol: float = 1e-9) -> SuiteResult:
-    """Growth-rate and exact spectral radii agree on small matrices."""
+    """Power-iteration and exact spectral radii agree on small matrices."""
     res = SuiteResult("entropy agreement")
     for P, tree in zip(corpus.partitions, corpus.trees):
         A = transition_matrix(tree).matrix

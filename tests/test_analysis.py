@@ -13,8 +13,8 @@ from exptree.analysis import (
     tree_equivalent,
 )
 from exptree.errors import NotExpansiveError, PeriodicBaseError
-from exptree.partition import Plain, PreSingular
-from exptree.sequences import canonicalize
+from exptree.partition import Plain, PreSingular, validate_base
+from exptree.sequences import address, canonicalize
 from exptree.treebuild import build_tree
 
 from oracles import numpy_spectral_radius
@@ -162,6 +162,32 @@ class TestEntropy:
     def test_power_handles_oscillation(self):
         A = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
         assert spectral_radius_power(A) == pytest.approx(math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[1, 1], [0, 1]], 1.0),  # Jordan block: two classes of radius 1
+            ([[0, 1], [0, 0]], 0.0),  # nilpotent: every class block is zero
+            (np.zeros((0, 0), dtype=np.int64), 0.0),
+            (np.roll(np.eye(8, dtype=np.int64), 1, axis=1), 1.0),  # 8-cycle
+            # Block upper-triangular: class {0, 1} has radius 2, {2, 3} radius 1.
+            ([[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]], 2.0),
+        ],
+    )
+    def test_power_on_hand_matrices(self, rows, want):
+        A = np.array(rows, dtype=np.int64)
+        assert spectral_radius_power(A) == pytest.approx(want, abs=1e-12)
+        assert numpy_spectral_radius(A) == pytest.approx(want, abs=1e-7)
+
+    # Reducible transition matrices; on the first (8 edges in classes of
+    # 2 and 6, radius the golden ratio) the whole-matrix bracket stays
+    # open, so it needs the split into classes.
+    @pytest.mark.parametrize("base", ["0,3,-3(0,3,-1)", "0,2(1,-1)"])
+    def test_power_on_reducible_trees(self, base):
+        A = transition_matrix(build_tree(validate_base(address(base)))).matrix
+        rho_p = spectral_radius_power(A)
+        assert abs(rho_p - spectral_radius_exact(A)) < 1e-9
+        assert abs(rho_p - numpy_spectral_radius(A)) < 1e-7
 
     def test_three_routes_agree(self, acceptance_corpus):
         for tree in acceptance_corpus.trees[:25]:
