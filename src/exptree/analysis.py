@@ -12,14 +12,16 @@ of the matrix's graph (on a reducible matrix the whole-matrix bracket
 need not close); each class radius is certified by the Collatz-Wielandt
 bracket of power iteration on ``A_C + I``, closed to relative width
 ``1e-3 * tol``.  ``spectral_radius_exact`` is the reference.
+
+numpy is imported by the functions that build or read a matrix, so a
+caller that never does (``same_map``, say) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceFailureError, NotExpansiveError, PeriodicBaseError
 from .partition import (
@@ -31,6 +33,9 @@ from .partition import (
 )
 from .sequences import ExtAddress
 from .treebuild import AbstractHubbardTree, _min_rotation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExpansivityReport",
@@ -134,6 +139,8 @@ class TransitionMatrix:
 
     def row_map(self) -> dict[tuple[int, int], set[tuple[int, int]]]:
         """Edge-to-covered-edges view, independent of row order."""
+        import numpy as np
+
         out = {}
         for i, e in enumerate(self.edges):
             out[e] = {self.edges[j] for j in np.nonzero(self.matrix[i])[0]}
@@ -147,6 +154,8 @@ def transition_matrix(T: AbstractHubbardTree) -> TransitionMatrix:
     ``u`` to the image of ``v``; the row of ``(u, v)`` marks every edge
     on that path.
     """
+    import numpy as np
+
     edges = T.edges
     index = {frozenset(e): i for i, e in enumerate(edges)}
     mat = np.zeros((len(edges), len(edges)), dtype=np.int64)
@@ -175,6 +184,8 @@ def spectral_radius_power(
     Raises :class:`ConvergenceFailureError` if a class needs more than
     ``max_iter`` steps.
     """
+    import numpy as np
+
     n = A.shape[0]
     # Reachability closure: after k squarings ``reach`` covers every
     # path of length <= 2^k, and 2^n.bit_length() > n.

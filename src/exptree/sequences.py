@@ -79,14 +79,24 @@ class ExtAddress:
             yield from self.period
 
     def shift(self) -> "ExtAddress":
-        """Drop the first entry (the left shift)."""
+        """Drop the first entry (the left shift).
+
+        A rotation of a primitive period is primitive and the last
+        preperiod entry is kept, so the result is canonical as built.
+        """
         if self.preperiod:
-            return canonicalize(self.preperiod[1:], self.period)
-        return canonicalize((), self.period[1:] + self.period[:1])
+            return ExtAddress(self.preperiod[1:], self.period)
+        return ExtAddress((), self.period[1:] + self.period[:1])
 
     def prepend(self, k: int) -> "ExtAddress":
-        """The address ``k`` followed by this one."""
-        return canonicalize((k,) + self.preperiod, self.period)
+        """The address ``k`` followed by this one.
+
+        Canonical as built, except that ``k`` equal to the last period
+        entry of a periodic address rotates into the period.
+        """
+        if self.preperiod or k != self.period[-1]:
+            return ExtAddress((k,) + self.preperiod, self.period)
+        return ExtAddress((), self.period[-1:] + self.period[:-1])
 
     def shifts(self) -> list["ExtAddress"]:
         """All distinct forward shifts, starting with the address itself."""

@@ -19,6 +19,7 @@ build.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
@@ -28,6 +29,7 @@ from typing import Callable, Iterable
 from .errors import (
     ClosureViolationError,
     GapAssignmentFailureError,
+    InternalInvariantError,
     NotATreeError,
     NotExpansiveError,
 )
@@ -44,7 +46,7 @@ from .partition import (
 )
 from .notation import parse_address, parse_itinerary
 from .realization import DEFAULT_CANDIDATE_CAP, DEFAULT_M_MAX, _presingular_sheets, addresses_of
-from .sequences import ExtAddress, _least_rotation, compare_lex, cyclic_between
+from .sequences import ExtAddress, _least_rotation, compare_lex
 from .triods import Triod, middle_point
 
 __all__ = [
@@ -226,6 +228,20 @@ def _min_rotation(seq: tuple) -> tuple:
     return seq[best:] + seq[:best]
 
 
+def _gap_of(anchors: tuple[ExtAddress, ...], a: ExtAddress) -> int | None:
+    """Index ``i`` of the gap ``(anchors[i], anchors[i+1 mod q])`` that
+    holds ``a``, or ``None`` when ``a`` is an anchor.
+
+    ``anchors`` must strictly increase; the last gap wraps around, so it
+    holds both the addresses above the last anchor and those below the
+    first.
+    """
+    j = bisect_left(anchors, a)
+    if j < len(anchors) and anchors[j] == a:
+        return None
+    return (j - 1) % len(anchors)
+
+
 def _cyclic_order_by_gaps(
     vid: int,
     vit: Itinerary,
@@ -236,26 +252,23 @@ def _cyclic_order_by_gaps(
 ) -> tuple[int, ...]:
     """Order the branches at a vertex by the cyclic gaps of its realizing
     addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``;
-    ``addresses`` maps a vertex id to its realizing addresses."""
+    ``addresses`` maps a vertex id to its realizing addresses, which come
+    sorted, so each address finds its gap by bisection."""
     anchors = addresses(vid)
     if len(anchors) < len(branches):
         raise GapAssignmentFailureError(
             f"vertex {vit}: {len(anchors)} addresses for {len(branches)} branches"
         )
+    if any(b <= a for a, b in zip(anchors, anchors[1:])):
+        raise InternalInvariantError(
+            f"vertex {vit}: realizing addresses are not strictly increasing"
+        )
     gap_of_branch: dict[int, int] = {}
-    q = len(anchors)
     for nb, members in branches:
         gaps_seen: set[int] = set()
         for w in members:
             for a in addresses(w):
-                gap = next(
-                    (
-                        i
-                        for i in range(q)
-                        if cyclic_between(anchors[i], a, anchors[(i + 1) % q])
-                    ),
-                    None,
-                )
+                gap = _gap_of(anchors, a)
                 if gap is None:
                     raise GapAssignmentFailureError(
                         f"address {a} of branch vertex {itineraries[w]} collides "

@@ -185,29 +185,32 @@ def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
     iteration revisits a state, at which point the votes split into
     preperiod and period.
 
-    ``_cache`` maps previously solved triod states to their middle
-    points; every state visited along the way is added to it.
+    States are keyed by their member tuples, since all states of one
+    call share ``T.partition``.  ``_cache`` maps the members of
+    previously solved states to their middle points, and every state
+    visited along the way is added to it; so it must only be shared
+    among triods of one partition.
     """
-    path: list[Triod] = []
     votes: list[int] = []
-    seen: dict[Triod, int] = {}
+    # members of each visited state -> number of votes cast before it
+    seen: dict[tuple[Itinerary, Itinerary, Itinerary], int] = {}
     cur = T
 
     def assemble(i: int) -> Itinerary:
-        """Middle point of ``path[i]``: votes from step i on, then the tail."""
+        """Middle point of the state reached after ``i`` votes."""
         return _prepend_votes(votes[i:], tail)
 
     while True:
-        if _cache is not None and cur in _cache:
-            tail = _cache[cur]
+        key = cur.members
+        if _cache is not None and key in _cache:
+            tail = _cache[key]
             break
-        if cur in seen:
-            j = seen[cur]
+        if key in seen:
+            j = seen[key]
             # stream of the repeated state is votes[j:] forever
             tail = Plain(canonicalize((), votes[j:]))
             break
-        seen[cur] = len(votes)
-        path.append(cur)
+        seen[key] = len(votes)
         nxt = triod_step(cur)
         if nxt is None:
             tail = PreSingular(())
@@ -215,8 +218,8 @@ def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
         votes.append(majority_vote(cur))
         cur = nxt
     if _cache is not None:
-        for i, state in enumerate(path):
-            _cache[state] = assemble(i)
+        for key, i in seen.items():
+            _cache[key] = assemble(i)
     return assemble(0)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +206,30 @@ class TestEntropy:
     def test_bad_tolerance(self, tree_a):
         with pytest.raises(ValueError):
             core_entropy(tree_a, tol=0.0)
+
+
+class TestLazyNumpy:
+    def test_queries_without_a_matrix_skip_numpy(self):
+        import exptree
+
+        src = str(Path(exptree.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, exptree\n"
+            "s = exptree.address('0(0,1)')\n"
+            "P = exptree.validate_base(s)\n"
+            "exptree.itinerary(P, exptree.address('(1)'))\n"
+            "assert exptree.same_map(s, s)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr

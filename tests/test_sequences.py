@@ -84,6 +84,34 @@ class TestEntryShiftPrepend:
         assert a.shift().entries(20) == a.entries(21)[1:]
 
 
+class TestCanonicalByConstruction:
+    """``shift`` and ``prepend`` build their results without
+    ``canonicalize``; they must agree with it."""
+
+    short_preperiods = st.lists(entries, min_size=0, max_size=4)
+    short_periods = st.lists(entries, min_size=1, max_size=6)
+
+    @given(short_preperiods, short_periods)
+    def test_shift_agrees_with_canonicalize(self, pre, per):
+        a = canonicalize(pre, per)
+        if a.preperiod:
+            want = canonicalize(a.preperiod[1:], a.period)
+        else:
+            want = canonicalize((), a.period[1:] + a.period[:1])
+        got = a.shift()
+        assert got == want
+        assert canonicalize(got.preperiod, got.period) == got
+
+    @given(short_preperiods, short_periods, st.integers(min_value=-7, max_value=7))
+    def test_prepend_agrees_with_canonicalize(self, pre, per, k):
+        a = canonicalize(pre, per)
+        # the last period entry is the one that can rotate into the period
+        for j in (k, a.period[-1]):
+            got = a.prepend(j)
+            assert got == canonicalize((j,) + a.preperiod, a.period)
+            assert canonicalize(got.preperiod, got.period) == got
+
+
 class TestCompare:
     def test_examples(self):
         assert compare_lex(addr([0], [1]), addr([], [1])) is Ordering.LT

@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from exptree.errors import ClosureViolationError, NotATreeError
-from exptree.partition import Plain, PreSingular
-from exptree.sequences import canonicalize
+from exptree.errors import (
+    ClosureViolationError,
+    GapAssignmentFailureError,
+    InternalInvariantError,
+    NotATreeError,
+)
+from exptree.partition import STAR, Plain, PreSingular
+from exptree.realization import _presingular_sheets, addresses_of
+from exptree.sequences import canonicalize, cyclic_between
 from exptree.treebuild import (
     VertexKind,
+    _cyclic_order_by_gaps,
+    _gap_of,
     build_tree,
     check_tree_invariants,
     omega_plus,
@@ -179,6 +187,100 @@ class TestSinglePassBetweenness:
             P, tree = acceptance_corpus.partitions[i], acceptance_corpus.trees[i]
             its = [v.itinerary for v in tree.vertices]
             assert tree.edges == scan_edges(P, its), str(P.base)
+
+
+def scan_gap(anchors, a):
+    """Gap of ``a`` by testing every gap of the anchors in turn."""
+    q = len(anchors)
+    return next(
+        (i for i in range(q) if cyclic_between(anchors[i], a, anchors[(i + 1) % q])),
+        None,
+    )
+
+
+def gap_checks(P, tree):
+    """Compare the bisected gap with the scan for every address of every
+    vertex against the anchors of every branch vertex; return the number
+    of addresses compared."""
+    its = [v.itinerary for v in tree.vertices]
+    sheets = _presingular_sheets(
+        it.first_symbol() for it in its if it.first_symbol() != STAR
+    )
+
+    def lookup(it):
+        if isinstance(it, PreSingular):
+            return addresses_of(P, it, m_range=sheets).addresses
+        return addresses_of(P, it).addresses
+
+    adj = tree.adjacency()
+    checked = 0
+    for v in range(len(its)):
+        if v == tree.singular_point or len(adj[v]) < 3:
+            continue
+        anchors = lookup(its[v])
+        for w in range(len(its)):
+            if w == v:
+                continue
+            for a in lookup(its[w]):
+                assert _gap_of(anchors, a) == scan_gap(anchors, a), (
+                    f"{P.base}: address {a} at vertex {its[v]}"
+                )
+                checked += 1
+    return checked
+
+
+class TestGapBisection:
+    anchors = (addr([], [0]), addr([], [1]), addr([], [2]))
+    itineraries = {i: plain([], [i]) for i in range(4)}
+    branches = [(1, [1]), (2, [2]), (3, [3])]
+
+    def order(self, own):
+        return _cyclic_order_by_gaps(
+            0, self.itineraries[0], self.branches, self.itineraries, own.__getitem__, []
+        )
+
+    def test_gaps_wrap_around(self):
+        # 0(1) lies in gap 0, (1,2) in gap 1; (3) above the last anchor
+        # and (-1) below the first both lie in the wrap-around gap 2.
+        for last in (addr([], [3]), addr([], [-1])):
+            own = {
+                0: self.anchors,
+                1: (addr([0], [1]),),
+                2: (addr([], [1, 2]),),
+                3: (last,),
+            }
+            assert self.order(own) == (1, 2, 3)
+
+    def test_anchor_collision_raises(self):
+        own = {
+            0: self.anchors,
+            1: (addr([0], [1]),),
+            2: (self.anchors[1],),
+            3: (addr([], [3]),),
+        }
+        with pytest.raises(GapAssignmentFailureError, match="collides with an anchor"):
+            self.order(own)
+
+    def test_unsorted_anchors_raise(self):
+        own = {
+            0: self.anchors[::-1],
+            1: (addr([0], [1]),),
+            2: (addr([], [1, 2]),),
+            3: (addr([], [3]),),
+        }
+        with pytest.raises(InternalInvariantError):
+            self.order(own)
+
+    def test_golden_gaps_match_the_scan(self, P_a, P_b, tree_a, tree_b):
+        assert gap_checks(P_a, tree_a) + gap_checks(P_b, tree_b) > 0
+
+    def test_corpus_gaps_match_the_scan(self, acceptance_corpus):
+        picks = random.Random(53).sample(range(len(acceptance_corpus.trees)), 20)
+        checked = sum(
+            gap_checks(acceptance_corpus.partitions[i], acceptance_corpus.trees[i])
+            for i in picks
+        )
+        assert checked > 0
 
 
 class TestSerialization:
