@@ -23,7 +23,7 @@ from .errors import (
 )
 from .notation import parse_address, parse_itinerary
 from .partition import itinerary, validate_base
-from .realization import addresses_of, separating_addresses
+from .realization import DEFAULT_M_MAX, addresses_of, separating_addresses
 from .treebuild import build_tree, check_tree_invariants, to_dot, to_json, tree_from_json
 from .triods import AddressTriod, Triod, classify, middle_point
 
@@ -65,18 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("addresses-of", help="external addresses realizing an itinerary")
     sp.add_argument("--base", required=True)
     sp.add_argument("itinerary")
-    sp.add_argument("--m-max", type=int, default=8)
+    sp.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
     sp.add_argument(
         "--m-range",
         nargs=2,
         type=int,
         metavar=("LO", "HI"),
         help="inclusive boundary-sheet range for pre-singular itineraries",
-    )
-    sp.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="rescan multipliers m+1..2m and require that nothing new appears",
     )
 
     sp = sub.add_parser("separate", help="separating addresses of an address triod")
@@ -132,13 +127,7 @@ def _run(args: argparse.Namespace) -> int:
     if cmd == "addresses-of":
         P = validate_base(parse_address(args.base))
         m_range = range(args.m_range[0], args.m_range[1] + 1) if args.m_range else None
-        found = addresses_of(
-            P,
-            parse_itinerary(args.itinerary),
-            args.m_max,
-            m_range,
-            paranoid=args.paranoid,
-        )
+        found = addresses_of(P, parse_itinerary(args.itinerary), args.m_max, m_range)
         for a in found:
             print(a)
         return 0

@@ -2,26 +2,30 @@
 
 Every formal (pre-)periodic itinerary is realized by finitely many
 external addresses, all sharing one preperiod length and one period
-length (a multiple of the itinerary's period).  For a purely periodic
-itinerary the search enumerates candidate periodic addresses directly:
-an address inside sector ``I_k`` starts with ``j0 + k`` or ``j0 + k + 1``,
-so a realizing address of period ``m * n`` is determined by a choice of
-offset bit per position.  The realizations of a rotation ``sigma^k p`` of
-a periodic itinerary are exactly the ``sigma^k`` images of those of
-``p``, so the search runs only for the least rotation of the period word
-and the other rotations are answered by shifting its result.  Searches
-are memoized per ``(partition, least rotation, m_max, candidate_cap,
-paranoid)`` in a bounded LRU cache of 256 entries that lives as long as
-the process.  Preperiodic itineraries are pulled back from their
-periodic part through the inverse branches of the shift, and
-pre-singular itineraries are pullbacks of the partition boundary.
+length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
+of a periodic itinerary are the periodic points of the composed inverse
+branch ``G`` of its period word; :func:`_periodic_search` iterates ``G``
+from both sides of each of its cuts, certifies the periodic address that
+the repeating prepended words spell, and adds its ``G``-orbit.  ``m_max``
+bounds the multiplier ``m`` and, with it, the steps per seed.  This is
+the pull-back machinery of Bruin and Schleicher's *Symbolic Dynamics of
+Quadratic Polynomials*, carried over to exponential addresses.
+
+The realizations of a rotation ``sigma^k p`` of a periodic itinerary are
+exactly the ``sigma^k`` images of those of ``p``, so the search runs only
+for the least rotation of the period word and the other rotations are
+answered by shifting its result.  Searches are memoized per
+``(partition, least rotation, m_max)`` in a bounded LRU cache of 256
+entries that lives as long as the process.  Preperiodic itineraries are
+pulled back from their periodic part through the inverse branches of the
+shift, and pre-singular itineraries are pullbacks of the partition
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -51,11 +55,9 @@ __all__ = [
     "addresses_of_periodic",
     "separating_addresses",
     "DEFAULT_M_MAX",
-    "DEFAULT_CANDIDATE_CAP",
 ]
 
-DEFAULT_M_MAX = 8
-DEFAULT_CANDIDATE_CAP = 2**20
+DEFAULT_M_MAX = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,25 +111,21 @@ def _matches_periodic(P: Partition, t: ExtAddress, target: Sequence[int]) -> boo
 
 
 def addresses_of_periodic(
-    P: Partition,
-    p: Plain,
-    m_max: int = DEFAULT_M_MAX,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    paranoid: bool = False,
+    P: Partition, p: Plain, m_max: int = DEFAULT_M_MAX
 ) -> AddressSet:
     """All periodic external addresses with itinerary ``p``.
 
     The search runs once per rotation class: it realizes the least
     rotation ``sigma^k p`` of the period word, and the realizations of
     ``p`` are the ``(n - k)``-fold shifts of those.  Raises
-    :class:`RealizationBoundExceededError` when ``m_max`` or the
-    candidate cap is exhausted first.
+    :class:`RealizationBoundExceededError` when the search needs a
+    multiplier above ``m_max``.
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
     word = p.seq.period
     k = _least_rotation(word)
-    found = _periodic_search(P, word[k:] + word[:k], m_max, candidate_cap, paranoid)
+    found = _periodic_search(P, word[k:] + word[:k], m_max)
     # Each found period word is a multiple of len(word) long, so the
     # (n - k)-fold shift is a rotation of it.
     j = (len(word) - k) % len(word)
@@ -135,57 +133,79 @@ def addresses_of_periodic(
     return AddressSet(tuple(sorted(shifted)), p)
 
 
+def _pull(
+    P: Partition, letters: Sequence[int], x: ExtAddress, upper: bool = False
+) -> ExtAddress:
+    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``; with
+    ``upper`` an address equal to the base counts as above it."""
+    for k in reversed(letters):
+        if upper and x == P.base:
+            x = x.prepend(P.offset_j0 + k)
+        else:
+            x = inverse_branch(P, k, x)
+    return x
+
+
 @lru_cache(maxsize=256)
 def _periodic_search(
-    P: Partition,
-    word: tuple[int, ...],
-    m_max: int,
-    candidate_cap: int,
-    paranoid: bool,
+    P: Partition, word: tuple[int, ...], m_max: int
 ) -> tuple[ExtAddress, ...]:
     """The periodic addresses whose itinerary has period ``word``.
 
-    For ``m = 1, 2, ...`` every offset vector in ``{0,1}^(m*n)`` is tried;
-    the search stops at the first ``m`` with a nonempty result, which is
-    exhaustive because all realizing addresses share one minimal period.
-    ``paranoid`` additionally scans ``m+1 .. 2m`` and checks that nothing
-    new turns up.
+    These are the periodic points of ``G = L_{p_1} o ... o L_{p_n}``
+    (``L_k`` is :func:`inverse_branch`).  ``G`` preserves the cyclic
+    order, prepends one ``n``-word per step and jumps only at its cuts:
+    the ``sigma^r s`` (``0 <= r < n``) that the last ``r`` letters of
+    ``word`` pull back to the base ``s`` exactly, ``s`` itself among
+    them.  Every periodic orbit of ``G`` attracts one side of a cut, so
+    ``G`` is iterated from both sides of each cut: the cut itself, which
+    follows the ``<= s`` rule of :func:`inverse_branch`, and its upper
+    side, where an address equal to ``s`` counts as above it.  Once the
+    last ``j`` prepended words repeat the ``j`` words before them, the
+    periodic address with those ``j`` words as its period is certified
+    with :func:`_matches_periodic` (or found among the addresses already
+    certified), and its whole ``G``-orbit, the rotations of its period
+    word by multiples of ``n``, is added.  All orbits share one
+    multiplier ``m``, the address period over ``n``.  With ``j`` at most
+    ``m_max`` and ``2 * m_max + 2`` steps per seed, a seed that does not
+    close raises :class:`RealizationBoundExceededError`.
     """
-    target = list(word)
-    n = len(target)
-    itin = canonicalize((), word)
+    n, s = len(word), P.base
+    found: set[ExtAddress] = set()
+    cut = s
+    for r in range(n):
+        if _pull(P, word[n - r :], cut) == s:
+            for upper in (False, True):
+                found |= _seed_orbit(P, word, cut, upper, m_max, found)
+        cut = cut.shift()
+    return tuple(found)
 
-    def scan(m: int) -> set[ExtAddress]:
-        found: set[ExtAddress] = set()
-        entries_base = [P.offset_j0 + target[i % n] for i in range(m * n)]
-        for eps in product((0, 1), repeat=m * n):
-            cand = canonicalize((), [b + e for b, e in zip(entries_base, eps)])
-            if cand in found:
+
+def _seed_orbit(
+    P: Partition,
+    word: tuple[int, ...],
+    x: ExtAddress,
+    upper: bool,
+    m_max: int,
+    found: set[ExtAddress],
+) -> set[ExtAddress]:
+    """The ``G``-orbit that the seed ``x``, or its upper side, closes on."""
+    n = len(word)
+    words: list[tuple[int, ...]] = []
+    for i in range(1, 2 * m_max + 3):
+        x = _pull(P, word, x, upper)
+        words.append(tuple(x.entries(n)))
+        for j in range(1, min(i // 2, m_max) + 1):
+            if words[i - j :] != words[i - 2 * j : i - j]:
                 continue
-            if _matches_periodic(P, cand, target):
-                found.add(cand)
-        return found
-
-    for m in range(1, m_max + 1):
-        if 2 ** (m * n) > candidate_cap:
-            raise RealizationBoundExceededError(
-                f"candidate space 2^{m * n} exceeds cap for the rotations "
-                f"of itinerary {itin}"
-            )
-        found = scan(m)
-        if found:
-            if paranoid:
-                for m2 in range(m + 1, 2 * m + 1):
-                    if 2 ** (m2 * n) > candidate_cap:
-                        break
-                    extra = scan(m2) - found
-                    if extra:
-                        raise InternalInvariantError(
-                            f"paranoid scan found new addresses {extra} for {itin} at m={m2}"
-                        )
-            return tuple(found)
+            t = canonicalize((), [e for w in reversed(words[i - j :]) for e in w])
+            if t in found or _matches_periodic(P, t, word):
+                per = t.period
+                rotations = range(0, len(per), n)
+                return {ExtAddress((), per[r:] + per[:r]) for r in rotations}
     raise RealizationBoundExceededError(
-        f"no realizing address of the rotations of {itin} found for m <= {m_max}"
+        f"no realizing address of the rotations of {canonicalize((), word)} "
+        f"found for m <= {m_max}"
     )
 
 
@@ -195,13 +215,7 @@ def _boundary_pullbacks(
     ms = list(m_range)
     if not ms:
         raise EmptyRangeError("pre-singular realization requires a nonempty m range")
-    out = []
-    for m in ms:
-        a = P.base.prepend(m)
-        for k in reversed(list(prefix)):
-            a = inverse_branch(P, k, a)
-        out.append(a)
-    return out
+    return [_pull(P, prefix, P.base.prepend(m)) for m in ms]
 
 
 def _presingular_sheets(firsts: Iterable[int]) -> range:
@@ -219,8 +233,6 @@ def addresses_of(
     t: Itinerary,
     m_max: int = DEFAULT_M_MAX,
     m_range: Iterable[int] | None = None,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    paranoid: bool = False,
 ) -> AddressSet:
     """External addresses realizing the itinerary ``t``.
 
@@ -240,13 +252,12 @@ def addresses_of(
         return AddressSet(tuple(sorted(addrs)), t)
 
     per = Plain(canonicalize((), t.seq.period))
-    periodic = addresses_of_periodic(P, per, m_max, candidate_cap, paranoid)
+    periodic = addresses_of_periodic(P, per, m_max)
     if not t.seq.preperiod:
         return periodic
     out = []
     for a in periodic:
-        for k in reversed(t.seq.preperiod):
-            a = inverse_branch(P, k, a)
+        a = _pull(P, t.seq.preperiod, a)
         if itinerary(P, a) == t:
             out.append(a)
     return AddressSet(tuple(sorted(out)), t)
@@ -280,7 +291,6 @@ def separating_addresses(
     P: Partition,
     A: AddressTriod,
     m_max: int = DEFAULT_M_MAX,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> tuple[TriodShape, list[SeparatingAddress]]:
     """Addresses of the triod's middle point, assigned to its cyclic gaps.
 
@@ -302,7 +312,7 @@ def separating_addresses(
         firsts += [x.entry(1) for x in _stop_stage(A).members]
         addrs = _boundary_pullbacks(P, b.prefix, _presingular_sheets(firsts))
     else:
-        addrs = list(addresses_of(P, b, m_max, candidate_cap=candidate_cap))
+        addrs = list(addresses_of(P, b, m_max))
 
     t1, t2, t3 = A.members
     gaps = [(t1, t2), (t2, t3), (t3, t1)]

@@ -45,7 +45,7 @@ from .partition import (
     validate_base,
 )
 from .notation import parse_address, parse_itinerary
-from .realization import DEFAULT_CANDIDATE_CAP, DEFAULT_M_MAX, _presingular_sheets, addresses_of
+from .realization import DEFAULT_M_MAX, _presingular_sheets, addresses_of
 from .sequences import ExtAddress, _least_rotation, compare_lex
 from .triods import Triod, middle_point
 
@@ -185,21 +185,20 @@ def _vertex_set(
     ``i < j < k`` (indices into the vertex list)."""
     orbit = omega_plus(P)
     cache: dict = {}
-    known = {
-        frozenset(tri): middle_point(Triod(tri, P), _cache=cache)
-        for tri in combinations(orbit, 3)
+    middles = {
+        middle_point(Triod(tri, P), _cache=cache) for tri in combinations(orbit, 3)
     }
-    its = _sort_itineraries(list(set(orbit) | set(known.values())))
-    return its, _check_closure(P, its, cache, known)
+    its = _sort_itineraries(list(set(orbit) | middles))
+    return its, _check_closure(P, its, cache)
 
 
 def _check_closure(
-    P: Partition, its: list[Itinerary], cache: dict, known: dict
+    P: Partition, its: list[Itinerary], cache: dict
 ) -> dict[tuple[int, int, int], Itinerary]:
     """Check closure under shift and triods; return the middle points.
 
-    ``known`` maps the member set of a triple to its solved middle point,
-    which does not depend on the member order; those are not re-solved.
+    ``cache`` is the triod cache of :func:`middle_point`, so the triples
+    already solved for the vertex set are looked up, not solved again.
     """
     verts = set(its)
     for it in its:
@@ -210,9 +209,7 @@ def _check_closure(
     middles: dict[tuple[int, int, int], Itinerary] = {}
     for ids in combinations(range(len(its)), 3):
         tri = tuple(its[i] for i in ids)
-        b = known.get(frozenset(tri))
-        if b is None:
-            b = middle_point(Triod(tri, P), _cache=cache)
+        b = middle_point(Triod(tri, P), _cache=cache)
         if b not in verts:
             raise ClosureViolationError(
                 f"vertex set not closed under triods: b{tri} = {b}"
@@ -329,11 +326,7 @@ def _cyclic_order_presingular(
     return tuple(sorted(entry_of_branch, key=entry_of_branch.__getitem__))
 
 
-def build_tree(
-    P: Partition,
-    m_max: int = DEFAULT_M_MAX,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> AbstractHubbardTree:
+def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``."""
     its, middles = _vertex_set(P)
     n = len(its)
@@ -396,7 +389,7 @@ def build_tree(
             if isinstance(its[w], PreSingular):
                 found = addresses_of(P, its[w], m_range=sheets)
             else:
-                found = addresses_of(P, its[w], m_max, candidate_cap=candidate_cap)
+                found = addresses_of(P, its[w], m_max)
             vertex_addresses[w] = found.addresses
         return vertex_addresses[w]
 

@@ -185,15 +185,16 @@ def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
     iteration revisits a state, at which point the votes split into
     preperiod and period.
 
-    States are keyed by their member tuples, since all states of one
-    call share ``T.partition``.  ``_cache`` maps the members of
-    previously solved states to their middle points, and every state
-    visited along the way is added to it; so it must only be shared
-    among triods of one partition.
+    The middle point does not depend on the order of the members, so
+    states are keyed by their member sets (all states of one call share
+    ``T.partition``).  ``_cache`` maps the member sets of previously
+    solved states to their middle points, and every state visited along
+    the way is added to it; so it must only be shared among triods of one
+    partition.
     """
     votes: list[int] = []
-    # members of each visited state -> number of votes cast before it
-    seen: dict[tuple[Itinerary, Itinerary, Itinerary], int] = {}
+    # member set of each visited state -> number of votes cast before it
+    seen: dict[frozenset[Itinerary], int] = {}
     cur = T
 
     def assemble(i: int) -> Itinerary:
@@ -201,7 +202,7 @@ def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
         return _prepend_votes(votes[i:], tail)
 
     while True:
-        key = cur.members
+        key = frozenset(cur.members)
         if _cache is not None and key in _cache:
             tail = _cache[key]
             break

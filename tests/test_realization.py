@@ -3,9 +3,8 @@ import random
 import pytest
 
 from exptree.errors import EmptyRangeError, RealizationBoundExceededError
-from exptree.partition import Plain, PreSingular, inverse_branch, itinerary
+from exptree.partition import Plain, PreSingular, inverse_branch, itinerary, validate_base
 from exptree.realization import (
-    DEFAULT_CANDIDATE_CAP,
     DEFAULT_M_MAX,
     _periodic_search,
     addresses_of,
@@ -48,17 +47,17 @@ class TestPeriodic:
             for a in addresses_of_periodic(P_b, plain([], target)):
                 assert itinerary(P_b, a) == plain([], target)
 
-    def test_paranoid_mode(self, P_b):
-        got = addresses_of_periodic(P_b, plain([], [0]), paranoid=True)
-        assert len(got) == 3
-
     def test_bound_exceeded(self, P_b):
         # (0) needs multiplier 3; an m_max of 2 must fail loudly.
         with pytest.raises(RealizationBoundExceededError):
             addresses_of_periodic(P_b, plain([], [0]), m_max=2)
-        # Same search, but the candidate cap cuts in first.
-        with pytest.raises(RealizationBoundExceededError):
-            addresses_of_periodic(P_b, plain([], [0]), candidate_cap=4)
+
+    def test_multiplier_beyond_eight(self):
+        P = validate_base(addr([0], [1, 0, 0] * 3 + [2]))
+        got = addresses_of_periodic(P, plain([], [0]))
+        assert {len(a.period) for a in got} == {11}
+        for a in got:
+            assert itinerary(P, a) == plain([], [0])
 
     def test_every_periodic_itinerary_realized(self, P_a):
         # The landing theorem: realizations exist even for exotic entries.
@@ -126,6 +125,10 @@ class TestOracleEquivalence:
         for P, targets in (
             (P_a, [[1], [2], [-1]]),
             (P_b, [[0], [1], [0, 1], [1, 1], [0, 0, 1]]),
+            # Realized by two G-orbits: (0,-3,0) and (0,-2,-1).
+            (validate_base(addr([0, -3, 1, 0], [-1])), [[0, -2, 0]]),
+            # One of its two G-orbits attracts only a cut other than the base.
+            (validate_base(addr([0], [1, 1, 1, -1])), [[0, 1, 1, 0, -1, 0]]),
         ):
             s = P.base
             for target in targets:
@@ -167,9 +170,7 @@ class TestRotationSharing:
         for P, seed in ((P_a, 41), (P_b, 42)):
             for p in periodic_sample(P, seed):
                 for rot in rotations(p):
-                    fresh = _periodic_search.__wrapped__(
-                        P, rot.seq.period, DEFAULT_M_MAX, DEFAULT_CANDIDATE_CAP, False
-                    )
+                    fresh = _periodic_search.__wrapped__(P, rot.seq.period, DEFAULT_M_MAX)
                     got = addresses_of_periodic(P, rot)
                     assert got.addresses == tuple(sorted(fresh)), f"{P.base}: {rot}"
                     for a in got:
@@ -200,7 +201,7 @@ class TestRotationSharing:
 
     def test_bound_error_names_the_rotation_class(self, P_b):
         with pytest.raises(RealizationBoundExceededError, match="rotations"):
-            addresses_of_periodic(P_b, plain([], [1, 0, 0]), candidate_cap=2)
+            addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
 
 
 class TestSeparating:

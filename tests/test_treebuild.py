@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from exptree.errors import (
     InternalInvariantError,
     NotATreeError,
 )
-from exptree.partition import STAR, Plain, PreSingular
+from exptree.partition import STAR, Plain, PreSingular, validate_base
 from exptree.realization import _presingular_sheets, addresses_of
 from exptree.sequences import canonicalize, cyclic_between
 from exptree.treebuild import (
@@ -281,6 +282,23 @@ class TestGapBisection:
             for i in picks
         )
         assert checked > 0
+
+
+class TestLongMultipliers:
+    """Bases whose vertex itineraries need multipliers far beyond 8, such
+    as ``(1,0)`` with multiplier ``k + 1`` over ``0((1,0)^k,2)``."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [addr([0], [1, 0] * k + [2]) for k in range(8, 13)]
+        + [addr([0], [1, 0, 0, 0] * 5 + [2])],
+        ids=str,
+    )
+    def test_builds_in_under_a_second(self, base):
+        t0 = time.perf_counter()
+        tree = build_tree(validate_base(base))
+        check_tree_invariants(tree)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestSerialization:
