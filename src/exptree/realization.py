@@ -36,6 +36,7 @@ from .errors import (
     RealizationBoundExceededError,
 )
 from .partition import (
+    STAR,
     Boundary,
     Itinerary,
     Partition,
@@ -226,6 +227,18 @@ def _presingular_sheets(firsts: Iterable[int]) -> range:
     :func:`separating_addresses` raise :class:`GapAssignmentFailureError`."""
     firsts = list(firsts)
     return range(min(firsts) - 1, max(firsts) + 2)
+
+
+def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
+    """Sheets for the boundary pullbacks of a tree's pre-singular vertices:
+    a vertex whose itinerary starts with ``k`` lies in sector ``I_k``,
+    between the sheets ``j0 + k`` and ``j0 + k + 1``."""
+    return _presingular_sheets(
+        P.offset_j0 + it.first_symbol() + d
+        for it in its
+        if it.first_symbol() != STAR
+        for d in (0, 1)
+    )
 
 
 def addresses_of(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyPeriodError, NotDistinctError
 
@@ -71,12 +71,6 @@ class ExtAddress:
     def entries(self, count: int) -> list[int]:
         """The first ``count`` entries as a list."""
         return [self.entry(i) for i in range(1, count + 1)]
-
-    def iter_entries(self) -> Iterator[int]:
-        """Entries of the denoted sequence, from the first on."""
-        yield from self.preperiod
-        while True:
-            yield from self.period
 
     def shift(self) -> "ExtAddress":
         """Drop the first entry (the left shift).

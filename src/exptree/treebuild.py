@@ -4,16 +4,16 @@ The vertex set consists of the forward orbit of the singular point
 ``*nu`` under the shift together with the middle points of all triods of
 orbit members.  Betweenness of vertices is decided by the triod
 algorithm (``w`` lies on the arc ``[u, v]`` iff the middle point of
-``[u, w, v]`` is ``w``).  There is one middle point per unordered vertex
-triple: the closure check of the vertex set computes each once, and
-betweenness is read from those same middle points.  Edges are the pairs
-with nothing in between, the vertex dynamics is the shift, and branches
-at the singular point are labeled by the shared first itinerary entry of
-their vertices.  At every other vertex of degree at least three, the
-realizing external addresses of the vertex split the circle at infinity
-into gaps, one per branch, which yields the cyclic order of the
-branches.  Each vertex's realizing addresses are looked up once per
-build.
+``[u, w, v]`` is ``w``).  One triod map per build computes the middle
+points of the orbit triples and then of every unordered vertex triple
+for the closure check, and betweenness is read from those same middle
+points.  Edges are the pairs with nothing in between, the vertex
+dynamics is the shift, and branches at the singular point are labeled
+by the shared first itinerary entry of their vertices.  At every other
+vertex of degree at least three, pre-singular or not, the realizing
+external addresses of the vertex split the circle at infinity into
+gaps, one per branch, which yields the cyclic order of the branches.
+Each vertex's realizing addresses are looked up once per build.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ClosureViolationError,
@@ -34,20 +34,18 @@ from .errors import (
     NotExpansiveError,
 )
 from .partition import (
-    STAR,
     Itinerary,
     Partition,
     Plain,
     PreSingular,
     is_in_S_nu,
-    itinerary_entry,
     shift_itinerary,
     validate_base,
 )
 from .notation import parse_address, parse_itinerary
-from .realization import DEFAULT_M_MAX, _presingular_sheets, addresses_of
+from .realization import DEFAULT_M_MAX, _vertex_sheets, addresses_of
 from .sequences import ExtAddress, _least_rotation, compare_lex
-from .triods import Triod, middle_point
+from .triods import _TriodMap
 
 __all__ = [
     "AbstractHubbardTree",
@@ -103,25 +101,36 @@ class AbstractHubbardTree:
     def adjacency(self) -> dict[int, list[int]]:
         return _adjacency((v.id for v in self.vertices), self.edges)
 
+    @cached_property
+    def _parents(self) -> dict[int, int | None]:
+        """Parent pointers of a search forest, one root (parent ``None``)
+        per connected component."""
+        adj = self.adjacency()
+        parent: dict[int, int | None] = {}
+        for root in adj:
+            if root not in parent:
+                parent[root] = None
+                stack = [root]
+                while stack:
+                    cur = stack.pop()
+                    for nxt in adj[cur]:
+                        if nxt not in parent:
+                            parent[nxt] = cur
+                            stack.append(nxt)
+        return parent
+
     def path(self, a: int, b: int) -> list[int]:
         """Vertex ids along the unique tree path from ``a`` to ``b``."""
-        adj = self.adjacency()
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            cur = queue.pop(0)
-            if cur == b:
-                break
-            for nxt in adj[cur]:
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        if b not in prev:
+        up, down = [a], [b]
+        for chain in (up, down):
+            while (p := self._parents[chain[-1]]) is not None:
+                chain.append(p)
+        if up[-1] != down[-1]:
             raise NotATreeError(f"no path between vertices {a} and {b}")
-        out = [b]
-        while out[-1] != a:
-            out.append(prev[out[-1]])
-        return out[::-1]
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        return up + down[-2::-1]
 
     def vertex_by_itinerary(self) -> dict[Itinerary, int]:
         return {v.itinerary: v.id for v in self.vertices}
@@ -180,42 +189,35 @@ def vertex_set(P: Partition) -> list[Itinerary]:
 
 def _vertex_set(
     P: Partition,
-) -> tuple[list[Itinerary], dict[tuple[int, int, int], Itinerary]]:
+) -> tuple[list[Itinerary], dict[tuple[int, int, int], int]]:
     """The sorted vertex set and the middle point of every vertex triple
-    ``i < j < k`` (indices into the vertex list)."""
-    orbit = omega_plus(P)
-    cache: dict = {}
-    middles = {
-        middle_point(Triod(tri, P), _cache=cache) for tri in combinations(orbit, 3)
-    }
-    its = _sort_itineraries(list(set(orbit) | middles))
-    return its, _check_closure(P, its, cache)
+    ``i < j < k``, all as indices into the vertex list.
 
-
-def _check_closure(
-    P: Partition, its: list[Itinerary], cache: dict
-) -> dict[tuple[int, int, int], Itinerary]:
-    """Check closure under shift and triods; return the middle points.
-
-    ``cache`` is the triod cache of :func:`middle_point`, so the triples
-    already solved for the vertex set are looked up, not solved again.
+    One triod map serves the orbit triples and the closure pass, so the
+    states solved for the orbit are looked up, not solved again.  Checks
+    closure under the shift and under triods.
     """
-    verts = set(its)
+    triods = _TriodMap(P)
+    orbit = omega_plus(P)
+    orbit_ids = [triods.id(it) for it in orbit]
+    middles = {triods.middle(*tri) for tri in combinations(orbit_ids, 3)}
+    its = _sort_itineraries(list(set(orbit) | middles))
+    index = {it: i for i, it in enumerate(its)}
     for it in its:
         if not is_in_S_nu(P, it):
             raise ClosureViolationError(f"vertex {it} is not a formal point")
-        if shift_itinerary(P, it) not in verts:
+        if shift_itinerary(P, it) not in index:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
-    middles: dict[tuple[int, int, int], Itinerary] = {}
-    for ids in combinations(range(len(its)), 3):
-        tri = tuple(its[i] for i in ids)
-        b = middle_point(Triod(tri, P), _cache=cache)
-        if b not in verts:
+    ids = [triods.id(it) for it in its]
+    out: dict[tuple[int, int, int], int] = {}
+    for i, j, k in combinations(range(len(its)), 3):
+        b = triods.middle(ids[i], ids[j], ids[k])
+        out[i, j, k] = index.get(b, -1)
+        if out[i, j, k] < 0:
             raise ClosureViolationError(
-                f"vertex set not closed under triods: b{tri} = {b}"
+                f"vertex set not closed under triods: b{(its[i], its[j], its[k])} = {b}"
             )
-        middles[ids] = b
-    return middles
+    return its, out
 
 
 def _min_rotation(seq: tuple) -> tuple:
@@ -243,7 +245,7 @@ def _cyclic_order_by_gaps(
     vid: int,
     vit: Itinerary,
     branches: list[tuple[int, list[int]]],
-    itineraries: dict[int, Itinerary],
+    itineraries: Sequence[Itinerary],
     addresses: Callable[[int], tuple[ExtAddress, ...]],
     notes: list[str],
 ) -> tuple[int, ...]:
@@ -288,44 +290,6 @@ def _cyclic_order_by_gaps(
     return tuple(ordered)
 
 
-def _cyclic_order_presingular(
-    P: Partition,
-    vit: PreSingular,
-    branches: list[tuple[int, list[int]]],
-    itineraries: dict[int, Itinerary],
-) -> tuple[int, ...] | None:
-    """Branch order at a pre-singular vertex via the itinerary entry that
-    the iterated dynamics exposes at the singular point.
-
-    Each branch is read off from its vertices whose itineraries agree
-    with the vertex prefix; if some branch has no such witness, ``None``
-    is returned and the caller falls back to the address-gap method.
-    """
-    r = len(vit.prefix)
-    entry_of_branch: dict[int, int] = {}
-    for nb, members in branches:
-        votes: set[int] = set()
-        for w in members:
-            wit = itineraries[w]
-            head = tuple(itinerary_entry(P, wit, i) for i in range(1, r + 1))
-            if head != vit.prefix:
-                continue
-            e = itinerary_entry(P, wit, r + 1)
-            if e == STAR:
-                continue
-            votes.add(e)
-        if len(votes) != 1:
-            if len(votes) > 1:
-                raise GapAssignmentFailureError(
-                    f"branch at {vit} exposes several sectors {sorted(votes)}"
-                )
-            return None
-        entry_of_branch[nb] = votes.pop()
-    if len(set(entry_of_branch.values())) != len(branches):
-        raise GapAssignmentFailureError(f"two branches at {vit} expose one sector")
-    return tuple(sorted(entry_of_branch, key=entry_of_branch.__getitem__))
-
-
 def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``."""
     its, middles = _vertex_set(P)
@@ -336,19 +300,15 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
     # of a triple exactly when it is the triple's middle point.
     separated: set[tuple[int, ...]] = set()
     for ids, b in middles.items():
-        if it2id[b] in ids:
-            separated.add(tuple(i for i in ids if i != it2id[b]))
+        if b in ids:
+            separated.add(tuple(i for i in ids if i != b))
     edges = tuple(pair for pair in combinations(range(n), 2) if pair not in separated)
 
-    # Dynamics: the shift; the singular point maps to the kneading vertex.
+    # Dynamics: the shift, under which _vertex_set checked the vertices
+    # closed; the singular point maps to the kneading vertex.
     sing = it2id[PreSingular(())]
     nu_id = it2id[Plain(P.kneading.seq)]
-    dynamics = []
-    for it in its:
-        img = shift_itinerary(P, it)
-        if img not in it2id:
-            raise ClosureViolationError(f"shift of vertex {it} left the vertex set")
-        dynamics.append(it2id[img])
+    dynamics = [it2id[shift_itinerary(P, it)] for it in its]
     if dynamics[sing] != nu_id:
         raise ClosureViolationError("the singular point does not map to the singular value")
 
@@ -379,22 +339,14 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
             kinds.append(VertexKind.BRANCH_EXTRA)
 
     # Cyclic orders.
-    sheets = _presingular_sheets(
-        it.first_symbol() for it in its if it.first_symbol() != STAR
-    )
-    vertex_addresses: dict[int, tuple[ExtAddress, ...]] = {}
+    # Pre-singular vertices take the sheets; plain ones ignore them.
+    sheets = _vertex_sheets(P, its)
 
+    @cache
     def addresses(w: int) -> tuple[ExtAddress, ...]:
-        if w not in vertex_addresses:
-            if isinstance(its[w], PreSingular):
-                found = addresses_of(P, its[w], m_range=sheets)
-            else:
-                found = addresses_of(P, its[w], m_max)
-            vertex_addresses[w] = found.addresses
-        return vertex_addresses[w]
+        return addresses_of(P, its[w], m_max, sheets).addresses
 
     notes: list[str] = []
-    itineraries = dict(enumerate(its))
     cyclic: list[tuple[int, ...] | None] = []
     for i, it in enumerate(its):
         if i == sing:
@@ -405,16 +357,7 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
             cyclic.append(_min_rotation(tuple(nbrs)))
             continue
         branches = [(nb, sorted(_component(adj, nb, removed=i))) for nb in nbrs]
-        order: tuple[int, ...] | None = None
-        if isinstance(it, PreSingular):
-            order = _cyclic_order_presingular(P, it, branches, itineraries)
-            if order is None:
-                notes.append(
-                    f"vertex {it}: no prefix witness in some branch; "
-                    "used address gaps for the cyclic order"
-                )
-        if order is None:
-            order = _cyclic_order_by_gaps(i, it, branches, itineraries, addresses, notes)
+        order = _cyclic_order_by_gaps(i, it, branches, its, addresses, notes)
         cyclic.append(_min_rotation(order))
 
     tree = AbstractHubbardTree(
@@ -499,6 +442,10 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     got = {k: set(v) for k, v in tree.sectors}
     if got != expected:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
+    if nu_id not in got.get(0, set()):
+        raise ClosureViolationError("the singular value vertex is not in sector 0")
+    # Each branch at the singular point lies in one sector, and the
+    # dynamics restricted to it is injective.
     for nb in adj[sing]:
         comp = _component(adj, nb, removed=sing)
         firsts = {its[i].first_symbol() for i in comp}
@@ -506,14 +453,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             raise ClosureViolationError(
                 f"branch at the singular point mixes sectors {sorted(firsts)}"
             )
-    if nu_id not in got.get(0, set()):
-        raise ClosureViolationError("the singular value vertex is not in sector 0")
-
-    # Dynamics restricted to each branch at the singular point is injective.
-    for nb in adj[sing]:
-        comp = sorted(_component(adj, nb, removed=sing))
-        images = [tree.dynamics[i] for i in comp]
-        if len(set(images)) != len(images):
+        if len({tree.dynamics[i] for i in comp}) != len(comp):
             raise ClosureViolationError(
                 "dynamics folds a branch at the singular point onto itself"
             )

@@ -9,7 +9,10 @@ only itinerary starting with the star is ``*nu`` itself.
 
 The stream of majority votes assembles the middle point of the triple:
 the branch point if the triple is branched, the middle member if it is
-linear.  The address-level map does the same bookkeeping through
+linear.  One triod map on integer itinerary ids (:class:`_TriodMap`)
+computes every middle point, for :func:`middle_point` and for the tree
+build; :func:`triod_step` and :func:`majority_vote` are the reference it
+agrees with.  The address-level map does the same bookkeeping through
 partition sectors and is semi-conjugate to the itinerary-level map.
 """
 
@@ -169,13 +172,100 @@ def majority_vote(T: Triod) -> int:
     return vote
 
 
-def _prepend_votes(votes: list[int], tail: Itinerary) -> Itinerary:
-    if isinstance(tail, PreSingular):
-        return PreSingular(tuple(votes) + tail.prefix)
-    return Plain(canonicalize(tuple(votes) + tail.seq.preperiod, tail.seq.period))
+class _TriodMap:
+    """The triod map of one partition on integer itinerary ids.
+
+    An itinerary gets an id the first time it is seen, with its first
+    symbol; the id of its shift is filled in when a step first shifts it.
+    A state is the sorted triple of member ids: the middle point does not
+    depend on the order of the members.  Every state solved is memoized
+    with its middle point, so one map answers many triples of one
+    partition without repeating work.
+    """
+
+    __slots__ = ("P", "ids", "its", "firsts", "shifts", "memo", "nu")
+
+    def __init__(self, P: Partition):
+        self.P = P
+        self.ids: dict[Itinerary, int] = {}
+        self.its: list[Itinerary] = []
+        self.firsts: list = []
+        self.shifts: dict[int, int] = {}
+        self.memo: dict[tuple[int, int, int], Itinerary] = {}
+        self.nu = -1
+
+    def id(self, it: Itinerary) -> int:
+        n = len(self.its)
+        i = self.ids.setdefault(it, n)
+        if i == n:
+            self.its.append(it)
+            self.firsts.append(it.first_symbol())
+        return i
+
+    def _nu(self) -> int:
+        if self.nu < 0:
+            self.nu = self.id(self.P.kneading)
+        return self.nu
+
+    def _shift(self, i: int) -> int:
+        j = self.shifts.get(i)
+        if j is None:
+            j = self.shifts[i] = self.id(shift_itinerary(self.P, self.its[i]))
+        return j
+
+    def _str(self, state: tuple[int, ...]) -> str:
+        return "[" + ", ".join(str(self.its[i]) for i in state) + "]"
+
+    def middle(self, *members: int) -> Itinerary:
+        """The middle point of the triod with the three member ids.
+
+        The map walks states until the stop case (tail ``*nu``), a state
+        of this walk repeats (tail the periodic vote word from there on)
+        or a state is memoized; then it walks back, prepending one vote
+        per state, and memoizes every state on the way.
+        """
+        memo, firsts, sh = self.memo, self.firsts, self._shift
+        state = tuple(sorted(members))
+        # state -> votes cast before it; the dict keeps the walk's order
+        seen: dict[tuple[int, ...], int] = {}
+        votes: list[int] = []
+        while (tail := memo.get(state)) is None:
+            if state in seen:
+                tail = Plain(canonicalize((), votes[seen[state] :]))
+                break
+            a, b, c = state
+            vote, fb, fc = firsts[a], firsts[b], firsts[c]
+            if vote == fb == fc:
+                nxt = (sh(a), sh(b), sh(c))
+            elif vote == fb:
+                nxt = (sh(a), sh(b), self._nu())
+            elif vote == fc:
+                nxt = (sh(a), self._nu(), sh(c))
+            elif fb == fc:
+                vote, nxt = fb, (self._nu(), sh(b), sh(c))
+            else:
+                tail = memo[state] = PreSingular(())
+                break
+            if vote == STAR:
+                raise InternalInvariantError(
+                    f"triod {self._str(state)}: two members start with the star, "
+                    "but only *nu does"
+                )
+            if len(set(nxt)) < 3:
+                raise NotDistinctError(f"triod {self._str(state)} maps to equal members")
+            seen[state] = len(votes)
+            votes.append(vote)
+            state = tuple(sorted(nxt))
+        for state, vote in zip(reversed(seen), reversed(votes)):
+            if isinstance(tail, PreSingular):
+                tail = PreSingular((vote,) + tail.prefix)
+            else:
+                tail = Plain(tail.seq.prepend(vote))
+            memo[state] = tail
+        return tail
 
 
-def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
+def middle_point(T: Triod) -> Itinerary:
     """The middle point of the triod: the stream of majority votes.
 
     When iteration reaches the stop case after ``i`` votes, the result is
@@ -183,45 +273,11 @@ def middle_point(T: Triod, _cache: dict | None = None) -> Itinerary:
     stream is eventually periodic: every member of an iterated triod is a
     shift of one of the inputs or of the kneading sequence, so the
     iteration revisits a state, at which point the votes split into
-    preperiod and period.
-
-    The middle point does not depend on the order of the members, so
-    states are keyed by their member sets (all states of one call share
-    ``T.partition``).  ``_cache`` maps the member sets of previously
-    solved states to their middle points, and every state visited along
-    the way is added to it; so it must only be shared among triods of one
-    partition.
+    preperiod and period.  Each call runs the map on a fresh
+    :class:`_TriodMap`.
     """
-    votes: list[int] = []
-    # member set of each visited state -> number of votes cast before it
-    seen: dict[frozenset[Itinerary], int] = {}
-    cur = T
-
-    def assemble(i: int) -> Itinerary:
-        """Middle point of the state reached after ``i`` votes."""
-        return _prepend_votes(votes[i:], tail)
-
-    while True:
-        key = frozenset(cur.members)
-        if _cache is not None and key in _cache:
-            tail = _cache[key]
-            break
-        if key in seen:
-            j = seen[key]
-            # stream of the repeated state is votes[j:] forever
-            tail = Plain(canonicalize((), votes[j:]))
-            break
-        seen[key] = len(votes)
-        nxt = triod_step(cur)
-        if nxt is None:
-            tail = PreSingular(())
-            break
-        votes.append(majority_vote(cur))
-        cur = nxt
-    if _cache is not None:
-        for key, i in seen.items():
-            _cache[key] = assemble(i)
-    return assemble(0)
+    m = _TriodMap(T.partition)
+    return m.middle(*map(m.id, T.members))
 
 
 def classify(T: Triod) -> TriodShape:

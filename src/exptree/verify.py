@@ -36,7 +36,7 @@ from .partition import (
     shift_itinerary,
     validate_base,
 )
-from .realization import _presingular_sheets, addresses_of, separating_addresses
+from .realization import _vertex_sheets, addresses_of, separating_addresses
 from .sequences import ExtAddress, canonicalize, cyclic_between
 from .treebuild import AbstractHubbardTree, build_tree, omega_plus
 from .triods import (
@@ -168,11 +168,7 @@ def _vertex_address_triod(
     for i in ids:
         it = tree.vertices[i].itinerary
         if isinstance(it, PreSingular):
-            span = _presingular_sheets(
-                v.itinerary.first_symbol()
-                for v in tree.vertices
-                if v.itinerary.first_symbol() != "*"
-            )
+            span = _vertex_sheets(P, (v.itinerary for v in tree.vertices))
             addrs = addresses_of(P, it, m_range=span).addresses
         else:
             addrs = addresses_of(P, it).addresses
@@ -198,9 +194,8 @@ def suite_vertex_closure(corpus: Corpus) -> SuiteResult:
                 shift_itinerary(P, it) in verts,
                 f"{P.base}: shift of {it} leaves the vertex set",
             )
-        cache: dict = {}
         for tri in combinations(sorted(verts, key=str), 3):
-            b = middle_point(Triod(tri, P), _cache=cache)
+            b = middle_point(Triod(tri, P))
             res.check(b in verts, f"{P.base}: middle of {tri} = {b} not a vertex")
     return res
 

@@ -8,10 +8,12 @@ from exptree.errors import (
     ClosureViolationError,
     GapAssignmentFailureError,
     InternalInvariantError,
+    NormalizationWarning,
     NotATreeError,
 )
-from exptree.partition import STAR, Plain, PreSingular, validate_base
-from exptree.realization import _presingular_sheets, addresses_of
+from exptree.notation import parse_address
+from exptree.partition import Plain, PreSingular, validate_base
+from exptree.realization import _vertex_sheets, addresses_of
 from exptree.sequences import canonicalize, cyclic_between
 from exptree.treebuild import (
     VertexKind,
@@ -159,6 +161,24 @@ class TestBetweenness:
         p = tree_b.path(0, 0)
         assert p == [0]
 
+    def test_paths_walk_tree_edges(self, acceptance_corpus):
+        for tree in acceptance_corpus.trees[:10]:
+            edges = set(tree.edges)
+            n = len(tree.vertices)
+            for a in range(n):
+                for b in range(n):
+                    p = tree.path(a, b)
+                    assert p[0] == a and p[-1] == b and len(set(p)) == len(p)
+                    assert all(tuple(sorted(e)) in edges for e in zip(p, p[1:]))
+                    assert p == tree.path(b, a)[::-1]
+
+    def test_no_path_across_components(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        a, b = doc["edges"].pop()
+        cut = tree_from_json(json.dumps(doc))
+        with pytest.raises(NotATreeError):
+            cut.path(a, b)
+
 
 def scan_edges(P, its):
     """Edges by the full betweenness scan: every pair against every third
@@ -204,9 +224,7 @@ def gap_checks(P, tree):
     vertex against the anchors of every branch vertex; return the number
     of addresses compared."""
     its = [v.itinerary for v in tree.vertices]
-    sheets = _presingular_sheets(
-        it.first_symbol() for it in its if it.first_symbol() != STAR
-    )
+    sheets = _vertex_sheets(P, its)
 
     def lookup(it):
         if isinstance(it, PreSingular):
@@ -299,6 +317,23 @@ class TestLongMultipliers:
         tree = build_tree(validate_base(base))
         check_tree_invariants(tree)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestNonzeroLeadingEntry:
+    """Pre-singular vertices of these bases need their sheets offset by
+    ``j0``: itinerary first symbols are sector indices, not the address
+    entries of the boundary sheets."""
+
+    @pytest.mark.parametrize(
+        "base", ["3,2,-3(0,2,2,1)", "6,-4(5,8)", "6,3,6(-2)", "8(-1,-1,5)"]
+    )
+    def test_builds_and_round_trips(self, base):
+        with pytest.warns(NormalizationWarning):
+            tree = build_tree(validate_base(parse_address(base)))
+            check_tree_invariants(tree)
+            back = tree_from_json(to_json(tree))
+        check_tree_invariants(back)
+        assert to_json(back) == to_json(tree)
 
 
 class TestSerialization:

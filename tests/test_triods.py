@@ -1,9 +1,19 @@
 import random
+import warnings
+from itertools import permutations
 
 import pytest
 
-from exptree.errors import IsStopCaseError, NotDistinctError
-from exptree.partition import Plain, PreSingular, is_in_S_nu, itinerary
+from exptree.errors import IsStopCaseError, NormalizationWarning, NotDistinctError
+from exptree.notation import parse_address
+from exptree.partition import (
+    Plain,
+    PreSingular,
+    is_in_S_nu,
+    itinerary,
+    itinerary_entry,
+    validate_base,
+)
 from exptree.sequences import canonicalize
 from exptree.triods import (
     AddressTriod,
@@ -90,18 +100,49 @@ class TestMiddlePoint:
         b = middle_point(T)
         assert votes == [b.seq.entry(i) for i in range(1, 21)]
 
-    def test_cache_consistency(self, P_b):
-        rng = random.Random(21)
-        cache = {}
-        for _ in range(80):
+    @pytest.mark.parametrize(
+        "base",
+        ["0(1)", "0(0,1)", "0,-2,1(3,-1)", "0(1,0,1,0,2)", "3,2,-3(0,2,2,1)", "6,-4(5,8)"],
+    )
+    def test_matches_iterated_triod_step(self, base):
+        # Random triods, pre-singular members among them, against the
+        # reference vote stream of triod_step and majority_vote.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            P = validate_base(parse_address(base))
+        rng = random.Random(base)
+        stops = presingular_members = 0
+        for _ in range(60):
             members = set()
             while len(members) < 3:
-                a = random_external_address(rng, P_b)
-                it = itinerary(P_b, a)
-                if is_in_S_nu(P_b, it):
+                it = itinerary(P, random_external_address(rng, P))
+                if is_in_S_nu(P, it):
                     members.add(it)
-            T = Triod(tuple(members), P_b)
-            assert middle_point(T, _cache=cache) == middle_point(T)
+            members = tuple(members)
+            presingular_members += sum(isinstance(m, PreSingular) for m in members)
+            votes = []
+            cur = Triod(members, P)
+            while cur is not None and len(votes) < 30:
+                nxt = triod_step(cur)
+                if nxt is not None:
+                    votes.append(majority_vote(cur))
+                cur = nxt
+            b = middle_point(Triod(members, P))
+            if cur is None:
+                stops += 1
+                assert b == PreSingular(tuple(votes))
+            else:
+                assert [itinerary_entry(P, b, i) for i in range(1, 31)] == votes
+            for perm in permutations(members):
+                assert middle_point(Triod(perm, P)) == b
+        assert stops and presingular_members
+
+    def test_step_to_equal_members_raises(self, P_a):
+        # 1,0(1) shifts onto the kneading sequence 0(1), which also
+        # replaces the chopped member (2).
+        T = Triod((plain([1, 0], [1]), plain([], [1]), plain([], [2])), P_a)
+        with pytest.raises(NotDistinctError):
+            middle_point(T)
 
     def test_permutation_invariance(self, P_b):
         t, u, v = P_b.kneading, plain([], [0, 1]), plain([], [1, 0])
