@@ -10,8 +10,11 @@ marks the edges of one tree path.
 The spectral radius is the largest over the strongly connected classes
 of the matrix's graph (on a reducible matrix the whole-matrix bracket
 need not close); each class radius is certified by the Collatz-Wielandt
-bracket of power iteration on ``A_C + I``, closed to relative width
-``1e-3 * tol``.  ``spectral_radius_exact`` is the reference.
+bracket of power iteration on ``(A_C + I)^k``, closed to relative width
+``1e-3 * tol``.  ``k`` is a power of two chosen so that the power of an
+integer matrix is exact in float64 (entries below ``2^53``); a class
+then takes a few numpy calls.  ``spectral_radius_exact`` is the
+reference.
 
 numpy is imported by the functions that build or read a matrix, so a
 caller that never does (``same_map``, say) does not load it.
@@ -175,43 +178,61 @@ def spectral_radius_power(
 
     The radius is the largest over the diagonal blocks ``A_C`` of the
     strongly connected classes of the matrix's graph (0 for a zero
-    block).  Power iteration runs on ``B = A_C + I`` from the all-ones
-    vector; the shift makes ``B`` primitive, so nothing oscillates, and
-    every step gives the Collatz-Wielandt bracket
-    ``lo = min_i (Bx)_i/x_i <= rho(A_C) + 1 <= max_i (Bx)_i/x_i = hi``.
-    It stops at ``hi - lo <= 1e-3 * tol * lo`` with the midpoint minus 1,
-    which is within ``5e-4 * tol * (rho + 1)`` of the class radius.
-    Raises :class:`ConvergenceFailureError` if a class needs more than
-    ``max_iter`` steps.
+    block).  The shift ``B = A_C + I`` is primitive, so nothing
+    oscillates.  ``B`` is squared to ``M = B^k``, ``k`` a power of two,
+    while the next power of an integer matrix stays exact in float64: a
+    square is taken only if ``r^(2k) < 2^53``, ``r`` the largest row sum
+    of ``B`` rounded up, and only if ``2k <= max_iter``.  Power iteration
+    on ``M`` from the all-ones vector gives at every step the
+    Collatz-Wielandt bracket
+    ``min_i (Mx)_i/x_i <= (rho(A_C) + 1)^k <= max_i (Mx)_i/x_i``, whose
+    k-th roots are ``lo`` and ``hi``.  It stops at
+    ``hi - lo <= 1e-3 * tol * lo`` with the midpoint minus 1, which is
+    within ``5e-4 * tol * (rho + 1)`` of the class radius.
+    ``max_iter`` counts applications of ``B`` (one step of ``M`` is
+    ``k`` of them); :class:`ConvergenceFailureError` is raised if a
+    class needs more.
     """
     import numpy as np
 
     n = A.shape[0]
-    # Reachability closure: after k squarings ``reach`` covers every
-    # path of length <= 2^k, and 2^n.bit_length() > n.
+    # Reachability closure: after j squarings ``reach`` covers every
+    # path of length <= 2^j; it is closed once a square adds nothing.
     reach = (A != 0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
-        reach = reach @ reach
+        nxt = reach @ reach
+        if (nxt == reach).all():
+            break
+        reach = nxt
+    if reach.all():
+        blocks = [A]
+    else:
+        # Each distinct row of mutual reachability marks one class.
+        rows = {row.tobytes(): row for row in reach & reach.T}
+        blocks = [A[np.ix_(C, C)] for C in map(np.flatnonzero, rows.values())]
     rho = 0.0
-    # Each distinct row of mutual reachability marks one class.
-    for row in np.unique(reach & reach.T, axis=0):
-        C = np.flatnonzero(row)
-        block = A[np.ix_(C, C)].astype(float)
+    for block in blocks:
         if not block.any():
             continue
-        B = block + np.eye(len(C))
-        x = np.ones(len(C))
-        for _ in range(max_iter):
-            y = B @ x
+        m = len(block)
+        M = block + np.eye(m)
+        r = math.ceil(M.sum(axis=1).max())
+        k = 1
+        while r ** (2 * k) < 2**53 and 2 * k <= max_iter:
+            M = M @ M
+            k *= 2
+        x = np.ones(m)
+        for _ in range(max_iter // k):
+            y = M @ x
             ratios = y / x
-            lo, hi = ratios.min(), ratios.max()
+            lo, hi = ratios.min() ** (1 / k), ratios.max() ** (1 / k)
             if hi - lo <= 1e-3 * tol * lo:
                 break
-            x = y / hi
+            x = y / y.max()
         else:
             raise ConvergenceFailureError(
-                f"Collatz-Wielandt bracket of a {len(C)}-index class still open "
-                f"after {max_iter} iterations"
+                f"Collatz-Wielandt bracket of a {m}-index class still open "
+                f"after {max_iter} applications of A_C + I"
             )
         rho = max(rho, float((lo + hi) / 2) - 1.0)
     return rho

@@ -47,7 +47,7 @@ from .partition import (
     sector_of,
 )
 from .sequences import ExtAddress, _least_rotation, canonicalize, cyclic_between
-from .triods import AddressTriod, TriodShape, classify, middle_point, to_itinerary_triod
+from .triods import AddressTriod, TriodShape, _shape, middle_point, to_itinerary_triod
 
 __all__ = [
     "AddressSet",
@@ -315,7 +315,7 @@ def separating_addresses(
     """
     T = to_itinerary_triod(A)
     b = middle_point(T)
-    shape = classify(T)
+    shape = _shape(T, b)
 
     if isinstance(b, PreSingular):
         # Boundary pullbacks; take the sheet range from both the initial

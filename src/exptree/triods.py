@@ -283,7 +283,11 @@ def middle_point(T: Triod) -> Itinerary:
 def classify(T: Triod) -> TriodShape:
     """Shape of the triod: linear iff the middle point is a member;
     pre-singular variants iff iteration reached the stop case."""
-    b = middle_point(T)
+    return _shape(T, middle_point(T))
+
+
+def _shape(T: Triod, b: Itinerary) -> TriodShape:
+    """Shape of ``T`` given its middle point ``b``."""
     presing = isinstance(b, PreSingular)
     for i, m in enumerate(T.members, start=1):
         if m == b:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exptree import analysis
 from exptree.analysis import (
     core_entropy,
     expansivity_report,
@@ -16,7 +18,7 @@ from exptree.analysis import (
     transition_matrix,
     tree_equivalent,
 )
-from exptree.errors import NotExpansiveError, PeriodicBaseError
+from exptree.errors import ConvergenceFailureError, NotExpansiveError, PeriodicBaseError
 from exptree.partition import Plain, PreSingular, validate_base
 from exptree.sequences import address, canonicalize
 from exptree.treebuild import build_tree
@@ -30,6 +32,19 @@ def addr(pre, per):
 
 def plain(pre, per):
     return Plain(canonicalize(pre, per))
+
+
+@st.composite
+def small_matrices(draw):
+    """Nonnegative integer matrices up to 10x10 with entries 0..3; rows at
+    and after ``split`` are zero left of it, so a split > 0 makes the
+    matrix block upper-triangular and reducible."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    row = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    A = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
+    split = draw(st.integers(min_value=0, max_value=n - 1))
+    A[split:, :split] = 0
+    return A
 
 
 class TestTreeEquivalent:
@@ -192,6 +207,37 @@ class TestEntropy:
         rho_p = spectral_radius_power(A)
         assert abs(rho_p - spectral_radius_exact(A)) < 1e-9
         assert abs(rho_p - numpy_spectral_radius(A)) < 1e-7
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(small_matrices())
+    def test_power_on_random_matrices(self, A):
+        rho = spectral_radius_power(A)
+        assert abs(rho - spectral_radius_exact(A)) < 1e-9
+        assert abs(rho - numpy_spectral_radius(A)) < 1e-7
+
+    def test_power_squares_only_while_exact(self):
+        # Rows of A + I sum to 85 and 85^16 > 2^53, so the squaring stops
+        # at (A + I)^8; squaring on would overflow float64 (85^256 > 1e308).
+        A = np.full((12, 12), 7, dtype=np.int64)
+        assert spectral_radius_power(A) == pytest.approx(84.0, rel=1e-9)
+
+    def test_iteration_cap_counts_steps_of_the_shift(self):
+        # max_iter=1 allows one application of A + I and no squaring.
+        assert spectral_radius_power(np.array([[1, 1], [1, 1]]), max_iter=1) == 2.0
+        with pytest.raises(ConvergenceFailureError):
+            spectral_radius_power(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]), max_iter=1)
+
+    def test_iteration_cap_falls_back_to_exact(self, tree_b, monkeypatch):
+        calls = []
+
+        def exact(A):
+            calls.append(A.shape)
+            return spectral_radius_exact(A)
+
+        monkeypatch.setattr(analysis, "spectral_radius_exact", exact)
+        A = transition_matrix(tree_b).matrix
+        assert core_entropy(tree_b, max_iter=1) == math.log(spectral_radius_exact(A))
+        assert calls == [A.shape]
 
     def test_three_routes_agree(self, acceptance_corpus):
         for tree in acceptance_corpus.trees[:25]:

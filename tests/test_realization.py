@@ -12,7 +12,8 @@ from exptree.realization import (
     separating_addresses,
 )
 from exptree.sequences import canonicalize, cyclic_between
-from exptree.triods import AddressTriod
+from exptree import triods
+from exptree.triods import AddressTriod, classify, to_itinerary_triod
 
 from oracles import epsilon_search, oracle_m_limit
 
@@ -239,6 +240,30 @@ class TestSeparating:
         members = [sa for sa in out if sa.member is not None]
         assert len(members) == 1 and members[0].member == 1
         assert any(sa.gap == 2 for sa in out)
+
+    def test_one_triod_walk_per_call(self, P_a, P_b, monkeypatch):
+        # The shape is read off the middle point already computed, so a
+        # call runs the triod map once and agrees with classify.
+        cases = [
+            AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b),
+            AddressTriod((P_a.base, addr([], [1]), addr([2], [1])), P_a),
+            AddressTriod((addr([], [0, 0, 1]), addr([], [0, 1]), addr([], [1, 0])), P_b),
+        ]
+        walks = []
+
+        class CountingMap(triods._TriodMap):
+            def __init__(self, P):
+                walks.append(P)
+                super().__init__(P)
+
+        for A in cases:
+            want = classify(to_itinerary_triod(A))
+            with monkeypatch.context() as m:
+                m.setattr(triods, "_TriodMap", CountingMap)
+                walks.clear()
+                shape, _ = separating_addresses(A.partition, A)
+            assert len(walks) == 1
+            assert shape == want
 
     def test_unlinkedness_of_returned_families(self, P_b, acceptance_corpus):
         # Families for distinct vertex itineraries never interleave.
