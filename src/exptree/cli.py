@@ -25,9 +25,28 @@ from .notation import parse_address, parse_itinerary
 from .partition import itinerary, validate_base
 from .realization import DEFAULT_M_MAX, addresses_of, separating_addresses
 from .treebuild import build_tree, check_tree_invariants, to_dot, to_json, tree_from_json
-from .triods import AddressTriod, Triod, classify, middle_point
+from .triods import AddressTriod, Triod, _shape, middle_point
 
 __all__ = ["main", "parse_address", "parse_itinerary"]
+
+
+class NotFormalError(ExptreeError):
+    """A triod member lies outside the formal points ``S_nu``."""
+
+
+def _validate(triod: Triod | AddressTriod) -> None:
+    """``triod.validate()``, with its ``ValueError`` as a domain error."""
+    try:
+        triod.validate()
+    except ValueError as exc:
+        raise NotFormalError(str(exc)) from exc
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return x
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="core entropy of the tree of a base address")
     sp.add_argument("base")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_positive_float, default=1e-9)
 
     sp = sub.add_parser("same-map", help="do two base addresses give the same map?")
     sp.add_argument("first")
@@ -136,7 +155,7 @@ def _run(args: argparse.Namespace) -> int:
         A = AddressTriod(
             (parse_address(args.a1), parse_address(args.a2), parse_address(args.a3)), P
         )
-        A.validate()
+        _validate(A)
         shape, assignments = separating_addresses(P, A)
         print(f"shape: {shape}")
         for sa in assignments:
@@ -153,9 +172,10 @@ def _run(args: argparse.Namespace) -> int:
             ),
             P,
         )
-        T.validate()
-        print(f"middle: {middle_point(T)}")
-        print(f"shape: {classify(T)}")
+        _validate(T)
+        b = middle_point(T)
+        print(f"middle: {b}")
+        print(f"shape: {_shape(T, b)}")
         return 0
     if cmd == "verify":
         report = verify_mod.run_all(

@@ -21,7 +21,7 @@ from .sequences import ExtAddress, canonicalize
 
 __all__ = ["parse_address", "parse_itinerary"]
 
-_TOKEN = re.compile(r"-?\d+|[()*]|[,\s]+")
+_TOKEN = re.compile(r"-?\d+|[()*]|(?P<sep>[,\s]+)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -31,9 +31,8 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tok = m.group()
-        if not tok[0] in ",\t\n\r ":
-            tokens.append((tok, pos))
+        if m.lastgroup != "sep":
+            tokens.append((m.group(), pos))
         pos = m.end()
     return tokens
 
@@ -41,7 +40,11 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def _parse_int_list(tokens: list[tuple[str, int]], i: int) -> tuple[list[int], int]:
     out = []
     while i < len(tokens) and tokens[i][0] not in "()*":
-        out.append(int(tokens[i][0]))
+        tok, offset = tokens[i]
+        try:
+            out.append(int(tok))
+        except ValueError:  # e.g. more digits than int() converts
+            raise ParseError(f"numeral {tok[:20]!r} is not an integer", offset) from None
         i += 1
     return out, i
 

@@ -5,8 +5,8 @@ external addresses, all sharing one preperiod length and one period
 length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
 of a periodic itinerary are the periodic points of the composed inverse
 branch ``G`` of its period word; :func:`_periodic_search` iterates ``G``
-from both sides of each of its cuts, certifies the periodic address that
-the repeating prepended words spell, and adds its ``G``-orbit.  ``m_max``
+once from each of its cuts, certifies the periodic address that the
+repeating prepended words spell, and adds its ``G``-orbit.  ``m_max``
 bounds the multiplier ``m`` and, with it, the steps per seed.  This is
 the pull-back machinery of Bruin and Schleicher's *Symbolic Dynamics of
 Quadratic Polynomials*, carried over to exponential addresses.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,14 +36,12 @@ from .errors import (
 )
 from .partition import (
     STAR,
-    Boundary,
     Itinerary,
     Partition,
     Plain,
     PreSingular,
     inverse_branch,
     itinerary,
-    sector_of,
 )
 from .sequences import ExtAddress, _least_rotation, canonicalize, cyclic_between
 from .triods import AddressTriod, TriodShape, _shape, middle_point, to_itinerary_triod
@@ -92,25 +89,6 @@ class AddressSet:
         return len(self.addresses)
 
 
-def _matches_periodic(P: Partition, t: ExtAddress, target: Sequence[int]) -> bool:
-    """Whole-orbit check: entry ``i`` of It(t) equals ``target[i mod n]``.
-
-    ``t`` must be purely periodic.  The shift orbit of ``t`` closes after
-    one address period, but the alignment against the target needs the
-    least common multiple of the two period lengths; early exit on the
-    first mismatch.
-    """
-    n = len(target)
-    steps = lcm(len(t.period), n)
-    cur = t
-    for i in range(steps):
-        res = sector_of(P, cur)
-        if isinstance(res, Boundary) or res.k != target[i % n]:
-            return False
-        cur = cur.shift()
-    return True
-
-
 def addresses_of_periodic(
     P: Partition, p: Plain, m_max: int = DEFAULT_M_MAX
 ) -> AddressSet:
@@ -134,16 +112,10 @@ def addresses_of_periodic(
     return AddressSet(tuple(sorted(shifted)), p)
 
 
-def _pull(
-    P: Partition, letters: Sequence[int], x: ExtAddress, upper: bool = False
-) -> ExtAddress:
-    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``; with
-    ``upper`` an address equal to the base counts as above it."""
+def _pull(P: Partition, letters: Sequence[int], x: ExtAddress) -> ExtAddress:
+    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``."""
     for k in reversed(letters):
-        if upper and x == P.base:
-            x = x.prepend(P.offset_j0 + k)
-        else:
-            x = inverse_branch(P, k, x)
+        x = inverse_branch(P, k, x)
     return x
 
 
@@ -154,17 +126,25 @@ def _periodic_search(
     """The periodic addresses whose itinerary has period ``word``.
 
     These are the periodic points of ``G = L_{p_1} o ... o L_{p_n}``
-    (``L_k`` is :func:`inverse_branch`).  ``G`` preserves the cyclic
-    order, prepends one ``n``-word per step and jumps only at its cuts:
-    the ``sigma^r s`` (``0 <= r < n``) that the last ``r`` letters of
-    ``word`` pull back to the base ``s`` exactly, ``s`` itself among
-    them.  Every periodic orbit of ``G`` attracts one side of a cut, so
-    ``G`` is iterated from both sides of each cut: the cut itself, which
-    follows the ``<= s`` rule of :func:`inverse_branch`, and its upper
-    side, where an address equal to ``s`` counts as above it.  Once the
-    last ``j`` prepended words repeat the ``j`` words before them, the
-    periodic address with those ``j`` words as its period is certified
-    with :func:`_matches_periodic` (or found among the addresses already
+    (``L_k`` is :func:`inverse_branch`).  ``G`` prepends one ``n``-word
+    per step and jumps only at its cuts: the ``sigma^r s`` (``0 <= r <
+    n``) that the last ``r`` letters of ``word`` pull back to the base
+    ``s`` exactly, ``s`` itself among them.  Iterating ``G`` once from
+    each cut, by the ``<= s`` rule, finds every orbit.  Each ``L_k`` is
+    increasing on the circle cut at ``s``, left-continuous (``s`` goes to
+    the top ``(j0+k+1).s`` of ``I_k^-``) and continuous elsewhere in the
+    order completion, so ``G^m`` is increasing and continuous on each arc
+    ``(q, q']`` between its jumps.  Near a realizing ``x0`` of
+    ``G``-period ``m``, ``G^m`` prepends a fixed word, so ``x0`` attracts
+    from both sides and is the only fixed point on its arc (completion
+    points are not fixed, and two attracting fixed points need a third
+    between them).  So the iterates of the top ``q'`` converge to ``x0``,
+    and ``q'``, a jump of ``G^m``, lands on a cut of ``G`` within ``m``
+    steps; from there on it is that cut's seed.
+
+    Once the last ``j`` prepended words repeat the ``j`` words before
+    them, the periodic address with those ``j`` words as its period is
+    certified by its itinerary (or found among the addresses already
     certified), and its whole ``G``-orbit, the rotations of its period
     word by multiples of ``n``, is added.  All orbits share one
     multiplier ``m``, the address period over ``n``.  With ``j`` at most
@@ -176,8 +156,7 @@ def _periodic_search(
     cut = s
     for r in range(n):
         if _pull(P, word[n - r :], cut) == s:
-            for upper in (False, True):
-                found |= _seed_orbit(P, word, cut, upper, m_max, found)
+            found |= _seed_orbit(P, word, cut, m_max, found)
         cut = cut.shift()
     return tuple(found)
 
@@ -186,21 +165,20 @@ def _seed_orbit(
     P: Partition,
     word: tuple[int, ...],
     x: ExtAddress,
-    upper: bool,
     m_max: int,
     found: set[ExtAddress],
 ) -> set[ExtAddress]:
-    """The ``G``-orbit that the seed ``x``, or its upper side, closes on."""
+    """The ``G``-orbit that the seed ``x`` closes on."""
     n = len(word)
     words: list[tuple[int, ...]] = []
     for i in range(1, 2 * m_max + 3):
-        x = _pull(P, word, x, upper)
+        x = _pull(P, word, x)
         words.append(tuple(x.entries(n)))
         for j in range(1, min(i // 2, m_max) + 1):
             if words[i - j :] != words[i - 2 * j : i - j]:
                 continue
             t = canonicalize((), [e for w in reversed(words[i - j :]) for e in w])
-            if t in found or _matches_periodic(P, t, word):
+            if t in found or itinerary(P, t) == Plain(canonicalize((), word)):
                 per = t.period
                 rotations = range(0, len(per), n)
                 return {ExtAddress((), per[r:] + per[:r]) for r in rotations}

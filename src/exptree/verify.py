@@ -43,7 +43,6 @@ from .triods import (
     AddressTriod,
     Triod,
     address_triod_step,
-    classify,
     majority_vote,
     middle_point,
     to_itinerary_triod,
@@ -311,8 +310,7 @@ def suite_separating(
                     sep_exists = opposite in covered
                     if sep_exists:
                         res.check(
-                            classify(T).is_linear()
-                            and middle_point(T) == b2,
+                            shape.is_linear() and b == b2,
                             f"{P.base}: {A}: member {j + 1} with {b2} separates "
                             "but the triod middle differs",
                         )

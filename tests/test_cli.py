@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from exptree import triods
 from exptree.cli import main, parse_address, parse_itinerary
 from exptree.errors import ParseError
 from exptree.partition import Plain, PreSingular
@@ -30,6 +31,15 @@ class TestParsing:
         for bad in ("", "()", "0", "0(1)x", "0(1)(2)", "(1)2"):
             with pytest.raises(ParseError):
                 parse_address(bad)
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\xa0", "\u2003", ",\f "])
+    def test_every_whitespace_separates(self, sep):
+        assert parse_address(f"0{sep}(1{sep}2)") == canonicalize([0], [1, 2])
+
+    def test_numeral_beyond_int_limit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_address("0(1," + "7" * 5000 + ")")
+        assert exc.value.offset == 4
 
     def test_itineraries(self):
         assert parse_itinerary("0(1)") == Plain(canonicalize([0], [1]))
@@ -117,6 +127,35 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "middle: (0)" in out and "shape: branched" in out
+
+    def test_triod_walks_the_map_once(self, capsys, monkeypatch):
+        walks = []
+
+        class CountingMap(triods._TriodMap):
+            def __init__(self, P):
+                walks.append(P)
+                super().__init__(P)
+
+        monkeypatch.setattr(triods, "_TriodMap", CountingMap)
+        rc = main(["triod", "--base", "0(0,1)", "(0,1)", "(1,0)", "(0,0,1)"])
+        assert rc == 0 and len(walks) == 1
+        assert capsys.readouterr().out == "middle: (0)\nshape: branched\n"
+
+    @pytest.mark.parametrize(
+        "args, code, out",
+        [
+            (["kneading", "0\v(1)"], 0, "0(1)"),
+            (["kneading", "0\f(1)"], 0, "0(1)"),
+            (["kneading", "0\xa0(1)"], 0, "0(1)"),
+            (["kneading", "0(" + "1" * 4301 + ")"], 2, "ParseError"),
+            (["entropy", "0(1)", "--tol", "-1"], 2, ""),
+            (["entropy", "0(1)", "--tol", "0"], 2, ""),
+            (["triod", "--base", "0(0,1)", "1,0(0,1)", "(0,1)", "(1,0)"], 3, "NotFormal"),
+        ],
+    )
+    def test_bad_input_exit_codes(self, args, code, out, capsys):
+        assert main(args) == code
+        assert capsys.readouterr().out.strip() == out
 
     def test_usage_error(self, capsys):
         assert main(["tree"]) == 2

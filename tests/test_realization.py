@@ -1,8 +1,16 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from exptree.errors import EmptyRangeError, RealizationBoundExceededError
+from exptree import realization
+from exptree.errors import (
+    EmptyRangeError,
+    NormalizationWarning,
+    RealizationBoundExceededError,
+)
+from exptree.notation import parse_address
 from exptree.partition import Plain, PreSingular, inverse_branch, itinerary, validate_base
 from exptree.realization import (
     DEFAULT_M_MAX,
@@ -15,7 +23,7 @@ from exptree.sequences import canonicalize, cyclic_between
 from exptree import triods
 from exptree.triods import AddressTriod, classify, to_itinerary_triod
 
-from oracles import epsilon_search, oracle_m_limit
+from oracles import epsilon_search, itinerary_entries, oracle_m_limit
 
 
 def addr(pre, per):
@@ -146,6 +154,123 @@ class TestOracleEquivalence:
                     assert got == want
                 else:
                     assert not want
+
+
+def cuts(P, word):
+    """The cuts of ``G``: the ``sigma^r s`` that the last ``r`` letters
+    of ``word`` pull back to the base ``s``."""
+    n, s = len(word), P.base
+    out, cut = [], s
+    for r in range(n):
+        x = cut
+        for k in reversed(word[n - r :]):
+            x = inverse_branch(P, k, x)
+        if x == s:
+            out.append(cut)
+        cut = cut.shift()
+    return out
+
+
+def two_sided_search(P, word, steps=64, tail=32):
+    """Reference for the periodic search: ``G`` iterated a fixed number of
+    steps from both sides of every cut (on the upper side an address equal
+    to the base counts as above it).  Each seed's limit is read off the
+    least period, at most ``tail // 2``, of its last ``tail`` prepended
+    words, and kept with its ``G``-orbit if it realizes ``word``."""
+    n, s = len(word), P.base
+    target = Plain(canonicalize((), word))
+    found = set()
+    for cut in cuts(P, word):
+        for upper in (False, True):
+            x, words = cut, []
+            for _ in range(steps):
+                for k in reversed(word):
+                    if upper and x == s:
+                        x = x.prepend(P.offset_j0 + k)
+                    else:
+                        x = inverse_branch(P, k, x)
+                words.append(tuple(x.entries(n)))
+            j = next(
+                (
+                    j
+                    for j in range(1, tail // 2 + 1)
+                    if all(words[-i] == words[-i - j] for i in range(1, tail + 1))
+                ),
+                None,
+            )
+            assert j, f"{P.base}: {word}: the seed {cut} did not close"
+            t = canonicalize((), [e for w in reversed(words[-j:]) for e in w])
+            if itinerary(P, t) == target:
+                per = t.period
+                found |= {
+                    canonicalize((), per[r:] + per[:r]) for r in range(0, len(per), n)
+                }
+    return found
+
+
+@st.composite
+def bases_and_addresses(draw):
+    """Bases with a nonzero leading entry, entries in [-6, 6] and period at
+    most 8, with a periodic address of period at most 6.  The entry bound
+    is drawn first: with entries in [-1, 1] the realizations come in
+    several ``G``-orbits more often."""
+    bound = draw(st.sampled_from([1, 2, 6]))
+    entries = st.integers(-bound, bound)
+    pre = [draw(entries.filter(bool))] + draw(st.lists(entries, max_size=2))
+    per = draw(st.lists(entries, min_size=1, max_size=8))
+    t = draw(st.lists(entries, min_size=1, max_size=6))
+    return canonicalize(pre, per), canonicalize((), t)
+
+
+class TestPeriodicSearch:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(bases_and_addresses())
+    def test_realizations(self, drawn):
+        # The itinerary of a drawn periodic address, so that address must
+        # be among the realizations found.
+        s, t = drawn
+        assume(not s.is_periodic())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            P = validate_base(s)
+        p = itinerary(P, t)
+        assume(isinstance(p, Plain))
+        word = p.seq.period
+        n = len(word)
+        got = set(addresses_of_periodic(P, p).addresses)
+        assert t in got
+        for a in got:
+            q = len(a.period)
+            assert not a.preperiod and q % n == 0
+            entries = itinerary_entries(s.preperiod, s.period, (), a.period, q)
+            assert entries == list(word) * (q // n)
+            assert canonicalize((), a.period[n:] + a.period[:n]) in got
+        assert got == two_sided_search(P, word)
+
+    @pytest.mark.parametrize(
+        "base, words",
+        [
+            ("0(1)", [(1,), (2,), (-1,)]),
+            ("0(0,1)", [(0,), (1,), (0, 1), (0, 0, 1)]),
+            # Realized by two G-orbits each.
+            ("0,-3,1,0(-1)", [(0, -2, 0)]),
+            ("0(1,1,1,-1)", [(0, 1, 1, 0, -1, 0)]),
+        ],
+    )
+    def test_one_seed_per_cut(self, base, words, monkeypatch):
+        P = validate_base(parse_address(base))
+        seeds = []
+
+        def counting(P, word, x, *args):
+            seeds.append(x)
+            return seed_orbit(P, word, x, *args)
+
+        seed_orbit = realization._seed_orbit
+        monkeypatch.setattr(realization, "_seed_orbit", counting)
+        for word in words:
+            seeds.clear()
+            _periodic_search.__wrapped__(P, word, DEFAULT_M_MAX)
+            assert seeds == cuts(P, word), f"{base}: {word}"
 
 
 def periodic_sample(P, seed, count=12):
