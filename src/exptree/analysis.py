@@ -272,7 +272,7 @@ def core_entropy(
     back to exact root isolation.
     A spectral radius at most 1 yields entropy 0.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     A = transition_matrix(T).matrix
     try:

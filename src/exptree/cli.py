@@ -44,7 +44,7 @@ def _validate(triod: Triod | AddressTriod) -> None:
 
 def _positive_float(text: str) -> float:
     x = float(text)
-    if x <= 0:
+    if not x > 0:  # also rejects NaN
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return x
 

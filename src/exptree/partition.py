@@ -116,8 +116,11 @@ class Partition:
         return f"Partition(base={self.base}, j0={self.offset_j0}, nu={self.kneading})"
 
 
-def _sector_of(base: ExtAddress, j0: int, t: ExtAddress) -> SectorResult:
-    cmp = compare_lex(t.shift(), base)
+def _sector_of(
+    base: ExtAddress, j0: int, t: ExtAddress, ts: ExtAddress
+) -> SectorResult:
+    """Sector of ``t``, given its shift ``ts``."""
+    cmp = compare_lex(ts, base)
     if cmp is Ordering.EQ:
         return Boundary(t.entry(1))
     m = t.entry(1) if cmp is Ordering.GT else t.entry(1) - 1
@@ -151,7 +154,7 @@ def validate_base(s: ExtAddress) -> Partition:
 
 def sector_of(P: Partition, t: ExtAddress) -> SectorResult:
     """Locate ``t`` in the partition: sector index or boundary sheet."""
-    return _sector_of(P.base, P.offset_j0, t)
+    return _sector_of(P.base, P.offset_j0, t, t.shift())
 
 
 def _itinerary_against(base: ExtAddress, j0: int, t: ExtAddress) -> Itinerary:
@@ -159,11 +162,12 @@ def _itinerary_against(base: ExtAddress, j0: int, t: ExtAddress) -> Itinerary:
     out: list[int] = []
     cur = t
     for _ in range(steps):
-        res = _sector_of(base, j0, cur)
+        nxt = cur.shift()
+        res = _sector_of(base, j0, cur, nxt)
         if isinstance(res, Boundary):
             return PreSingular(tuple(out))
         out.append(res.k)
-        cur = cur.shift()
+        cur = nxt
     # The entry stream factors through the shift orbit of t, so its
     # preperiod/period divide t's; boundary hits can only occur within
     # the preperiod of t (a boundary address is strictly preperiodic).

@@ -70,7 +70,8 @@ class ExtAddress:
 
     def entries(self, count: int) -> list[int]:
         """The first ``count`` entries as a list."""
-        return [self.entry(i) for i in range(1, count + 1)]
+        pre, per = self.preperiod, self.period
+        return list((pre + per * (count // len(per) + 1))[:count])
 
     def shift(self) -> "ExtAddress":
         """Drop the first entry (the left shift).

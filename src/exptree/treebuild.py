@@ -7,13 +7,18 @@ algorithm (``w`` lies on the arc ``[u, v]`` iff the middle point of
 ``[u, w, v]`` is ``w``).  One triod map per build computes the middle
 points of the orbit triples and then of every unordered vertex triple
 for the closure check, and betweenness is read from those same middle
-points.  Edges are the pairs with nothing in between, the vertex
-dynamics is the shift, and branches at the singular point are labeled
-by the shared first itinerary entry of their vertices.  At every other
-vertex of degree at least three, pre-singular or not, the realizing
-external addresses of the vertex split the circle at infinity into
-gaps, one per branch, which yields the cyclic order of the branches.
-Each vertex's realizing addresses are looked up once per build.
+points.  The triod map keeps middle points as integer ids, so the
+closure pass compares ids: it builds an itinerary only when a walk
+closes a new cycle of states or meets a middle point not seen before,
+and the latter is a closure violation.  Edges are the pairs with nothing in
+between, the vertex dynamics is the shift, and branches at the singular
+point are labeled by the shared first itinerary entry of their
+vertices.  At every other vertex of degree at least three, pre-singular
+or not, the realizing external addresses of the vertex split the circle
+at infinity into gaps, one per branch, which yields the cyclic order of
+the branches.  Each vertex's realizing addresses are looked up once per
+build and bisected as fixed-length tuples of their first entries, long
+enough that tuple order is the lexicographic order of the addresses.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
     ClosureViolationError,
@@ -198,24 +203,25 @@ def _vertex_set(
     closure under the shift and under triods.
     """
     triods = _TriodMap(P)
-    orbit = omega_plus(P)
-    orbit_ids = [triods.id(it) for it in orbit]
-    middles = {triods.middle(*tri) for tri in combinations(orbit_ids, 3)}
-    its = _sort_itineraries(list(set(orbit) | middles))
-    index = {it: i for i, it in enumerate(its)}
-    for it in its:
+    orbit_ids = [triods.id(it) for it in omega_plus(P)]
+    vids = set(orbit_ids)
+    vids.update(triods.middle(*tri) for tri in combinations(orbit_ids, 3))
+    its = _sort_itineraries([triods.its[v] for v in vids])
+    ids = [triods.id(it) for it in its]
+    index = {v: i for i, v in enumerate(ids)}
+    for it, v in zip(its, ids):
         if not is_in_S_nu(P, it):
             raise ClosureViolationError(f"vertex {it} is not a formal point")
-        if shift_itinerary(P, it) not in index:
+        if triods._shift(v) not in index:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
-    ids = [triods.id(it) for it in its]
     out: dict[tuple[int, int, int], int] = {}
     for i, j, k in combinations(range(len(its)), 3):
-        b = triods.middle(ids[i], ids[j], ids[k])
-        out[i, j, k] = index.get(b, -1)
-        if out[i, j, k] < 0:
+        m = triods.middle(ids[i], ids[j], ids[k])
+        b = out[i, j, k] = index.get(m, -1)
+        if b < 0:
             raise ClosureViolationError(
-                f"vertex set not closed under triods: b{(its[i], its[j], its[k])} = {b}"
+                f"vertex set not closed under triods: "
+                f"b{(its[i], its[j], its[k])} = {triods.its[m]}"
             )
     return its, out
 
@@ -227,13 +233,29 @@ def _min_rotation(seq: tuple) -> tuple:
     return seq[best:] + seq[:best]
 
 
-def _gap_of(anchors: tuple[ExtAddress, ...], a: ExtAddress) -> int | None:
+def _address_words(
+    families: list[tuple[ExtAddress, ...]],
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every address of every family as the tuple of its first ``L``
+    entries, ``L`` twice the longest ``|pre| + |per|`` among them.
+
+    By Fine and Wilf, two distinct addresses differ within
+    ``max |pre| + p + q - gcd(p, q) < L`` entries, so the words sort as
+    the addresses do and are equal only for equal addresses.
+    """
+    L = 2 * max(
+        (len(a.preperiod) + len(a.period) for f in families for a in f), default=0
+    )
+    return [tuple(tuple(a.entries(L)) for a in f) for f in families]
+
+
+def _gap_of(anchors: Sequence[Any], a: Any) -> int | None:
     """Index ``i`` of the gap ``(anchors[i], anchors[i+1 mod q])`` that
     holds ``a``, or ``None`` when ``a`` is an anchor.
 
-    ``anchors`` must strictly increase; the last gap wraps around, so it
-    holds both the addresses above the last anchor and those below the
-    first.
+    ``anchors`` must strictly increase, in any total order (addresses,
+    or their words in the tree build); the last gap wraps around, so it
+    holds both the keys above the last anchor and those below the first.
     """
     j = bisect_left(anchors, a)
     if j < len(anchors) and anchors[j] == a:
@@ -246,13 +268,15 @@ def _cyclic_order_by_gaps(
     vit: Itinerary,
     branches: list[tuple[int, list[int]]],
     itineraries: Sequence[Itinerary],
-    addresses: Callable[[int], tuple[ExtAddress, ...]],
+    addresses: Callable[[int], Sequence[Any]],
     notes: list[str],
 ) -> tuple[int, ...]:
     """Order the branches at a vertex by the cyclic gaps of its realizing
     addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``;
-    ``addresses`` maps a vertex id to its realizing addresses, which come
-    sorted, so each address finds its gap by bisection."""
+    ``addresses`` maps a vertex id to keys of its realizing addresses:
+    the addresses themselves or any keys that order and tell them apart
+    the same way.  A vertex's keys must strictly increase, so each key
+    finds its gap by bisection."""
     anchors = addresses(vid)
     if len(anchors) < len(branches):
         raise GapAssignmentFailureError(
@@ -338,13 +362,17 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
         else:
             kinds.append(VertexKind.BRANCH_EXTRA)
 
-    # Cyclic orders.
+    # Cyclic orders, from the realizing addresses of every vertex as
+    # words, looked up when the first branch vertex needs them.
     # Pre-singular vertices take the sheets; plain ones ignore them.
     sheets = _vertex_sheets(P, its)
+    words: list[tuple[tuple[int, ...], ...]] = []
 
-    @cache
-    def addresses(w: int) -> tuple[ExtAddress, ...]:
-        return addresses_of(P, its[w], m_max, sheets).addresses
+    def addresses(w: int) -> tuple[tuple[int, ...], ...]:
+        if not words:
+            found = [addresses_of(P, it, m_max, sheets).addresses for it in its]
+            words.extend(_address_words(found))
+        return words[w]
 
     notes: list[str] = []
     cyclic: list[tuple[int, ...] | None] = []

@@ -11,9 +11,12 @@ The stream of majority votes assembles the middle point of the triple:
 the branch point if the triple is branched, the middle member if it is
 linear.  One triod map on integer itinerary ids (:class:`_TriodMap`)
 computes every middle point, for :func:`middle_point` and for the tree
-build; :func:`triod_step` and :func:`majority_vote` are the reference it
-agrees with.  The address-level map does the same bookkeeping through
-partition sectors and is semi-conjugate to the itinerary-level map.
+build, and keeps middle points as ids: a vote is prepended to an id
+through a ``(first symbol, shift id) -> id`` table, and an itinerary is
+built only when the table has no entry yet.  :func:`triod_step` and
+:func:`majority_vote` are the reference it agrees with.  The
+address-level map does the same bookkeeping through partition sectors
+and is semi-conjugate to the itinerary-level map.
 """
 
 from __future__ import annotations
@@ -176,14 +179,16 @@ class _TriodMap:
     """The triod map of one partition on integer itinerary ids.
 
     An itinerary gets an id the first time it is seen, with its first
-    symbol; the id of its shift is filled in when a step first shifts it.
-    A state is the sorted triple of member ids: the middle point does not
-    depend on the order of the members.  Every state solved is memoized
-    with its middle point, so one map answers many triples of one
-    partition without repeating work.
+    symbol; the id of its shift is filled in when a step first shifts it,
+    and so is the entry ``(first symbol, shift id) -> id`` of the prepend
+    table.  A state is the sorted triple of member ids: the middle point
+    does not depend on the order of the members.  Every state solved is
+    memoized with the id of its middle point, so one map answers many
+    triples of one partition without repeating work, and a middle point
+    is built as an itinerary only when the prepend table misses it.
     """
 
-    __slots__ = ("P", "ids", "its", "firsts", "shifts", "memo", "nu")
+    __slots__ = ("P", "ids", "its", "firsts", "shifts", "prepends", "memo", "nu")
 
     def __init__(self, P: Partition):
         self.P = P
@@ -191,8 +196,9 @@ class _TriodMap:
         self.its: list[Itinerary] = []
         self.firsts: list = []
         self.shifts: dict[int, int] = {}
-        self.memo: dict[tuple[int, int, int], Itinerary] = {}
-        self.nu = -1
+        self.prepends: dict[tuple, int] = {}
+        self.memo: dict[tuple[int, int, int], int] = {}
+        self.nu = self.id(P.kneading)
 
     def id(self, it: Itinerary) -> int:
         n = len(self.its)
@@ -202,49 +208,58 @@ class _TriodMap:
             self.firsts.append(it.first_symbol())
         return i
 
-    def _nu(self) -> int:
-        if self.nu < 0:
-            self.nu = self.id(self.P.kneading)
-        return self.nu
-
     def _shift(self, i: int) -> int:
         j = self.shifts.get(i)
         if j is None:
             j = self.shifts[i] = self.id(shift_itinerary(self.P, self.its[i]))
+            self.prepends[self.firsts[i], j] = i
+        return j
+
+    def _prepend(self, vote: int, i: int) -> int:
+        """The id of ``vote`` followed by the itinerary with id ``i``."""
+        j = self.prepends.get((vote, i))
+        if j is None:
+            tail = self.its[i]
+            if isinstance(tail, PreSingular):
+                j = self.id(PreSingular((vote,) + tail.prefix))
+            else:
+                j = self.id(Plain(tail.seq.prepend(vote)))
+            self.shifts[j] = i
+            self.prepends[vote, i] = j
         return j
 
     def _str(self, state: tuple[int, ...]) -> str:
         return "[" + ", ".join(str(self.its[i]) for i in state) + "]"
 
-    def middle(self, *members: int) -> Itinerary:
-        """The middle point of the triod with the three member ids.
+    def middle(self, *members: int) -> int:
+        """The id of the middle point of the triod with the three member ids.
 
         The map walks states until the stop case (tail ``*nu``), a state
         of this walk repeats (tail the periodic vote word from there on)
         or a state is memoized; then it walks back, prepending one vote
         per state, and memoizes every state on the way.
         """
-        memo, firsts, sh = self.memo, self.firsts, self._shift
+        memo, firsts, sh, nu = self.memo, self.firsts, self._shift, self.nu
         state = tuple(sorted(members))
         # state -> votes cast before it; the dict keeps the walk's order
         seen: dict[tuple[int, ...], int] = {}
         votes: list[int] = []
         while (tail := memo.get(state)) is None:
             if state in seen:
-                tail = Plain(canonicalize((), votes[seen[state] :]))
+                tail = self.id(Plain(canonicalize((), votes[seen[state] :])))
                 break
             a, b, c = state
             vote, fb, fc = firsts[a], firsts[b], firsts[c]
             if vote == fb == fc:
                 nxt = (sh(a), sh(b), sh(c))
             elif vote == fb:
-                nxt = (sh(a), sh(b), self._nu())
+                nxt = (sh(a), sh(b), nu)
             elif vote == fc:
-                nxt = (sh(a), self._nu(), sh(c))
+                nxt = (sh(a), nu, sh(c))
             elif fb == fc:
-                vote, nxt = fb, (self._nu(), sh(b), sh(c))
+                vote, nxt = fb, (nu, sh(b), sh(c))
             else:
-                tail = memo[state] = PreSingular(())
+                tail = memo[state] = self.id(PreSingular(()))
                 break
             if vote == STAR:
                 raise InternalInvariantError(
@@ -257,11 +272,7 @@ class _TriodMap:
             votes.append(vote)
             state = tuple(sorted(nxt))
         for state, vote in zip(reversed(seen), reversed(votes)):
-            if isinstance(tail, PreSingular):
-                tail = PreSingular((vote,) + tail.prefix)
-            else:
-                tail = Plain(tail.seq.prepend(vote))
-            memo[state] = tail
+            tail = memo[state] = self._prepend(vote, tail)
         return tail
 
 
@@ -277,7 +288,7 @@ def middle_point(T: Triod) -> Itinerary:
     :class:`_TriodMap`.
     """
     m = _TriodMap(T.partition)
-    return m.middle(*map(m.id, T.members))
+    return m.its[m.middle(*map(m.id, T.members))]
 
 
 def classify(T: Triod) -> TriodShape:

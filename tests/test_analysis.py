@@ -253,6 +253,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             core_entropy(tree_a, tol=0.0)
 
+    def test_nan_tolerance(self, tree_a):
+        # NaN fails every comparison, so it would never meet the stop rule.
+        with pytest.raises(ValueError, match="positive"):
+            core_entropy(tree_a, tol=float("nan"))
+
 
 class TestLazyNumpy:
     def test_queries_without_a_matrix_skip_numpy(self):

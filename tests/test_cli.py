@@ -151,6 +151,7 @@ class TestCommands:
             (["entropy", "0(1)", "--tol", "-1"], 2, ""),
             (["entropy", "0(1)", "--tol", "0"], 2, ""),
             (["triod", "--base", "0(0,1)", "1,0(0,1)", "(0,1)", "(1,0)"], 3, "NotFormal"),
+            (["entropy", "0(1)", "--tol", "nan"], 2, ""),
         ],
     )
     def test_bad_input_exit_codes(self, args, code, out, capsys):

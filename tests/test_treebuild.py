@@ -1,8 +1,11 @@
 import json
 import random
 import time
+import warnings
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exptree.errors import (
     ClosureViolationError,
@@ -12,13 +15,16 @@ from exptree.errors import (
     NotATreeError,
 )
 from exptree.notation import parse_address
-from exptree.partition import Plain, PreSingular, validate_base
+from exptree import treebuild
+from exptree.partition import Plain, PreSingular, shift_itinerary, validate_base
 from exptree.realization import _vertex_sheets, addresses_of
-from exptree.sequences import canonicalize, cyclic_between
+from exptree.sequences import canonicalize, compare_lex, cyclic_between
 from exptree.treebuild import (
     VertexKind,
+    _address_words,
     _cyclic_order_by_gaps,
     _gap_of,
+    _vertex_set,
     build_tree,
     check_tree_invariants,
     omega_plus,
@@ -27,7 +33,7 @@ from exptree.treebuild import (
     tree_from_json,
     vertex_set,
 )
-from exptree.triods import Triod, middle_point
+from exptree.triods import Triod, _TriodMap, middle_point
 
 
 def addr(pre, per):
@@ -411,3 +417,110 @@ class TestDeterminism:
             assert [v.id for v in pre] == list(range(len(pre)))
             seqs = [v.itinerary.seq for v in plains]
             assert seqs == sorted(seqs)
+
+
+entries = st.integers(-6, 6)
+
+
+@st.composite
+def addresses(draw):
+    pre = draw(st.lists(entries, max_size=6))
+    return canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=12)))
+
+
+@st.composite
+def fine_wilf_pairs(draw):
+    """Two addresses ``pre.u^inf`` and ``pre.v^inf``, ``|u| = p`` and
+    ``|v| = q`` with neither dividing the other, whose tails agree on
+    exactly ``n = p + q - gcd(p, q) - 1`` entries, the most that Fine
+    and Wilf allow for distinct tails.  The positions below ``n`` joined
+    by ``i ~ i + p`` and ``i ~ i + q`` fall into ``gcd + 1`` classes;
+    each class gets its own entry."""
+    p, q = draw(
+        st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(
+            lambda pq: pq[0] % pq[1] and pq[1] % pq[0]
+        )
+    )
+    n = p + q - gcd(p, q) - 1
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for d in (p, q):
+        for i in range(n - d):
+            root[find(i + d)] = find(i)
+    classes = sorted({find(i) for i in range(n)})
+    values = draw(
+        st.lists(entries, min_size=len(classes), max_size=len(classes), unique=True)
+    )
+    w = [values[classes.index(find(i))] for i in range(n)]
+    pre = draw(st.lists(entries, max_size=4))
+    return canonicalize(pre, w[:p]), canonicalize(pre, w[:q]), len(pre) + n
+
+
+class TestAddressWords:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fine_wilf_pairs(), st.lists(addresses(), max_size=6))
+    def test_words_sort_as_compare_lex(self, pair, extra):
+        a, b, agree = pair
+        assert a.entries(agree) == b.entries(agree)
+        assert a.entry(agree + 1) != b.entry(agree + 1)
+        families = [(a,), (b,), tuple(extra)]
+        addrs = [x for f in families for x in f]
+        words = [w for f in _address_words(families) for w in f]
+        for x, wx in zip(addrs, words):
+            for y, wy in zip(addrs, words):
+                assert (wx > wy) - (wx < wy) == compare_lex(x, y).value, (x, y)
+
+
+class TestMiddleIds:
+    def test_one_id_per_itinerary(self, acceptance_corpus, monkeypatch):
+        # After the closure pass every itinerary has one id, the shift and
+        # prepend tables agree with the itineraries, and every memoized
+        # state's middle id names the middle point of a fresh Triod.
+        maps = []
+
+        class RecordingMap(_TriodMap):
+            def __init__(self, P):
+                super().__init__(P)
+                maps.append(self)
+
+        monkeypatch.setattr(treebuild, "_TriodMap", RecordingMap)
+        for P in acceptance_corpus.partitions:
+            maps.clear()
+            _vertex_set(P)
+            (m,) = maps
+            assert len(set(m.its)) == len(m.its)
+            assert all(m.ids[it] == i for i, it in enumerate(m.its))
+            for i, j in m.shifts.items():
+                assert m.its[j] == shift_itinerary(P, m.its[i])
+            for (vote, j), i in m.prepends.items():
+                assert m.firsts[i] == vote and m.shifts[i] == j
+            for state, b in m.memo.items():
+                T = Triod(tuple(m.its[i] for i in state), P)
+                assert middle_point(T) == m.its[b], f"{P.base}: {T}"
+
+
+@st.composite
+def wide_bases(draw):
+    """Bases with a nonzero leading entry, preperiod up to 6, period up to
+    12 and entries in [-6, 6]."""
+    pre = [draw(entries.filter(bool))] + draw(st.lists(entries, max_size=5))
+    return canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=12)))
+
+
+class TestWideBases:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(wide_bases())
+    def test_builds_and_round_trips(self, s):
+        assume(not s.is_periodic())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            tree = build_tree(validate_base(s))
+            check_tree_invariants(tree)
+            back = tree_from_json(to_json(tree))
+        check_tree_invariants(back)
+        assert to_json(back) == to_json(tree)

@@ -19,6 +19,7 @@ from exptree.triods import (
     AddressTriod,
     Shape,
     Triod,
+    _TriodMap,
     address_triod_step,
     classify,
     majority_vote,
@@ -143,6 +144,18 @@ class TestMiddlePoint:
         T = Triod((plain([1, 0], [1]), plain([], [1]), plain([], [2])), P_a)
         with pytest.raises(NotDistinctError):
             middle_point(T)
+
+    def test_unknown_middle_point_gets_a_fresh_id(self, P_b):
+        # The branch point (0) has no id before the call, so the walk-back
+        # builds it and gives it the next free id.
+        members = (plain([], [0, 1]), plain([], [1, 0]), plain([], [0, 0, 1]))
+        m = _TriodMap(P_b)
+        ids = [m.id(x) for x in members]
+        known = list(m.its)
+        b = m.middle(*ids)
+        assert m.its[b] == middle_point(Triod(members, P_b)) == plain([], [0])
+        assert m.its[b] not in known and b >= len(known)
+        assert m.id(m.its[b]) == b and len(set(m.its)) == len(m.its)
 
     def test_permutation_invariance(self, P_b):
         t, u, v = P_b.kneading, plain([], [0, 1]), plain([], [1, 0])
