@@ -4,15 +4,31 @@ The vertex set consists of the forward orbit of the singular point
 ``*nu`` under the shift together with the middle points of all triods of
 orbit members.  Betweenness of vertices is decided by the triod
 algorithm (``w`` lies on the arc ``[u, v]`` iff the middle point of
-``[u, w, v]`` is ``w``).  One triod map per build computes the middle
-points of the orbit triples and then of every unordered vertex triple
-for the closure check, and betweenness is read from those same middle
-points.  The triod map keeps middle points as integer ids, so the
+``[u, w, v]`` is ``w``).
+
+One step of the triod map never reads the odd member out: it shifts the
+two members that share a first symbol ``s`` and replaces the third by
+``nu``.  ``*nu`` starts with the star, which differs from every ``s``,
+so a triple with exactly two members in sector ``s`` has the middle
+point of those two with ``*nu``; a triple with three different first
+symbols stops at once, with middle point ``*nu``.  Every middle point
+is therefore ``*nu`` or the middle point of a star triple: a triple
+inside ``V_s + {*nu}`` for one sector ``s``.  Hence the star triples of
+the orbit give the whole vertex set, closure on the vertices' star
+triples is closure on all their triples, and betweenness is read from
+the star triples' middle points plus one rule: ``*nu`` separates any
+two vertices of different sectors.  No vertex of another sector lies
+between ``*nu`` or a vertex of sector ``s`` and a vertex of sector
+``s``: that triple stops at ``*nu`` or has the middle point of a star
+triple of sector ``s``, which starts with ``s``.
+
+One triod map per build walks the star triples of the orbit and then
+those of the vertex set.  It keeps middle points as integer ids, so the
 closure pass compares ids: it builds an itinerary only when a walk
 closes a new cycle of states or meets a middle point not seen before,
-and the latter is a closure violation.  Edges are the pairs with nothing in
-between, the vertex dynamics is the shift, and branches at the singular
-point are labeled by the shared first itinerary entry of their
+and the latter is a closure violation.  Edges are the pairs with nothing
+in between, the vertex dynamics is the shift, and branches at the
+singular point are labeled by the shared first itinerary entry of their
 vertices.  At every other vertex of degree at least three, pre-singular
 or not, the realizing external addresses of the vertex split the circle
 at infinity into gaps, one per branch, which yields the cyclic order of
@@ -187,25 +203,48 @@ def vertex_set(P: Partition) -> list[Itinerary]:
     of its triods, sorted deterministically (pre-singular first).
 
     Verifies closure under the shift and under taking triods of the full
-    result; failures raise :class:`ClosureViolationError`.
+    result; failures raise :class:`ClosureViolationError`.  Only the star
+    triples (see the module docstring) are walked: every other triple's
+    middle point is ``*nu`` or the middle point of a star triple.
     """
     return _vertex_set(P)[0]
+
+
+def _star_triples(
+    ids: Iterable[int], firsts: Sequence[Any], star: int
+) -> Iterable[tuple[int, int, int]]:
+    """Every sorted triple inside ``V_s + {star}`` for one sector ``s``,
+    where ``V_s`` holds the ``ids`` other than ``star`` whose first
+    symbol ``firsts[i]`` is ``s``."""
+    sectors: dict[Any, list[int]] = {}
+    for i in ids:
+        if i != star:
+            sectors.setdefault(firsts[i], []).append(i)
+    for members in sectors.values():
+        yield from combinations(sorted(members + [star]), 3)
 
 
 def _vertex_set(
     P: Partition,
 ) -> tuple[list[Itinerary], dict[tuple[int, int, int], int]]:
-    """The sorted vertex set and the middle point of every vertex triple
-    ``i < j < k``, all as indices into the vertex list.
+    """The sorted vertex set and the middle point of every star triple
+    ``i < j < k`` of vertices, all as indices into the vertex list.
 
-    One triod map serves the orbit triples and the closure pass, so the
-    states solved for the orbit are looked up, not solved again.  Checks
-    closure under the shift and under triods.
+    One triod map serves the orbit's star triples and the closure pass
+    over the vertices' star triples, so the states solved for the orbit
+    are looked up, not solved again.  The orbit holds ``*nu``, so its
+    star triples have the same middle points as all its triples; a
+    triple outside the star triples has middle point ``*nu`` or that of
+    a star triple, so closure on the star triples is closure on all.
+    Checks closure under the shift and under triods.
     """
     triods = _TriodMap(P)
     orbit_ids = [triods.id(it) for it in omega_plus(P)]
+    star = orbit_ids[0]
     vids = set(orbit_ids)
-    vids.update(triods.middle(*tri) for tri in combinations(orbit_ids, 3))
+    vids.update(
+        triods.middle(*tri) for tri in _star_triples(orbit_ids, triods.firsts, star)
+    )
     its = _sort_itineraries([triods.its[v] for v in vids])
     ids = [triods.id(it) for it in its]
     index = {v: i for i, v in enumerate(ids)}
@@ -214,15 +253,24 @@ def _vertex_set(
             raise ClosureViolationError(f"vertex {it} is not a formal point")
         if triods._shift(v) not in index:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
+    firsts = [triods.firsts[v] for v in ids]
+    sing = index[star]
     out: dict[tuple[int, int, int], int] = {}
-    for i, j, k in combinations(range(len(its)), 3):
-        m = triods.middle(ids[i], ids[j], ids[k])
-        b = out[i, j, k] = index.get(m, -1)
+    for tri in _star_triples(range(len(its)), firsts, sing):
+        m = triods.middle(*(ids[i] for i in tri))
+        b = out[tri] = index.get(m, -1)
         if b < 0:
-            raise ClosureViolationError(
+            msg = (
                 f"vertex set not closed under triods: "
-                f"b{(its[i], its[j], its[k])} = {triods.its[m]}"
+                f"b{tuple(its[i] for i in tri)} = {triods.its[m]}"
             )
+            if sing in tri:
+                i, j = (x for x in tri if x != sing)
+                msg += (
+                    f"; {its[i]} and {its[j]} share sector {firsts[i]}, so this "
+                    f"holds with every third vertex outside sector {firsts[i]}"
+                )
+            raise ClosureViolationError(msg)
     return its, out
 
 
@@ -319,18 +367,25 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
     its, middles = _vertex_set(P)
     n = len(its)
     it2id = {it: i for i, it in enumerate(its)}
+    sing = it2id[PreSingular(())]
+    firsts = [it.first_symbol() for it in its]
 
     # A vertex lies strictly inside the arc between the other two members
-    # of a triple exactly when it is the triple's middle point.
+    # of a triple exactly when it is the triple's middle point.  The
+    # singular point separates any two vertices of different sectors;
+    # every other separation is carried by a star triple.
     separated: set[tuple[int, ...]] = set()
     for ids, b in middles.items():
         if b in ids:
             separated.add(tuple(i for i in ids if i != b))
-    edges = tuple(pair for pair in combinations(range(n), 2) if pair not in separated)
+    edges = tuple(
+        (a, b)
+        for a, b in combinations(range(n), 2)
+        if (sing in (a, b) or firsts[a] == firsts[b]) and (a, b) not in separated
+    )
 
     # Dynamics: the shift, under which _vertex_set checked the vertices
     # closed; the singular point maps to the kneading vertex.
-    sing = it2id[PreSingular(())]
     nu_id = it2id[Plain(P.kneading.seq)]
     dynamics = [it2id[shift_itinerary(P, it)] for it in its]
     if dynamics[sing] != nu_id:
@@ -344,10 +399,9 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
 
     # Sector labels at the singular point: shared first itinerary entry.
     sector_groups: dict[int, list[int]] = {}
-    for i, it in enumerate(its):
-        if i == sing:
-            continue
-        sector_groups.setdefault(it.first_symbol(), []).append(i)
+    for i, s in enumerate(firsts):
+        if i != sing:
+            sector_groups.setdefault(s, []).append(i)
     sectors = tuple(sorted((k, tuple(sorted(v))) for k, v in sector_groups.items()))
 
     # Vertex kinds need degrees.

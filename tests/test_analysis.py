@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exptree import analysis
 from exptree.analysis import (
@@ -20,6 +20,7 @@ from exptree.analysis import (
 )
 from exptree.errors import ConvergenceFailureError, NotExpansiveError, PeriodicBaseError
 from exptree.partition import Plain, PreSingular, validate_base
+from exptree.realization import addresses_of
 from exptree.sequences import address, canonicalize
 from exptree.treebuild import build_tree
 
@@ -45,6 +46,20 @@ def small_matrices(draw):
     split = draw(st.integers(min_value=0, max_value=n - 1))
     A[split:, :split] = 0
     return A
+
+
+@st.composite
+def wide_bases(draw):
+    """Strictly preperiodic bases with a nonzero leading entry, preperiod
+    up to 6, period up to 12 and entries in [-6, 6]."""
+    entries = st.integers(-6, 6)
+    pre = [draw(entries.filter(bool))] + draw(st.lists(entries, max_size=5))
+    s = canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=12)))
+    assume(not s.is_periodic())
+    return s
+
+
+quiet = pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
 
 
 class TestTreeEquivalent:
@@ -84,6 +99,20 @@ class TestSameMap:
     def test_presingular_second_base(self, P_a):
         # 0,0(1) maps onto the partition boundary: itinerary *nu, not nu.
         assert not same_map(P_a.base, P_a.base.prepend(0))
+
+    @quiet
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wide_bases())
+    def test_siblings_on_wide_bases(self, s):
+        # Every base realizing the kneading sequence is the same map and
+        # builds an equivalent tree.
+        P = validate_base(s)
+        tree = build_tree(P)
+        siblings = addresses_of(P, P.kneading).addresses
+        assert s in siblings
+        for s2 in siblings:
+            assert same_map(s, s2), f"{s} vs {s2}"
+            assert tree_equivalent(tree, build_tree(validate_base(s2))), f"{s} vs {s2}"
 
 
 class TestExpansivity:
@@ -214,6 +243,13 @@ class TestEntropy:
         rho = spectral_radius_power(A)
         assert abs(rho - spectral_radius_exact(A)) < 1e-9
         assert abs(rho - numpy_spectral_radius(A)) < 1e-7
+
+    @quiet
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wide_bases())
+    def test_power_on_wide_base_trees(self, s):
+        A = transition_matrix(build_tree(validate_base(s))).matrix
+        assert abs(spectral_radius_power(A) - spectral_radius_exact(A)) < 1e-9
 
     def test_power_squares_only_while_exact(self):
         # Rows of A + I sum to 85 and 85^16 > 2^53, so the squaring stops

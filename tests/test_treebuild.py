@@ -2,6 +2,7 @@ import json
 import random
 import time
 import warnings
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -505,11 +506,11 @@ class TestMiddleIds:
 
 
 @st.composite
-def wide_bases(draw):
+def wide_bases(draw, max_period=12):
     """Bases with a nonzero leading entry, preperiod up to 6, period up to
-    12 and entries in [-6, 6]."""
+    ``max_period`` and entries in [-6, 6]."""
     pre = [draw(entries.filter(bool))] + draw(st.lists(entries, max_size=5))
-    return canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=12)))
+    return canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=max_period)))
 
 
 class TestWideBases:
@@ -524,3 +525,96 @@ class TestWideBases:
             back = tree_from_json(to_json(tree))
         check_tree_invariants(back)
         assert to_json(back) == to_json(tree)
+
+
+def _star_triple_set(its):
+    """All sorted index triples inside one sector plus the singular point."""
+    star = its.index(PreSingular(()))
+    return {
+        tri
+        for tri in combinations(range(len(its)), 3)
+        if len({its[i].first_symbol() for i in tri if i != star}) == 1
+    }
+
+
+def _reference_edges(P, its):
+    """Edges from the betweenness of all vertex triples, each middle
+    point from a fresh triod map."""
+    separated = set()
+    for tri in combinations(its, 3):
+        b = middle_point(Triod(tri, P))
+        if b in tri:
+            separated.add(frozenset(x for x in tri if x != b))
+    return {
+        (i, j)
+        for (i, u), (j, v) in combinations(enumerate(its), 2)
+        if frozenset((u, v)) not in separated
+    }
+
+
+class TestStarTriples:
+    def test_one_step_ignores_the_odd_member(self, acceptance_corpus):
+        # Three distinct first symbols stop at *nu; when exactly two agree,
+        # the third member may be replaced by *nu.
+        for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):
+            star = PreSingular(())
+            for tri in combinations([v.itinerary for v in tree.vertices], 3):
+                firsts = [m.first_symbol() for m in tri]
+                b = middle_point(Triod(tri, P))
+                if len(set(firsts)) == 3:
+                    assert b == star, f"{P.base}: {tri}"
+                elif len(set(firsts)) == 2:
+                    odd = next(m for m, f in zip(tri, firsts) if firsts.count(f) == 1)
+                    pair = tuple(m for m in tri if m != odd)
+                    assert b == middle_point(Triod(pair + (star,), P)), (
+                        f"{P.base}: {tri}"
+                    )
+
+    def test_keys_are_the_star_triples(self, acceptance_corpus):
+        for P in acceptance_corpus.partitions:
+            its, middles = _vertex_set(P)
+            assert set(middles) == _star_triple_set(its), P.base
+
+    def test_edges_match_all_triples_on_corpus(self, acceptance_corpus):
+        for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):
+            its = [v.itinerary for v in tree.vertices]
+            assert set(tree.edges) == _reference_edges(P, its), P.base
+
+    @pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(wide_bases(max_period=10))
+    def test_edges_match_all_triples_on_wide_bases(self, s):
+        assume(not s.is_periodic())
+        tree = build_tree(validate_base(s))
+        its = [v.itinerary for v in tree.vertices]
+        assert set(tree.edges) == _reference_edges(tree.partition, its)
+
+
+class TestClosureViolations:
+    # In 0(0,1) the branch vertex (0) is no orbit point, so only the
+    # closure pass walks triples that hold it.
+    OUTSIDER = Plain(canonicalize([], [5]))
+
+    def _rig(self, monkeypatch, members):
+        real = _TriodMap.middle
+        outsider = self.OUTSIDER
+
+        def middle(self, *ids):
+            if {self.its[i] for i in ids} == members:
+                return self.id(outsider)
+            return real(self, *ids)
+
+        monkeypatch.setattr(_TriodMap, "middle", middle)
+
+    def test_same_sector_triple(self, P_b, monkeypatch):
+        self._rig(monkeypatch, {plain([], [0]), plain([0], [0, 1]), plain([], [0, 1])})
+        with pytest.raises(ClosureViolationError, match=r"= \(5\)$"):
+            _vertex_set(P_b)
+
+    def test_pair_with_the_singular_point(self, P_b, monkeypatch):
+        self._rig(monkeypatch, {plain([], [0]), plain([0], [0, 1]), PreSingular(())})
+        with pytest.raises(ClosureViolationError) as err:
+            build_tree(P_b)
+        msg = str(err.value)
+        assert "(0) and 0(0,1) share sector 0" in msg
+        assert "every third vertex outside sector 0" in msg
