@@ -11,21 +11,17 @@ bounds the multiplier ``m`` and, with it, the steps per seed.  This is
 the pull-back machinery of Bruin and Schleicher's *Symbolic Dynamics of
 Quadratic Polynomials*, carried over to exponential addresses.
 
-The realizations of a rotation ``sigma^k p`` of a periodic itinerary are
-exactly the ``sigma^k`` images of those of ``p``, so the search runs only
-for the least rotation of the period word and the other rotations are
-answered by shifting its result.  Searches are memoized per
-``(partition, least rotation, m_max)`` in a bounded LRU cache of 256
-entries that lives as long as the process.  Preperiodic itineraries are
-pulled back from their periodic part through the inverse branches of the
-shift, and pre-singular itineraries are pullbacks of the partition
-boundary.
+Every other family is a pullback (:func:`_pullback`): the shift maps
+each sector ``I_k`` one-to-one, so the realizations of ``k.t`` are the
+images under the inverse branch ``L_k`` of those of ``t`` other than the
+base.  Preperiodic itineraries are pulled back from their periodic part,
+pre-singular ones from the boundary sheets ``m.s``.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,7 +39,7 @@ from .partition import (
     inverse_branch,
     itinerary,
 )
-from .sequences import ExtAddress, _least_rotation, canonicalize, cyclic_between
+from .sequences import ExtAddress, canonicalize, cyclic_between
 from .triods import AddressTriod, TriodShape, _shape, middle_point, to_itinerary_triod
 
 __all__ = [
@@ -94,32 +90,23 @@ def addresses_of_periodic(
 ) -> AddressSet:
     """All periodic external addresses with itinerary ``p``.
 
-    The search runs once per rotation class: it realizes the least
-    rotation ``sigma^k p`` of the period word, and the realizations of
-    ``p`` are the ``(n - k)``-fold shifts of those.  Raises
+    Each call runs one search on ``p``'s own period word.  Raises
     :class:`RealizationBoundExceededError` when the search needs a
     multiplier above ``m_max``.
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
-    word = p.seq.period
-    k = _least_rotation(word)
-    found = _periodic_search(P, word[k:] + word[:k], m_max)
-    # Each found period word is a multiple of len(word) long, so the
-    # (n - k)-fold shift is a rotation of it.
-    j = (len(word) - k) % len(word)
-    shifted = (canonicalize((), a.period[j:] + a.period[:j]) for a in found)
-    return AddressSet(tuple(sorted(shifted)), p)
+    return AddressSet(tuple(sorted(_periodic_search(P, p.seq.period, m_max))), p)
 
 
 def _pull(P: Partition, letters: Sequence[int], x: ExtAddress) -> ExtAddress:
-    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``."""
+    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``, unfiltered:
+    the periodic search's cut test needs the ``<= s`` rule at the base."""
     for k in reversed(letters):
         x = inverse_branch(P, k, x)
     return x
 
 
-@lru_cache(maxsize=256)
 def _periodic_search(
     P: Partition, word: tuple[int, ...], m_max: int
 ) -> tuple[ExtAddress, ...]:
@@ -184,17 +171,24 @@ def _seed_orbit(
                 return {ExtAddress((), per[r:] + per[:r]) for r in rotations}
     raise RealizationBoundExceededError(
         f"no realizing address of the rotations of {canonicalize((), word)} "
-        f"found for m <= {m_max}"
+        f"over the base {P.base} found for m <= {m_max}"
     )
 
 
-def _boundary_pullbacks(
-    P: Partition, prefix: Sequence[int], m_range: Iterable[int]
+def _pullback(
+    P: Partition, letters: Sequence[int], family: Iterable[ExtAddress]
 ) -> list[ExtAddress]:
-    ms = list(m_range)
-    if not ms:
-        raise EmptyRangeError("pre-singular realization requires a nonempty m range")
-    return [_pull(P, prefix, P.base.prepend(m)) for m in ms]
+    """The realizations of ``letters.t``, given those of ``t``: ``L_k``
+    for each letter ``k``, the last first, applied to every address but
+    the base ``s``.  ``L_k(a)`` lies strictly inside ``I_k``, with itinerary
+    ``k.itin(a)``, unless ``a == s``, which it sends to the bound
+    ``(j0+k+1).s``, a pre-singular point.  So the filter keeps exactly the
+    pullbacks with itinerary ``letters.t``, and as the shift inverts ``L_k``
+    on ``I_k`` there are no others."""
+    out = list(family)
+    for k in reversed(letters):
+        out = [inverse_branch(P, k, a) for a in out if a != P.base]
+    return out
 
 
 def _presingular_sheets(firsts: Iterable[int]) -> range:
@@ -227,31 +221,22 @@ def addresses_of(
 ) -> AddressSet:
     """External addresses realizing the itinerary ``t``.
 
-    Preperiodic itineraries are obtained by pulling the realizations of
-    the periodic part back through the inverse branches prescribed by the
-    preperiod, keeping those whose itinerary is exactly ``t``.  For a
-    pre-singular ``t`` the full family is infinite (one pullback of the
-    partition boundary per integer), so a finite ``m_range`` must be
-    supplied by the caller.
+    A preperiodic ``t`` takes the :func:`_pullback` of the realizations of
+    its periodic part through its preperiod.  A pre-singular ``t`` has one
+    realization per sheet ``m.s`` of the partition boundary, so the caller
+    supplies a finite ``m_range``; the base is not periodic, so no pullback
+    of a sheet is the base and none is dropped.
     """
     if isinstance(t, PreSingular):
-        if m_range is None:
-            raise EmptyRangeError(
-                "pre-singular realization requires an explicit m range"
-            )
-        addrs = _boundary_pullbacks(P, t.prefix, m_range)
-        return AddressSet(tuple(sorted(addrs)), t)
-
-    per = Plain(canonicalize((), t.seq.period))
-    periodic = addresses_of_periodic(P, per, m_max)
-    if not t.seq.preperiod:
-        return periodic
-    out = []
-    for a in periodic:
-        a = _pull(P, t.seq.preperiod, a)
-        if itinerary(P, a) == t:
-            out.append(a)
-    return AddressSet(tuple(sorted(out)), t)
+        family, letters = [P.base.prepend(m) for m in m_range or ()], t.prefix
+        if not family:
+            raise EmptyRangeError("pre-singular realization requires a nonempty m range")
+    else:
+        family = addresses_of_periodic(P, Plain(canonicalize((), t.seq.period)), m_max)
+        if not t.seq.preperiod:
+            return family
+        letters = t.seq.preperiod
+    return AddressSet(tuple(sorted(_pullback(P, letters, family))), t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +286,7 @@ def separating_addresses(
         # covered.
         firsts = [x.entry(1) for x in A.members]
         firsts += [x.entry(1) for x in _stop_stage(A).members]
-        addrs = _boundary_pullbacks(P, b.prefix, _presingular_sheets(firsts))
+        addrs = _pullback(P, b.prefix, map(P.base.prepend, _presingular_sheets(firsts)))
     else:
         addrs = list(addresses_of(P, b, m_max))
 

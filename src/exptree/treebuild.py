@@ -32,9 +32,10 @@ singular point are labeled by the shared first itinerary entry of their
 vertices.  At every other vertex of degree at least three, pre-singular
 or not, the realizing external addresses of the vertex split the circle
 at infinity into gaps, one per branch, which yields the cyclic order of
-the branches.  Each vertex's realizing addresses are looked up once per
-build and bisected as fixed-length tuples of their first entries, long
-enough that tuple order is the lexicographic order of the addresses.
+the branches.  Each vertex's realizing addresses are pulled back once per
+build from its image's, with one search per periodic cycle, and bisected
+as fixed-length tuples of their first entries, long enough that tuple
+order is the lexicographic order of the addresses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
@@ -64,8 +65,8 @@ from .partition import (
     validate_base,
 )
 from .notation import parse_address, parse_itinerary
-from .realization import DEFAULT_M_MAX, _vertex_sheets, addresses_of
-from .sequences import ExtAddress, _least_rotation, compare_lex
+from .realization import DEFAULT_M_MAX, _pullback, _vertex_sheets, addresses_of
+from .sequences import ExtAddress, _least_rotation
 from .triods import _TriodMap
 
 __all__ = [
@@ -184,18 +185,13 @@ def omega_plus(P: Partition) -> list[Itinerary]:
 
 def _sort_itineraries(items: list[Itinerary]) -> list[Itinerary]:
     """Deterministic vertex order: pre-singular first (by prefix), then
-    plain itineraries lexicographically."""
-
-    def cmp(a: Itinerary, b: Itinerary) -> int:
-        a_pre = isinstance(a, PreSingular)
-        b_pre = isinstance(b, PreSingular)
-        if a_pre != b_pre:
-            return -1 if a_pre else 1
-        if a_pre:
-            return -1 if a.prefix < b.prefix else (0 if a.prefix == b.prefix else 1)
-        return compare_lex(a.seq, b.seq).value
-
-    return sorted(items, key=cmp_to_key(cmp))
+    plain itineraries lexicographically, as words (:func:`_address_words`)."""
+    seqs = [it.seq for it in items if isinstance(it, Plain)]
+    word = dict(zip(seqs, *_address_words([seqs])))
+    return sorted(
+        items,
+        key=lambda it: (1, word[it.seq]) if isinstance(it, Plain) else (0, it.prefix),
+    )
 
 
 def vertex_set(P: Partition) -> list[Itinerary]:
@@ -281,8 +277,33 @@ def _min_rotation(seq: tuple) -> tuple:
     return seq[best:] + seq[:best]
 
 
+def _vertex_families(
+    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int
+) -> list[list[ExtAddress]]:
+    """The realizing addresses of every vertex, unsorted.  ``*nu``, on the
+    sheets of :func:`_vertex_sheets`, and the first vertex of each periodic
+    cycle (its least rotation) are realized by :func:`addresses_of`; every
+    other vertex takes the :func:`_pullback` of its image's family by its
+    first symbol, walking along the dynamics to a cycle or to ``*nu``."""
+    sheets = _vertex_sheets(P, its)
+    fams: list[list[ExtAddress] | None] = [None] * len(its)
+    # Periodic vertices first: a walk then closes each cycle at its least rotation.
+    periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
+    for v in sorted(range(len(its)), key=lambda v: not periodic[v]):
+        chain = []
+        while fams[v] is None and v not in chain and its[v] != PreSingular(()):
+            chain.append(v)
+            v = dynamics[v]
+        if fams[v] is None:
+            fams[v] = list(addresses_of(P, its[v], m_max, sheets))
+        for w in reversed(chain):
+            if fams[w] is None:
+                fams[w] = _pullback(P, (its[w].first_symbol(),), fams[dynamics[w]])
+    return fams
+
+
 def _address_words(
-    families: list[tuple[ExtAddress, ...]],
+    families: Sequence[Sequence[ExtAddress]],
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every address of every family as the tuple of its first ``L``
     entries, ``L`` twice the longest ``|pre| + |per|`` among them.
@@ -416,18 +437,9 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
         else:
             kinds.append(VertexKind.BRANCH_EXTRA)
 
-    # Cyclic orders, from the realizing addresses of every vertex as
-    # words, looked up when the first branch vertex needs them.
-    # Pre-singular vertices take the sheets; plain ones ignore them.
-    sheets = _vertex_sheets(P, its)
+    # Cyclic orders, from the realizing addresses of every vertex as words,
+    # derived when the first branch vertex needs them and sorted as tuples.
     words: list[tuple[tuple[int, ...], ...]] = []
-
-    def addresses(w: int) -> tuple[tuple[int, ...], ...]:
-        if not words:
-            found = [addresses_of(P, it, m_max, sheets).addresses for it in its]
-            words.extend(_address_words(found))
-        return words[w]
-
     notes: list[str] = []
     cyclic: list[tuple[int, ...] | None] = []
     for i, it in enumerate(its):
@@ -439,7 +451,10 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
             cyclic.append(_min_rotation(tuple(nbrs)))
             continue
         branches = [(nb, sorted(_component(adj, nb, removed=i))) for nb in nbrs]
-        order = _cyclic_order_by_gaps(i, it, branches, its, addresses, notes)
+        if not words:
+            fams = _vertex_families(P, its, dynamics, m_max)
+            words.extend(tuple(sorted(f)) for f in _address_words(fams))
+        order = _cyclic_order_by_gaps(i, it, branches, its, words.__getitem__, notes)
         cyclic.append(_min_rotation(order))
 
     tree = AbstractHubbardTree(

@@ -20,6 +20,7 @@ from exptree.realization import (
     separating_addresses,
 )
 from exptree.sequences import canonicalize, cyclic_between
+from exptree.treebuild import build_tree
 from exptree import triods
 from exptree.triods import AddressTriod, classify, to_itinerary_triod
 
@@ -156,6 +157,74 @@ class TestOracleEquivalence:
                     assert not want
 
 
+def pulled_then_checked(P, t, m_range=None):
+    """``addresses_of`` by its first definition: pull every realization
+    of the periodic part (or every sheet ``m.s``) back through the
+    preperiod (or prefix), then keep those whose itinerary is ``t``."""
+    if isinstance(t, PreSingular):
+        family, letters = [P.base.prepend(m) for m in m_range], t.prefix
+    else:
+        per = Plain(canonicalize((), t.seq.period))
+        family, letters = addresses_of_periodic(P, per).addresses, t.seq.preperiod
+    out = []
+    for a in family:
+        for k in reversed(letters):
+            a = inverse_branch(P, k, a)
+        if itinerary(P, a) == t:
+            out.append(a)
+    return tuple(sorted(out))
+
+
+@st.composite
+def itineraries_to_realize(draw):
+    """A base with a nonzero leading entry and an itinerary over it: that
+    of a drawn address, a non-formal ``w.sigma^j nu`` (``j`` returned, or
+    ``None``), or a pre-singular one with a range of sheets."""
+    bound = draw(st.sampled_from([1, 2, 6]))
+    entries = st.integers(-bound, bound)
+    pre = [draw(entries.filter(bool))] + draw(st.lists(entries, max_size=2))
+    s = canonicalize(pre, draw(st.lists(entries, min_size=1, max_size=6)))
+    assume(not s.is_periodic())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormalizationWarning)
+        P = validate_base(s)
+    kind = draw(st.sampled_from(["address", "non-formal", "pre-singular"]))
+    if kind == "address":
+        a = canonicalize(
+            draw(st.lists(entries, max_size=3)),
+            draw(st.lists(entries, min_size=1, max_size=4)),
+        )
+        t = itinerary(P, a)
+        assume(isinstance(t, Plain))
+        return P, t, None, None
+    if kind == "non-formal":
+        j = draw(st.integers(0, 2))
+        tail = P.kneading.seq
+        for _ in range(j):
+            tail = tail.shift()
+        w = draw(st.lists(entries, min_size=1, max_size=3))
+        return P, Plain(canonicalize(w + list(tail.preperiod), tail.period)), None, j
+    lo = draw(st.integers(-4, 1))
+    sheets = range(lo, lo + draw(st.integers(1, 5)))
+    return P, PreSingular(tuple(draw(st.lists(entries, max_size=3)))), sheets, None
+
+
+class TestPullback:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(itineraries_to_realize())
+    def test_matches_pull_then_check(self, drawn):
+        P, t, sheets, j = drawn
+        got = addresses_of(P, t, m_range=sheets).addresses
+        assert got == pulled_then_checked(P, t, sheets), f"{P.base}: {t}"
+        if sheets is not None:
+            # No pullback of a sheet is dropped.
+            assert len(got) == len(sheets)
+        if j == 0:
+            # w.nu: the base is nu's only realization, and the filter
+            # drops it before the first letter of w.
+            assert got == ()
+
+
 def cuts(P, word):
     """The cuts of ``G``: the ``sigma^r s`` that the last ``r`` letters
     of ``word`` pull back to the base ``s``."""
@@ -269,7 +338,7 @@ class TestPeriodicSearch:
         monkeypatch.setattr(realization, "_seed_orbit", counting)
         for word in words:
             seeds.clear()
-            _periodic_search.__wrapped__(P, word, DEFAULT_M_MAX)
+            _periodic_search(P, word, DEFAULT_M_MAX)
             assert seeds == cuts(P, word), f"{base}: {word}"
 
 
@@ -296,7 +365,7 @@ class TestRotationSharing:
         for P, seed in ((P_a, 41), (P_b, 42)):
             for p in periodic_sample(P, seed):
                 for rot in rotations(p):
-                    fresh = _periodic_search.__wrapped__(P, rot.seq.period, DEFAULT_M_MAX)
+                    fresh = _periodic_search(P, rot.seq.period, DEFAULT_M_MAX)
                     got = addresses_of_periodic(P, rot)
                     assert got.addresses == tuple(sorted(fresh)), f"{P.base}: {rot}"
                     for a in got:
@@ -314,19 +383,39 @@ class TestRotationSharing:
                     if max(len(a.period) for a in got) // len(target) <= limit:
                         assert set(got) == {canonicalize((), w) for w in raw}
 
-    def test_one_search_per_rotation_class(self, P_b):
-        _periodic_search.cache_clear()
-        p = plain([], [1, 0, 0])
-        results = [addresses_of_periodic(P_b, rot) for rot in rotations(p)]
-        info = _periodic_search.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_one_search_per_rotation_class(self, P_b, monkeypatch):
+        # The build searches once per periodic cycle of the tree and pulls
+        # the other rotations back along the dynamics; 0(0,1) has the
+        # cycles (0) and (0,1) -> (1,0).
+        calls = []
+
+        def counting(P, word, m_max):
+            calls.append(word)
+            return search(P, word, m_max)
+
+        search = realization._periodic_search
+        monkeypatch.setattr(realization, "_periodic_search", counting)
+        tree = build_tree(P_b)
+        periodic = [
+            v.itinerary.seq.period
+            for v in tree.vertices
+            if isinstance(v.itinerary, Plain) and not v.itinerary.seq.preperiod
+        ]
+        cycles = {min(w[k:] + w[:k] for k in range(len(w))) for w in periodic}
+        assert max(map(len, cycles)) >= 2
+        assert sorted(calls) == sorted(cycles)
         # The shift maps the realizations of each rotation onto those of
         # the next one.
+        p = plain([], [1, 0, 0])
+        results = [addresses_of_periodic(P_b, rot) for rot in rotations(p)]
         for cur, nxt in zip(results, results[1:] + results[:1]):
             assert sorted(a.shift() for a in cur) == list(nxt.addresses)
 
     def test_bound_error_names_the_rotation_class(self, P_b):
-        with pytest.raises(RealizationBoundExceededError, match="rotations"):
+        with pytest.raises(
+            RealizationBoundExceededError,
+            match=r"rotations of \(1,0,0\) over the base 0\(0,1\) found for m <= 1",
+        ):
             addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
 
 

@@ -309,6 +309,59 @@ class TestGapBisection:
         assert checked > 0
 
 
+
+def has_branch_vertex(tree):
+    return any(
+        len(nbrs) >= 3 and v != tree.singular_point
+        for v, nbrs in tree.adjacency().items()
+    )
+
+
+class TestVertexFamilies:
+    """The build derives each vertex's realizing addresses from its
+    image's; they must be those that ``addresses_of`` finds afresh.  Only
+    a branch vertex other than ``*nu`` needs them."""
+
+    @staticmethod
+    def check(P, monkeypatch):
+        # What _vertex_families returns is what the build hands to
+        # _address_words (which also serves the vertex sort).
+        handed = []
+
+        def recording(*args):
+            families = vertex_families(*args)
+            handed.append([tuple(sorted(f)) for f in families])
+            return families
+
+        vertex_families = treebuild._vertex_families
+        monkeypatch.setattr(treebuild, "_vertex_families", recording)
+        tree = build_tree(P)
+        assert len(handed) == has_branch_vertex(tree)
+        its = [v.itinerary for v in tree.vertices]
+        sheets = _vertex_sheets(P, its)
+        for families in handed:
+            assert families == [
+                addresses_of(P, it, m_range=sheets).addresses for it in its
+            ], str(P.base)
+
+    def test_golden(self, P_a, P_b, monkeypatch):
+        self.check(P_a, monkeypatch)
+        self.check(P_b, monkeypatch)
+
+    def test_acceptance_trees(self, acceptance_corpus, monkeypatch):
+        branched = [
+            P
+            for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees)
+            if has_branch_vertex(tree)
+        ]
+        for P in branched[:20]:
+            self.check(P, monkeypatch)
+
+    @pytest.mark.parametrize("k", [8, 9, 10])
+    def test_ladder(self, k, monkeypatch):
+        self.check(validate_base(addr([0], [1, 0] * k + [2])), monkeypatch)
+
+
 class TestLongMultipliers:
     """Bases whose vertex itineraries need multipliers far beyond 8, such
     as ``(1,0)`` with multiplier ``k + 1`` over ``0((1,0)^k,2)``."""
