@@ -7,6 +7,16 @@ visited by the shift orbit of an address yields its itinerary; entering
 the partition boundary (hitting a preimage of ``s`` exactly) is recorded
 with the star symbol, after which the tail is forced to be the kneading
 sequence.
+
+The sector of ``t`` is read from the order of its shift against ``s``,
+so an itinerary compares every strict shift ``sigma^n t`` (``n >= 1``)
+with ``s``.  Those shifts are periodic with period ``p = |per_t|`` after
+at most ``max(|pre_t| - 1, 0)`` entries, so by Fine and Wilf (see
+:func:`~exptree.sequences.compare_lex`) each comparison is decided on
+``D = max(|pre_t| - 1, |pre_s|) + p + q - gcd(p, q)`` entries, with
+``q = |per_s|``: the slice ``T[n : n + D]`` of one word ``T`` of ``t``'s
+entries, against the first ``D`` entries of ``s``.  No shifted address is
+built.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInvariantError, NormalizationWarning, PeriodicBaseError
-from .sequences import ExtAddress, Ordering, canonicalize, compare_lex
+from .sequences import ExtAddress, _compare, _decision_length, _word, canonicalize
 
 __all__ = [
     "STAR",
@@ -116,15 +126,16 @@ class Partition:
         return f"Partition(base={self.base}, j0={self.offset_j0}, nu={self.kneading})"
 
 
-def _sector_of(
-    base: ExtAddress, j0: int, t: ExtAddress, ts: ExtAddress
-) -> SectorResult:
-    """Sector of ``t``, given its shift ``ts``."""
-    cmp = compare_lex(ts, base)
-    if cmp is Ordering.EQ:
-        return Boundary(t.entry(1))
-    m = t.entry(1) if cmp is Ordering.GT else t.entry(1) - 1
-    return Interior(m - j0)
+def _shift_words(
+    t: ExtAddress, s: ExtAddress
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(T, S, D)`` such that the strict shift ``sigma^n t`` for
+    ``1 <= n <= |pre_t| + |per_t|`` is below, equal to or above ``s`` as
+    the slice ``T[n : n + D]`` is to ``S``; ``D`` is the decision length
+    of the module docstring."""
+    p, q = len(t.period), len(s.period)
+    d = _decision_length(max(len(t.preperiod) - 1, len(s.preperiod)), p, q)
+    return _word(t, len(t.preperiod) + p + d), _word(s, d), d
 
 
 def validate_base(s: ExtAddress) -> Partition:
@@ -154,20 +165,20 @@ def validate_base(s: ExtAddress) -> Partition:
 
 def sector_of(P: Partition, t: ExtAddress) -> SectorResult:
     """Locate ``t`` in the partition: sector index or boundary sheet."""
-    return _sector_of(P.base, P.offset_j0, t, t.shift())
+    cmp = _compare(t.shift(), P.base)
+    if cmp == 0:
+        return Boundary(t.entry(1))
+    return Interior(t.entry(1) - (cmp < 0) - P.offset_j0)
 
 
 def _itinerary_against(base: ExtAddress, j0: int, t: ExtAddress) -> Itinerary:
-    steps = len(t.preperiod) + len(t.period)
+    T, S, d = _shift_words(t, base)
     out: list[int] = []
-    cur = t
-    for _ in range(steps):
-        nxt = cur.shift()
-        res = _sector_of(base, j0, cur, nxt)
-        if isinstance(res, Boundary):
+    for r in range(len(t.preperiod) + len(t.period)):
+        w = T[r + 1 : r + 1 + d]
+        if w == S:
             return PreSingular(tuple(out))
-        out.append(res.k)
-        cur = nxt
+        out.append(T[r] - (w < S) - j0)
     # The entry stream factors through the shift orbit of t, so its
     # preperiod/period divide t's; boundary hits can only occur within
     # the preperiod of t (a boundary address is strictly preperiodic).
@@ -179,7 +190,10 @@ def itinerary(P: Partition, t: ExtAddress) -> Itinerary:
 
     Entry ``k`` is the sector index of the ``(k-1)``-fold shift of ``t``;
     a boundary hit at step ``k`` yields a :class:`PreSingular` value with
-    the ``k-1`` entries collected so far.
+    the ``k-1`` entries collected so far.  The shift ``sigma^k t`` and the
+    base are compared on their first ``D`` entries (see the module
+    docstring): equal words are a boundary hit, and otherwise the entry is
+    ``t_k - j0``, less one when the shift lies below the base.
     """
     return _itinerary_against(P.base, P.offset_j0, t)
 
@@ -195,7 +209,7 @@ def inverse_branch(P: Partition, k: int, u: ExtAddress) -> ExtAddress:
     ``I_k^-`` includes its upper endpoint, so ``u <= base`` maps to the
     preimage with first entry ``j0 + k + 1``.
     """
-    if u > P.base:
+    if _compare(u, P.base) > 0:
         return u.prepend(P.offset_j0 + k)
     return u.prepend(P.offset_j0 + k + 1)
 
@@ -230,10 +244,6 @@ def is_in_S_nu(P: Partition, t: Itinerary) -> bool:
     """
     if isinstance(t, PreSingular):
         return True
-    nu = P.kneading.seq
-    cur = t.seq
-    for _ in range(len(t.seq.preperiod) + len(t.seq.period)):
-        cur = cur.shift()
-        if cur == nu:
-            return False
-    return True
+    T, N, d = _shift_words(t.seq, P.kneading.seq)
+    steps = len(t.seq.preperiod) + len(t.seq.period)
+    return all(T[n : n + d] != N for n in range(1, steps + 1))

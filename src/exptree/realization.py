@@ -204,7 +204,16 @@ def _presingular_sheets(firsts: Iterable[int]) -> range:
 def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
     """Sheets for the boundary pullbacks of a tree's pre-singular vertices:
     a vertex whose itinerary starts with ``k`` lies in sector ``I_k``,
-    between the sheets ``j0 + k`` and ``j0 + k + 1``."""
+    between the sheets ``j0 + k`` and ``j0 + k + 1``.
+
+    The sheet beyond either end does not change the tree.  At a branch
+    vertex ``w*nu`` the pullbacks of ``m.s`` and ``(m+1).s`` along ``w``
+    bound the addresses whose ``|w|``-fold shift lies in ``I_{m-j0}``,
+    and those shifts of branch addresses lie in sectors of vertices or on
+    the sheets, so no branch address falls in a gap an outer sheet adds.
+    The outer sheets stay because the tree's notes count a pre-singular
+    vertex's addresses on the sheets: ``0(1,0,3)`` notes 7 for its vertex
+    ``0,*``, and 5 without them."""
     return _presingular_sheets(
         P.offset_j0 + it.first_symbol() + d
         for it in its

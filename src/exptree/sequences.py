@@ -70,8 +70,7 @@ class ExtAddress:
 
     def entries(self, count: int) -> list[int]:
         """The first ``count`` entries as a list."""
-        pre, per = self.preperiod, self.period
-        return list((pre + per * (count // len(per) + 1))[:count])
+        return list(_word(self, count))
 
     def shift(self) -> "ExtAddress":
         """Drop the first entry (the left shift).
@@ -110,16 +109,16 @@ class ExtAddress:
         return not self.preperiod
 
     def __lt__(self, other: "ExtAddress") -> bool:
-        return compare_lex(self, other) is Ordering.LT
+        return _compare(self, other) < 0
 
     def __le__(self, other: "ExtAddress") -> bool:
-        return compare_lex(self, other) is not Ordering.GT
+        return _compare(self, other) <= 0
 
     def __gt__(self, other: "ExtAddress") -> bool:
-        return compare_lex(self, other) is Ordering.GT
+        return _compare(self, other) > 0
 
     def __ge__(self, other: "ExtAddress") -> bool:
-        return compare_lex(self, other) is not Ordering.LT
+        return _compare(self, other) >= 0
 
     def __str__(self) -> str:
         pre = ",".join(str(k) for k in self.preperiod)
@@ -156,20 +155,56 @@ def address(text_or_pre, period=None) -> ExtAddress:
     return canonicalize(text_or_pre, period)
 
 
+def _word(a: ExtAddress, count: int) -> tuple[int, ...]:
+    """The first ``count`` entries of ``a`` as a tuple."""
+    pre, per = a.preperiod, a.period
+    return (pre + per * (count // len(per) + 1))[:count]
+
+
+def _decision_length(pre: int, p: int, q: int) -> int:
+    """Entries on which two sequences, periodic with periods ``p`` and
+    ``q`` after at most ``pre`` entries, must agree to be equal; see
+    :func:`compare_lex`."""
+    return pre + p + q - gcd(p, q)
+
+
+def _compare(a: ExtAddress, b: ExtAddress) -> int:
+    """-1, 0 or 1 as ``a`` is below, equal to or above ``b``.
+
+    The heads ``pre + per`` are the first entries of the sequences, so
+    where the shorter head differs from the other's start the order is
+    decided; otherwise the words of the decision length decide it.
+    """
+    x, y = a.preperiod + a.period, b.preperiod + b.period
+    n = min(len(x), len(y))
+    x, y = x[:n], y[:n]
+    if x == y:
+        d = _decision_length(
+            max(len(a.preperiod), len(b.preperiod)), len(a.period), len(b.period)
+        )
+        x, y = _word(a, d), _word(b, d)
+    return (x > y) - (x < y)
+
+
+_ORDERINGS = (Ordering.LT, Ordering.EQ, Ordering.GT)
+
+
 def compare_lex(a: ExtAddress, b: ExtAddress) -> Ordering:
     """Lexicographic comparison of the denoted infinite sequences.
 
-    Two eventually periodic sequences that agree on the first
-    ``max(|pre_a|, |pre_b|) + lcm(|per_a|, |per_b|)`` entries are equal,
-    so the comparison is decided within that bound.
+    The comparison is decided on the first
+    ``D = max(|pre_a|, |pre_b|) + p + q - gcd(p, q)`` entries, with
+    ``p = |per_a|`` and ``q = |per_b|``.  From entry ``max |pre| + 1`` on,
+    the sequences are periodic with periods ``p`` and ``q``; if they agree
+    on ``D`` entries, their common tail word has length
+    ``p + q - gcd(p, q)`` and both periods, so by Fine and Wilf it has
+    period ``gcd(p, q)``.  Each tail repeats its first ``p`` (or ``q``)
+    entries, a prefix of that word, so both tails repeat the word's first
+    ``gcd(p, q)`` entries and the sequences are equal.  No shorter length
+    works: for all ``p`` and ``q`` some distinct sequences agree on
+    ``D - 1`` entries.
     """
-    la, lb = len(a.period), len(b.period)
-    bound = max(len(a.preperiod), len(b.preperiod)) + la * lb // gcd(la, lb)
-    for i in range(1, bound + 1):
-        x, y = a.entry(i), b.entry(i)
-        if x != y:
-            return Ordering.LT if x < y else Ordering.GT
-    return Ordering.EQ
+    return _ORDERINGS[_compare(a, b) + 1]
 
 
 def cyclic_between(a: ExtAddress, b: ExtAddress, c: ExtAddress) -> bool:

@@ -1,6 +1,8 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exptree.errors import NormalizationWarning, PeriodicBaseError
 from exptree.partition import (
@@ -20,11 +22,42 @@ from exptree.realization import addresses_of
 from exptree.sequences import canonicalize, cyclic_between
 from exptree.treebuild import omega_plus
 
-from oracles import base_offset, itinerary_entries, sector_index
+from fine_wilf import extremal_tails
+from oracles import base_offset, itinerary_entries, sector_index, seq_compare, shift_raw
 
 
 def addr(pre, per):
     return canonicalize(pre, per)
+
+
+entries = st.integers(min_value=-6, max_value=6)
+words = st.lists(entries, max_size=4)
+periods = st.lists(entries, min_size=1, max_size=12)
+
+
+def partition(pre, per):
+    """The partition of ``pre . per^infinity``, a leading entry other
+    than 0 allowed; ``pre`` must not end in the last period entry."""
+    assume(pre[-1] != per[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormalizationWarning)
+        return validate_base(addr(pre, per))
+
+
+def check_itinerary(P, t):
+    """``itinerary`` and ``sector_of`` agree with the oracle: over
+    ``|pre_t| + |per_t| + 1`` entries the itinerary is determined."""
+    s = P.base
+    n = len(t.preperiod) + len(t.period) + 1
+    it = itinerary(P, t)
+    if isinstance(it, Plain):
+        got = it.seq.entries(n)
+    else:
+        got = (list(it.prefix) + ["*"] + P.kneading.seq.entries(n))[:n]
+    assert got == itinerary_entries(s.preperiod, s.period, t.preperiod, t.period, n)
+    sec = sector_of(P, t)
+    want = sector_index(s.preperiod, s.period, t.preperiod, t.period, P.offset_j0)
+    assert sec == (Boundary(t.entry(1)) if want == "*" else Interior(want))
 
 
 class TestValidateBase:
@@ -139,6 +172,51 @@ class TestItinerary:
             it = itinerary(P_b, t)
             if isinstance(it, Plain):
                 assert itinerary(P_b, t.shift()) == shift_itinerary(P_b, it)
+
+
+class TestItineraryWords:
+    """Itineraries on the sliding words of the address, against the
+    oracle: on and next to the partition boundary, on bases with any
+    leading entry, periods up to 12 and entries up to 6."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(entries, words, periods, words, entries)
+    def test_boundary_preimages(self, lead, rest, per, w, k):
+        P = partition([lead] + rest, per)
+        s = P.base
+        check_itinerary(P, addr(w + [k] + list(s.preperiod), s.period))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(entries, words, periods, words, periods)
+    def test_random_addresses(self, lead, rest, per, pre_t, per_t):
+        check_itinerary(partition([lead] + rest, per), addr(pre_t, per_t))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(entries, words, extremal_tails(), st.lists(entries, max_size=2), entries)
+    def test_next_to_the_boundary(self, lead, rest, tails, w, k):
+        # The shift of k.pre_s.(q-word) agrees with the base
+        # pre_s.(p-word) on one entry less than the decision length.
+        pre_s = [lead] + rest
+        P = partition(pre_s, tails[0])
+        check_itinerary(P, addr(w + [k] + pre_s, tails[1]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(entries, words, periods, words, st.integers(0, 3), words, periods)
+    def test_formal_points(self, lead, rest, per, w, j, pre_t, per_t):
+        # w.sigma^j(nu) has nu among its strict shifts once w is nonempty.
+        P = partition([lead] + rest, per)
+        nu = P.kneading.seq
+        tail = nu
+        for _ in range(j):
+            tail = tail.shift()
+        for t in (addr(w + list(tail.preperiod), tail.period), addr(pre_t, per_t)):
+            want = True
+            cur = (t.preperiod, t.period)
+            for _ in range(len(t.preperiod) + 2 * len(t.period)):
+                cur = shift_raw(*cur)
+                if seq_compare(*cur, nu.preperiod, nu.period) == 0:
+                    want = False
+            assert is_in_S_nu(P, Plain(t)) == want
 
 
 class TestInverseBranch:

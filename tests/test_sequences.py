@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exptree.errors import EmptyPeriodError, NotDistinctError
 from exptree.sequences import (
@@ -12,6 +13,7 @@ from exptree.sequences import (
     cyclic_between,
 )
 
+from fine_wilf import extremal_tails
 from oracles import materialize, seq_compare
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -176,3 +178,26 @@ class TestCyclicOrder:
     def test_not_distinct(self):
         with pytest.raises(NotDistinctError):
             cyclic_between(addr([], [1]), addr([], [1]), addr([], [2]))
+
+
+class TestDecisionLength:
+    """Distinct pairs that agree on one entry less than the decision
+    length ``max |pre| + p + q - gcd(p, q)``: no shorter length decides."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(preperiods, extremal_tails())
+    def test_extremal_pairs_against_oracle(self, pre, tails):
+        a, b = addr(pre, tails[0]), addr(pre, tails[1])
+        p, q = len(a.period), len(b.period)
+        bound = max(len(a.preperiod), len(b.preperiod)) + p + q - gcd(p, q)
+        xs, ys = (materialize(pre, per, bound) for per in tails)
+        assert xs[:-1] == ys[:-1] and xs[-1] != ys[-1]
+        for x, y in ((a, b), (b, a)):
+            want = seq_compare(x.preperiod, x.period, y.preperiod, y.period)
+            assert compare_lex(x, y).value == want
+            assert (x < y, x <= y, x > y, x >= y) == (
+                want < 0,
+                want <= 0,
+                want > 0,
+                want >= 0,
+            )

@@ -361,6 +361,21 @@ class TestVertexFamilies:
     def test_ladder(self, k, monkeypatch):
         self.check(validate_base(addr([0], [1, 0] * k + [2])), monkeypatch)
 
+    def test_sheet_margin_shows_in_the_notes_only(self, monkeypatch):
+        # The branch vertex 0,* of 0(1,0,3) counts its realizing addresses
+        # on the sheets; without the sheet beyond either end the tree is
+        # the same and the count two less.
+        P = validate_base(addr([0], [1, 0, 3]))
+        tree = build_tree(P)
+        assert _vertex_sheets(P, [v.itinerary for v in tree.vertices]) == range(-1, 6)
+        assert tree.notes == ("vertex 0,*: 7 realizing addresses for 3 branches",)
+        monkeypatch.setattr(
+            treebuild, "_vertex_sheets", lambda P, its: _vertex_sheets(P, its)[1:-1]
+        )
+        narrow = build_tree(P)
+        assert to_json(narrow) == to_json(tree)
+        assert narrow.notes == ("vertex 0,*: 5 realizing addresses for 3 branches",)
+
 
 class TestLongMultipliers:
     """Bases whose vertex itineraries need multipliers far beyond 8, such
