@@ -23,7 +23,7 @@ from .errors import (
 )
 from .notation import parse_address, parse_itinerary
 from .partition import itinerary, validate_base
-from .realization import DEFAULT_M_MAX, addresses_of, separating_addresses
+from .realization import addresses_of, separating_addresses
 from .treebuild import build_tree, check_tree_invariants, to_dot, to_json, tree_from_json
 from .triods import AddressTriod, Triod, _shape, middle_point
 
@@ -84,7 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("addresses-of", help="external addresses realizing an itinerary")
     sp.add_argument("--base", required=True)
     sp.add_argument("itinerary")
-    sp.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    sp.add_argument(
+        "--m-max",
+        type=int,
+        help="cap on the realization multiplier (default: the bound the base gives)",
+    )
     sp.add_argument(
         "--m-range",
         nargs=2,

@@ -26,7 +26,11 @@ class IsStopCaseError(ExptreeError):
 
 
 class RealizationBoundExceededError(ExptreeError):
-    """No realizing address found within the configured search bounds."""
+    """No realizing address found for multipliers up to the search cap.
+
+    Only an explicit ``m_max`` below the bound that the base gives can
+    cause it; under the default bound it signals a defect in the library.
+    """
 
 
 class EmptyRangeError(ExptreeError):

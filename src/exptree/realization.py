@@ -6,8 +6,9 @@ length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
 of a periodic itinerary are the periodic points of the composed inverse
 branch ``G`` of its period word; :func:`_periodic_search` iterates ``G``
 once from each of its cuts, certifies the periodic address that the
-repeating prepended words spell, and adds its ``G``-orbit.  ``m_max``
-bounds the multiplier ``m`` and, with it, the steps per seed.  This is
+repeating prepended words spell, and adds its ``G``-orbit.  The base
+``s`` bounds the multiplier ``m`` by ``2(|pre_s| + |per_s|) + 1``, and
+with it the steps per seed; an explicit ``m_max`` caps the search.  This is
 the pull-back machinery of Bruin and Schleicher's *Symbolic Dynamics of
 Quadratic Polynomials*, carried over to exponential addresses.
 
@@ -40,7 +41,14 @@ from .partition import (
     itinerary,
 )
 from .sequences import ExtAddress, canonicalize, cyclic_between
-from .triods import AddressTriod, TriodShape, _shape, middle_point, to_itinerary_triod
+from .triods import (
+    AddressTriod,
+    TriodShape,
+    _shape,
+    address_triod_step,
+    middle_point,
+    to_itinerary_triod,
+)
 
 __all__ = [
     "AddressSet",
@@ -48,10 +56,7 @@ __all__ = [
     "addresses_of",
     "addresses_of_periodic",
     "separating_addresses",
-    "DEFAULT_M_MAX",
 ]
-
-DEFAULT_M_MAX = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +91,14 @@ class AddressSet:
 
 
 def addresses_of_periodic(
-    P: Partition, p: Plain, m_max: int = DEFAULT_M_MAX
+    P: Partition, p: Plain, m_max: int | None = None
 ) -> AddressSet:
     """All periodic external addresses with itinerary ``p``.
 
     Each call runs one search on ``p``'s own period word.  Raises
     :class:`RealizationBoundExceededError` when the search needs a
-    multiplier above ``m_max``.
+    multiplier above ``m_max``; ``None`` means the bound that the base
+    gives (see :func:`_periodic_search`), which every search meets.
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
@@ -108,7 +114,7 @@ def _pull(P: Partition, letters: Sequence[int], x: ExtAddress) -> ExtAddress:
 
 
 def _periodic_search(
-    P: Partition, word: tuple[int, ...], m_max: int
+    P: Partition, word: tuple[int, ...], m_max: int | None = None
 ) -> tuple[ExtAddress, ...]:
     """The periodic addresses whose itinerary has period ``word``.
 
@@ -137,8 +143,24 @@ def _periodic_search(
     multiplier ``m``, the address period over ``n``.  With ``j`` at most
     ``m_max`` and ``2 * m_max + 2`` steps per seed, a seed that does not
     close raises :class:`RealizationBoundExceededError`.
+
+    The base bounds the multiplier, and ``m_max=None`` takes that bound
+    ``N = 2(|pre_s| + |per_s|) + 1``.  Let ``O`` be the ``|pre_s| +
+    |per_s|`` distinct shifts of ``s``: ``O`` is closed under the shift and
+    totally ordered, so an address either equals a point of ``O`` or lies
+    strictly between two neighbours, one of ``N`` positions.  ``L_k(u) =
+    e.u`` with ``e = j0+k+1`` if ``u <= s`` and ``e = j0+k`` otherwise, so
+    ``e`` is fixed by ``u``'s position.  For ``o = f.sigma(o)`` in ``O``,
+    ``e.u`` compares with ``o`` as ``e`` with ``f``, and when ``e == f`` as
+    ``u`` with ``sigma(o)``, again a point of ``O``.  So the position of
+    ``L_k(u)``, and every word ``G`` prepends, are functions of ``u``'s
+    position: the words of a seed are eventually periodic with transient
+    plus period at most ``N``.  Every multiplier is therefore at most
+    ``N``, and each seed closes within ``2N`` steps.
     """
     n, s = len(word), P.base
+    if m_max is None:
+        m_max = 2 * (len(s.preperiod) + len(s.period)) + 1
     found: set[ExtAddress] = set()
     cut = s
     for r in range(n):
@@ -195,8 +217,8 @@ def _presingular_sheets(firsts: Iterable[int]) -> range:
     """Sheets for the boundary pullbacks of a pre-singular itinerary,
     given the first entries of what the pullbacks must separate: from one
     below the least to one above the greatest, so the sheets reach past
-    both ends.  Where a range is too narrow, the tree build and
-    :func:`separating_addresses` raise :class:`GapAssignmentFailureError`."""
+    both ends.  Where a range is too narrow, :func:`separating_addresses`
+    raises :class:`GapAssignmentFailureError`."""
     firsts = list(firsts)
     return range(min(firsts) - 1, max(firsts) + 2)
 
@@ -204,28 +226,22 @@ def _presingular_sheets(firsts: Iterable[int]) -> range:
 def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
     """Sheets for the boundary pullbacks of a tree's pre-singular vertices:
     a vertex whose itinerary starts with ``k`` lies in sector ``I_k``,
-    between the sheets ``j0 + k`` and ``j0 + k + 1``.
+    between the sheets ``j0 + k`` and ``j0 + k + 1``, and the range runs
+    from the least of these sheets to the greatest.
 
-    The sheet beyond either end does not change the tree.  At a branch
-    vertex ``w*nu`` the pullbacks of ``m.s`` and ``(m+1).s`` along ``w``
-    bound the addresses whose ``|w|``-fold shift lies in ``I_{m-j0}``,
-    and those shifts of branch addresses lie in sectors of vertices or on
-    the sheets, so no branch address falls in a gap an outer sheet adds.
-    The outer sheets stay because the tree's notes count a pre-singular
-    vertex's addresses on the sheets: ``0(1,0,3)`` notes 7 for its vertex
-    ``0,*``, and 5 without them."""
-    return _presingular_sheets(
-        P.offset_j0 + it.first_symbol() + d
-        for it in its
-        if it.first_symbol() != STAR
-        for d in (0, 1)
-    )
+    No sheet beyond either end changes the tree.  At a branch vertex
+    ``w*nu`` the pullbacks of ``m.s`` and ``(m+1).s`` along ``w`` bound the
+    addresses whose ``|w|``-fold shift lies in ``I_{m-j0}``, and those
+    shifts of branch addresses lie in sectors of vertices or on the
+    sheets, so no branch address falls in a gap an outer sheet adds."""
+    firsts = [P.offset_j0 + it.first_symbol() for it in its if it.first_symbol() != STAR]
+    return range(min(firsts), max(firsts) + 2)
 
 
 def addresses_of(
     P: Partition,
     t: Itinerary,
-    m_max: int = DEFAULT_M_MAX,
+    m_max: int | None = None,
     m_range: Iterable[int] | None = None,
 ) -> AddressSet:
     """External addresses realizing the itinerary ``t``.
@@ -261,8 +277,6 @@ class SeparatingAddress:
 
 def _stop_stage(A: AddressTriod, max_steps: int = 10_000) -> AddressTriod:
     """Iterate the address triod map until just before the stop case."""
-    from .triods import address_triod_step
-
     cur = A
     for _ in range(max_steps):
         nxt = address_triod_step(cur)
@@ -275,7 +289,7 @@ def _stop_stage(A: AddressTriod, max_steps: int = 10_000) -> AddressTriod:
 def separating_addresses(
     P: Partition,
     A: AddressTriod,
-    m_max: int = DEFAULT_M_MAX,
+    m_max: int | None = None,
 ) -> tuple[TriodShape, list[SeparatingAddress]]:
     """Addresses of the triod's middle point, assigned to its cyclic gaps.
 

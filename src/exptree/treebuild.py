@@ -65,7 +65,7 @@ from .partition import (
     validate_base,
 )
 from .notation import parse_address, parse_itinerary
-from .realization import DEFAULT_M_MAX, _pullback, _vertex_sheets, addresses_of
+from .realization import _pullback, _vertex_sheets, addresses_of
 from .sequences import ExtAddress, _least_rotation
 from .triods import _TriodMap
 
@@ -278,7 +278,7 @@ def _min_rotation(seq: tuple) -> tuple:
 
 
 def _vertex_families(
-    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int
+    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
 ) -> list[list[ExtAddress]]:
     """The realizing addresses of every vertex, unsorted.  ``*nu``, on the
     sheets of :func:`_vertex_sheets`, and the first vertex of each periodic
@@ -374,7 +374,9 @@ def _cyclic_order_by_gaps(
         gap_of_branch[nb] = gaps_seen.pop()
     if len(set(gap_of_branch.values())) != len(branches):
         raise GapAssignmentFailureError(f"two branches at {vit} share a gap")
-    if len(anchors) > len(branches):
+    # A pre-singular vertex has an address on every sheet, so its count
+    # says nothing about the vertex.
+    if len(anchors) > len(branches) and not isinstance(vit, PreSingular):
         notes.append(
             f"vertex {vit}: {len(anchors)} realizing addresses for "
             f"{len(branches)} branches"
@@ -383,8 +385,11 @@ def _cyclic_order_by_gaps(
     return tuple(ordered)
 
 
-def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
-    """Construct the abstract exponential Hubbard tree over ``P``."""
+def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
+    """Construct the abstract exponential Hubbard tree over ``P``.
+
+    ``m_max`` caps the realization multiplier; ``None`` takes the bound
+    that the base gives, which every valid base meets."""
     its, middles = _vertex_set(P)
     n = len(its)
     it2id = {it: i for i, it in enumerate(its)}
@@ -407,10 +412,7 @@ def build_tree(P: Partition, m_max: int = DEFAULT_M_MAX) -> AbstractHubbardTree:
 
     # Dynamics: the shift, under which _vertex_set checked the vertices
     # closed; the singular point maps to the kneading vertex.
-    nu_id = it2id[Plain(P.kneading.seq)]
     dynamics = [it2id[shift_itinerary(P, it)] for it in its]
-    if dynamics[sing] != nu_id:
-        raise ClosureViolationError("the singular point does not map to the singular value")
 
     adj = _adjacency(range(n), edges)
     if len(edges) != n - 1 or len(_component(adj, 0)) != n:

@@ -106,6 +106,14 @@ class TestCommands:
         assert rc == 4
         assert capsys.readouterr().out.strip() == "RealizationBoundExceeded"
 
+    def test_addresses_of_default_bound_comes_from_the_base(self, capsys):
+        # Over 0((1,0,0)^21,2) the fixed itinerary (0) needs multiplier 65.
+        base = "0(" + ",".join(["1,0,0"] * 21) + ",2)"
+        assert main(["addresses-of", "--base", base, "(0)"]) == 0
+        lines = capsys.readouterr().out.split()
+        assert len(lines) == 65
+        assert {len(parse_address(a).period) for a in lines} == {65}
+
     def test_addresses_of_presingular_needs_range(self, capsys):
         assert main(["addresses-of", "--base", "0(1)", "*"]) == 3
         assert capsys.readouterr().out.strip() == "EmptyRange"

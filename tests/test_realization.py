@@ -13,7 +13,6 @@ from exptree.errors import (
 from exptree.notation import parse_address
 from exptree.partition import Plain, PreSingular, inverse_branch, itinerary, validate_base
 from exptree.realization import (
-    DEFAULT_M_MAX,
     _periodic_search,
     addresses_of,
     addresses_of_periodic,
@@ -338,7 +337,7 @@ class TestPeriodicSearch:
         monkeypatch.setattr(realization, "_seed_orbit", counting)
         for word in words:
             seeds.clear()
-            _periodic_search(P, word, DEFAULT_M_MAX)
+            _periodic_search(P, word)
             assert seeds == cuts(P, word), f"{base}: {word}"
 
 
@@ -365,7 +364,7 @@ class TestRotationSharing:
         for P, seed in ((P_a, 41), (P_b, 42)):
             for p in periodic_sample(P, seed):
                 for rot in rotations(p):
-                    fresh = _periodic_search(P, rot.seq.period, DEFAULT_M_MAX)
+                    fresh = _periodic_search(P, rot.seq.period)
                     got = addresses_of_periodic(P, rot)
                     assert got.addresses == tuple(sorted(fresh)), f"{P.base}: {rot}"
                     for a in got:

@@ -361,20 +361,24 @@ class TestVertexFamilies:
     def test_ladder(self, k, monkeypatch):
         self.check(validate_base(addr([0], [1, 0] * k + [2])), monkeypatch)
 
-    def test_sheet_margin_shows_in_the_notes_only(self, monkeypatch):
-        # The branch vertex 0,* of 0(1,0,3) counts its realizing addresses
-        # on the sheets; without the sheet beyond either end the tree is
-        # the same and the count two less.
+    def test_presingular_vertices_take_no_note(self, monkeypatch):
+        # The branch vertex 0,* of 0(1,0,3) has a realizing address on
+        # every sheet, so its count says nothing and is not noted; a sheet
+        # beyond either end of the vertices' own does not change the tree.
         P = validate_base(addr([0], [1, 0, 3]))
         tree = build_tree(P)
-        assert _vertex_sheets(P, [v.itinerary for v in tree.vertices]) == range(-1, 6)
-        assert tree.notes == ("vertex 0,*: 7 realizing addresses for 3 branches",)
-        monkeypatch.setattr(
-            treebuild, "_vertex_sheets", lambda P, its: _vertex_sheets(P, its)[1:-1]
-        )
-        narrow = build_tree(P)
-        assert to_json(narrow) == to_json(tree)
-        assert narrow.notes == ("vertex 0,*: 5 realizing addresses for 3 branches",)
+        assert _vertex_sheets(P, [v.itinerary for v in tree.vertices]) == range(0, 5)
+        assert tree.notes == ()
+        def wider(P, its):
+            own = _vertex_sheets(P, its)
+            return range(own.start - 1, own.stop + 1)
+
+        monkeypatch.setattr(treebuild, "_vertex_sheets", wider)
+        wide = build_tree(P)
+        assert to_json(wide) == to_json(tree) and wide.notes == ()
+        # A periodic branch vertex still notes its spare addresses.
+        tree = build_tree(validate_base(addr([0, 0], [0, -2, -2])))
+        assert tree.notes == ("vertex -2(0): 4 realizing addresses for 3 branches",)
 
 
 class TestLongMultipliers:
@@ -384,7 +388,9 @@ class TestLongMultipliers:
     @pytest.mark.parametrize(
         "base",
         [addr([0], [1, 0] * k + [2]) for k in range(8, 13)]
-        + [addr([0], [1, 0, 0, 0] * 5 + [2])],
+        + [addr([0], [1, 0, 0, 0] * 5 + [2])]
+        # (0) needs multiplier 3k + 2 over 0((1,0,0)^k,2), beyond 64 from k = 21.
+        + [addr([0], [1, 0, 0] * k + [2]) for k in range(21, 25)],
         ids=str,
     )
     def test_builds_in_under_a_second(self, base):
@@ -593,6 +599,38 @@ class TestWideBases:
             back = tree_from_json(to_json(tree))
         check_tree_invariants(back)
         assert to_json(back) == to_json(tree)
+
+
+class TestMultiplierBound:
+    """Every realizing multiplier is at most ``N = 2(|pre_s| + |per_s|) + 1``,
+    the default cap of the periodic search.  The families are searched
+    with a cap of ``4N``, so a multiplier above ``N`` fails the check
+    rather than the search."""
+
+    @staticmethod
+    def check(s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            P = validate_base(s)
+            tree = build_tree(P)
+        N = 2 * (len(s.preperiod) + len(s.period)) + 1
+        its = [v.itinerary for v in tree.vertices]
+        families = treebuild._vertex_families(P, its, tree.dynamics, 4 * N)
+        for it, family in zip(its, families):
+            if isinstance(it, Plain) and not it.seq.preperiod:
+                m = max(len(a.period) for a in family) // len(it.seq.period)
+                assert m <= N, f"{s}: {it} needs multiplier {m} > {N}"
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("w", [(1, 0), (1, 0, 0), (0, 1), (1, -1)], ids=str)
+    def test_ladders(self, w, k):
+        self.check(addr([0], list(w) * k + [2]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wide_bases())
+    def test_wide_bases(self, s):
+        assume(not s.is_periodic())
+        self.check(s)
 
 
 def _star_triple_set(its):
