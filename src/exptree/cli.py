@@ -30,21 +30,16 @@ from .triods import AddressTriod, Triod, _shape, middle_point
 __all__ = ["main", "parse_address", "parse_itinerary"]
 
 
-class NotFormalError(ExptreeError):
-    """A triod member lies outside the formal points ``S_nu``."""
-
-
-def _validate(triod: Triod | AddressTriod) -> None:
-    """``triod.validate()``, with its ``ValueError`` as a domain error."""
-    try:
-        triod.validate()
-    except ValueError as exc:
-        raise NotFormalError(str(exc)) from exc
-
-
 def _positive_float(text: str) -> float:
     x = float(text)
     if not x > 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return x
+
+
+def _positive_int(text: str) -> int:
+    x = int(text)
+    if x <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return x
 
@@ -110,11 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("i3")
 
     sp = sub.add_parser("verify", help="run the property suites on a random corpus")
-    sp.add_argument("--count", type=int, default=25)
+    sp.add_argument("--count", type=_positive_int, default=25)
     sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--max-preperiod", type=int, default=3)
-    sp.add_argument("--max-period", type=int, default=4)
-    sp.add_argument("--entry-range", type=int, default=3)
+    sp.add_argument("--max-preperiod", type=_positive_int, default=3)
+    sp.add_argument("--max-period", type=_positive_int, default=4)
+    sp.add_argument("--entry-range", type=_positive_int, default=3)
     return p
 
 
@@ -159,7 +154,7 @@ def _run(args: argparse.Namespace) -> int:
         A = AddressTriod(
             (parse_address(args.a1), parse_address(args.a2), parse_address(args.a3)), P
         )
-        _validate(A)
+        A.validate()
         shape, assignments = separating_addresses(P, A)
         print(f"shape: {shape}")
         for sa in assignments:
@@ -176,7 +171,7 @@ def _run(args: argparse.Namespace) -> int:
             ),
             P,
         )
-        _validate(T)
+        T.validate()
         b = middle_point(T)
         print(f"middle: {b}")
         print(f"shape: {_shape(T, b)}")

@@ -17,6 +17,10 @@ class NotDistinctError(ExptreeError):
     """A cyclic-order query or triod received non-distinct arguments."""
 
 
+class NotFormalError(ExptreeError, ValueError):
+    """A triod member lies outside the formal points ``S_nu``."""
+
+
 class PeriodicBaseError(ExptreeError):
     """The partition base address is purely periodic."""
 

@@ -275,15 +275,16 @@ class SeparatingAddress:
     member: int | None
 
 
-def _stop_stage(A: AddressTriod, max_steps: int = 10_000) -> AddressTriod:
-    """Iterate the address triod map until just before the stop case."""
-    cur = A
-    for _ in range(max_steps):
-        nxt = address_triod_step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    raise InternalInvariantError("address triod did not stop; caller must check the shape first")
+def _stop_stage(A: AddressTriod, steps: int) -> AddressTriod:
+    """The address triod ``steps`` steps after ``A``, in the stop case: the
+    address map stops when the itinerary map does, after one step per vote."""
+    cur: AddressTriod | None = A
+    for _ in range(steps):
+        if (cur := address_triod_step(cur)) is None:
+            break
+    if cur is None or address_triod_step(cur) is not None:
+        raise InternalInvariantError(f"address triod {A} does not stop at step {steps}")
+    return cur
 
 
 def separating_addresses(
@@ -308,7 +309,7 @@ def separating_addresses(
         # and the stop-stage members so the gaps around each member are
         # covered.
         firsts = [x.entry(1) for x in A.members]
-        firsts += [x.entry(1) for x in _stop_stage(A).members]
+        firsts += [x.entry(1) for x in _stop_stage(A, len(b.prefix)).members]
         addrs = _pullback(P, b.prefix, map(P.base.prepend, _presingular_sheets(firsts)))
     else:
         addrs = list(addresses_of(P, b, m_max))

@@ -26,11 +26,11 @@ One triod map per build walks the star triples of the orbit and then
 those of the vertex set.  It keeps middle points as integer ids, so the
 closure pass compares ids: it builds an itinerary only when a walk
 closes a new cycle of states or meets a middle point not seen before,
-and the latter is a closure violation.  Edges are the pairs with nothing
-in between, the vertex dynamics is the shift, and branches at the
-singular point are labeled by the shared first itinerary entry of their
-vertices.  At every other vertex of degree at least three, pre-singular
-or not, the realizing external addresses of the vertex split the circle
+and the latter is a closure violation.  That pass yields the one vertex
+table the build reads: the ids of the vertices' shifts are the dynamics,
+the sectors label the branches at ``*nu``, and the edges are the pairs
+inside one ``V_s + {*nu}`` with nothing in between.  At every other
+vertex of degree at least three, pre-singular or not, the realizing external addresses of the vertex split the circle
 at infinity into gaps, one per branch, which yields the cyclic order of
 the branches.  Each vertex's realizing addresses are pulled back once per
 build from its image's, with one search per periodic cycle, and bisected
@@ -206,25 +206,32 @@ def vertex_set(P: Partition) -> list[Itinerary]:
     return _vertex_set(P)[0]
 
 
-def _star_triples(
+def _sectors(
     ids: Iterable[int], firsts: Sequence[Any], star: int
-) -> Iterable[tuple[int, int, int]]:
-    """Every sorted triple inside ``V_s + {star}`` for one sector ``s``,
-    where ``V_s`` holds the ``ids`` other than ``star`` whose first
-    symbol ``firsts[i]`` is ``s``."""
-    sectors: dict[Any, list[int]] = {}
+) -> tuple[tuple[Any, tuple[int, ...]], ...]:
+    """The sets ``V_s`` by sector ``s``: ``V_s`` holds the ``ids`` other
+    than ``star`` whose first symbol ``firsts[i]`` is ``s``."""
+    groups: dict[Any, list[int]] = {}
     for i in ids:
         if i != star:
-            sectors.setdefault(firsts[i], []).append(i)
-    for members in sectors.values():
-        yield from combinations(sorted(members + [star]), 3)
+            groups.setdefault(firsts[i], []).append(i)
+    return tuple(sorted((s, tuple(g)) for s, g in groups.items()))
 
 
-def _vertex_set(
-    P: Partition,
-) -> tuple[list[Itinerary], dict[tuple[int, int, int], int]]:
-    """The sorted vertex set and the middle point of every star triple
-    ``i < j < k`` of vertices, all as indices into the vertex list.
+def _star_tuples(
+    sectors: Iterable[tuple[Any, tuple[int, ...]]], star: int, r: int
+) -> Iterable[tuple[int, ...]]:
+    """Every sorted ``r``-tuple inside ``V_s + {star}`` for one sector ``s``."""
+    for _, members in sectors:
+        yield from combinations(sorted(members + (star,)), r)
+
+
+def _vertex_set(P: Partition) -> tuple:
+    """The vertex table of ``P``, all as indices into the sorted vertex list
+    ``its``: ``(its, middles, dynamics, sectors, sing, orbit)`` holds the
+    middle point of every star triple ``i < j < k``, the image of each
+    vertex under the shift, the sets ``V_s`` (:func:`_sectors`), the
+    singular point and the set of vertices on its forward orbit.
 
     One triod map serves the orbit's star triples and the closure pass
     over the vertices' star triples, so the states solved for the orbit
@@ -238,9 +245,8 @@ def _vertex_set(
     orbit_ids = [triods.id(it) for it in omega_plus(P)]
     star = orbit_ids[0]
     vids = set(orbit_ids)
-    vids.update(
-        triods.middle(*tri) for tri in _star_triples(orbit_ids, triods.firsts, star)
-    )
+    orbit_sectors = _sectors(orbit_ids, triods.firsts, star)
+    vids.update(triods.middle(*tri) for tri in _star_tuples(orbit_sectors, star, 3))
     its = _sort_itineraries([triods.its[v] for v in vids])
     ids = [triods.id(it) for it in its]
     index = {v: i for i, v in enumerate(ids)}
@@ -249,12 +255,14 @@ def _vertex_set(
             raise ClosureViolationError(f"vertex {it} is not a formal point")
         if triods._shift(v) not in index:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
+    dynamics = [index[triods.shifts[v]] for v in ids]
     firsts = [triods.firsts[v] for v in ids]
     sing = index[star]
-    out: dict[tuple[int, int, int], int] = {}
-    for tri in _star_triples(range(len(its)), firsts, sing):
+    sectors = _sectors(range(len(its)), firsts, sing)
+    middles: dict[tuple[int, ...], int] = {}
+    for tri in _star_tuples(sectors, sing, 3):
         m = triods.middle(*(ids[i] for i in tri))
-        b = out[tri] = index.get(m, -1)
+        b = middles[tri] = index.get(m, -1)
         if b < 0:
             msg = (
                 f"vertex set not closed under triods: "
@@ -267,7 +275,8 @@ def _vertex_set(
                     f"holds with every third vertex outside sector {firsts[i]}"
                 )
             raise ClosureViolationError(msg)
-    return its, out
+    orbit = {index[v] for v in orbit_ids}
+    return its, middles, dynamics, sectors, sing, orbit
 
 
 def _min_rotation(seq: tuple) -> tuple:
@@ -390,11 +399,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
 
     ``m_max`` caps the realization multiplier; ``None`` takes the bound
     that the base gives, which every valid base meets."""
-    its, middles = _vertex_set(P)
+    its, middles, dynamics, sectors, sing, orbit = _vertex_set(P)
     n = len(its)
-    it2id = {it: i for i, it in enumerate(its)}
-    sing = it2id[PreSingular(())]
-    firsts = [it.first_symbol() for it in its]
 
     # A vertex lies strictly inside the arc between the other two members
     # of a triple exactly when it is the triple's middle point.  The
@@ -405,14 +411,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
         if b in ids:
             separated.add(tuple(i for i in ids if i != b))
     edges = tuple(
-        (a, b)
-        for a, b in combinations(range(n), 2)
-        if (sing in (a, b) or firsts[a] == firsts[b]) and (a, b) not in separated
+        sorted(p for p in _star_tuples(sectors, sing, 2) if p not in separated)
     )
-
-    # Dynamics: the shift, under which _vertex_set checked the vertices
-    # closed; the singular point maps to the kneading vertex.
-    dynamics = [it2id[shift_itinerary(P, it)] for it in its]
 
     adj = _adjacency(range(n), edges)
     if len(edges) != n - 1 or len(_component(adj, 0)) != n:
@@ -420,22 +420,13 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
 
-    # Sector labels at the singular point: shared first itinerary entry.
-    sector_groups: dict[int, list[int]] = {}
-    for i, s in enumerate(firsts):
-        if i != sing:
-            sector_groups.setdefault(s, []).append(i)
-    sectors = tuple(sorted((k, tuple(sorted(v))) for k, v in sector_groups.items()))
-
     # Vertex kinds need degrees.
-    orbit = set(omega_plus(P))
     kinds = []
-    for i, it in enumerate(its):
-        deg = len(adj[i])
+    for i in range(n):
         if i == sing:
             kinds.append(VertexKind.SINGULAR)
-        elif it in orbit:
-            kinds.append(VertexKind.BOTH if deg >= 3 else VertexKind.POST_SINGULAR)
+        elif i in orbit:
+            kinds.append(VertexKind.BOTH if len(adj[i]) >= 3 else VertexKind.POST_SINGULAR)
         else:
             kinds.append(VertexKind.BRANCH_EXTRA)
 

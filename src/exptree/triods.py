@@ -24,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalInvariantError, IsStopCaseError, NotDistinctError
+from .errors import (
+    InternalInvariantError,
+    IsStopCaseError,
+    NotDistinctError,
+    NotFormalError,
+)
 from .partition import (
     STAR,
     Boundary,
@@ -96,7 +101,7 @@ class Triod:
         """Check membership of all members in the formal point space."""
         for m in self.members:
             if not is_in_S_nu(self.partition, m):
-                raise ValueError(
+                raise NotFormalError(
                     f"itinerary {m} has a forward shift equal to the kneading sequence"
                 )
 

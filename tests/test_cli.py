@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exptree
 from exptree import triods
-from exptree.cli import main, parse_address, parse_itinerary
+from exptree.cli import _build_parser, main, parse_address, parse_itinerary
 from exptree.errors import ParseError
 from exptree.partition import Plain, PreSingular
 from exptree.sequences import canonicalize
@@ -169,6 +174,31 @@ class TestCommands:
     def test_usage_error(self, capsys):
         assert main(["tree"]) == 2
         assert main(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "option", ["--count", "--max-preperiod", "--max-period", "--entry-range"]
+    )
+    def test_verify_rejects_non_positive_options(self, option, value, capsys):
+        # Parse only: --entry-range 0 used to hang in random_base.
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["verify", option, value])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_verify_single_base_finishes(self):
+        # One base has no partner of a different map for the cross checks.
+        path = [str(Path(exptree.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-m", "exptree.cli", "verify", "--count", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "classification: ok" in done.stdout
 
     def test_verify_deterministic(self, capsys):
         args = ["verify", "--count", "4", "--seed", "11"]

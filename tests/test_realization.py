@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from exptree import realization
 from exptree.errors import (
     EmptyRangeError,
+    InternalInvariantError,
     NormalizationWarning,
     RealizationBoundExceededError,
 )
@@ -14,6 +15,7 @@ from exptree.notation import parse_address
 from exptree.partition import Plain, PreSingular, inverse_branch, itinerary, validate_base
 from exptree.realization import (
     _periodic_search,
+    _stop_stage,
     addresses_of,
     addresses_of_periodic,
     separating_addresses,
@@ -21,7 +23,14 @@ from exptree.realization import (
 from exptree.sequences import canonicalize, cyclic_between
 from exptree.treebuild import build_tree
 from exptree import triods
-from exptree.triods import AddressTriod, classify, to_itinerary_triod
+from exptree.triods import (
+    AddressTriod,
+    address_triod_step,
+    classify,
+    middle_point,
+    to_itinerary_triod,
+)
+from exptree.verify import _random_address_triod
 
 from oracles import epsilon_search, itinerary_entries, oracle_m_limit
 
@@ -477,6 +486,27 @@ class TestSeparating:
                 shape, _ = separating_addresses(A.partition, A)
             assert len(walks) == 1
             assert shape == want
+
+    def test_stop_stage_after_one_step_per_vote(self, acceptance_corpus):
+        # The address triod map stops after len(prefix) steps of a
+        # pre-singular middle point, as the itinerary triod map does.
+        rng = random.Random(17)
+        for P in acceptance_corpus.partitions:
+            for _ in range(5):
+                A = _random_address_triod(rng, P)
+                b = middle_point(to_itinerary_triod(A))
+                if not isinstance(b, PreSingular):
+                    continue
+                cur, steps = A, 0
+                while (nxt := address_triod_step(cur)) is not None:
+                    cur, steps = nxt, steps + 1
+                assert steps == len(b.prefix), f"{P.base}: {A}"
+                assert _stop_stage(A, steps) == cur
+                with pytest.raises(InternalInvariantError, match="does not stop"):
+                    _stop_stage(A, steps + 1)
+                if steps:
+                    with pytest.raises(InternalInvariantError, match="does not stop"):
+                        _stop_stage(A, steps - 1)
 
     def test_unlinkedness_of_returned_families(self, P_b, acceptance_corpus):
         # Families for distinct vertex itineraries never interleave.

@@ -678,7 +678,7 @@ class TestStarTriples:
 
     def test_keys_are_the_star_triples(self, acceptance_corpus):
         for P in acceptance_corpus.partitions:
-            its, middles = _vertex_set(P)
+            its, middles = _vertex_set(P)[:2]
             assert set(middles) == _star_triple_set(its), P.base
 
     def test_edges_match_all_triples_on_corpus(self, acceptance_corpus):

@@ -4,7 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from exptree.errors import IsStopCaseError, NormalizationWarning, NotDistinctError
+from exptree.errors import (
+    ExptreeError,
+    IsStopCaseError,
+    NormalizationWarning,
+    NotDistinctError,
+    NotFormalError,
+)
 from exptree.notation import parse_address
 from exptree.partition import (
     Plain,
@@ -192,6 +198,14 @@ class TestAddressTriod:
         A = AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b)
         out = address_triod_step(A)
         assert out.members == (addr([], [0, 1]), addr([], [1, 0]), P_b.base)
+
+    def test_not_formal_is_a_value_error(self, P_b):
+        # 1,0(0,1) shifts onto the kneading sequence 0(0,1).
+        T = Triod((plain([1, 0], [0, 1]), plain([], [0, 1]), plain([], [1, 0])), P_b)
+        with pytest.raises(ValueError) as exc:
+            T.validate()
+        assert isinstance(exc.value, NotFormalError)
+        assert isinstance(exc.value, ExptreeError)
 
     def test_cyclic_order_required(self, P_a):
         with pytest.raises(NotDistinctError):
