@@ -6,160 +6,25 @@ triod algorithm on itineraries and external addresses, enumerates the
 addresses realizing an itinerary, constructs the abstract exponential
 Hubbard tree with its sector labels and cyclic orders, and derives
 invariants such as core entropy and the same-map equivalence.
+
+The package republishes exactly the names in the ``__all__`` of the
+library modules imported below; each module's ``__all__`` is the one
+list of its public names.
 """
 
-from .analysis import (
-    ExpansivityReport,
-    TransitionMatrix,
-    core_entropy,
-    expansivity_report,
-    same_map,
-    spectral_radius_exact,
-    spectral_radius_power,
-    transition_matrix,
-    tree_equivalent,
-)
-from .errors import (
-    ClosureViolationError,
-    ConvergenceFailureError,
-    EmptyPeriodError,
-    EmptyRangeError,
-    ExptreeError,
-    GapAssignmentFailureError,
-    IsStopCaseError,
-    NormalizationWarning,
-    NotATreeError,
-    NotDistinctError,
-    NotExpansiveError,
-    ParseError,
-    PeriodicBaseError,
-    RealizationBoundExceededError,
-)
-from .partition import (
-    STAR,
-    Boundary,
-    Interior,
-    Itinerary,
-    Partition,
-    Plain,
-    PreSingular,
-    inverse_branch,
-    is_in_S_nu,
-    itinerary,
-    kneading,
-    sector_of,
-    shift_itinerary,
-    validate_base,
-)
-from .realization import (
-    AddressSet,
-    SeparatingAddress,
-    addresses_of,
-    addresses_of_periodic,
-    separating_addresses,
-)
-from .sequences import (
-    ExtAddress,
-    Ordering,
-    address,
-    canonicalize,
-    compare_lex,
-    cyclic_between,
-)
-from .treebuild import (
-    AbstractHubbardTree,
-    Vertex,
-    VertexKind,
-    build_tree,
-    check_tree_invariants,
-    omega_plus,
-    to_dot,
-    to_json,
-    tree_from_json,
-    vertex_set,
-)
-from .triods import (
-    AddressTriod,
-    Shape,
-    Triod,
-    TriodShape,
-    address_triod_step,
-    classify,
-    majority_vote,
-    middle_point,
-    to_itinerary_triod,
-    triod_step,
-)
+from . import analysis, errors, partition, realization, sequences, treebuild, triods
+from .analysis import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .partition import *  # noqa: F403
+from .realization import *  # noqa: F403
+from .sequences import *  # noqa: F403
+from .treebuild import *  # noqa: F403
+from .triods import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractHubbardTree",
-    "AddressSet",
-    "AddressTriod",
-    "Boundary",
-    "ClosureViolationError",
-    "ConvergenceFailureError",
-    "core_entropy",
-    "EmptyPeriodError",
-    "EmptyRangeError",
-    "ExpansivityReport",
-    "ExptreeError",
-    "ExtAddress",
-    "GapAssignmentFailureError",
-    "Interior",
-    "IsStopCaseError",
-    "Itinerary",
-    "NormalizationWarning",
-    "NotATreeError",
-    "NotDistinctError",
-    "NotExpansiveError",
-    "Ordering",
-    "ParseError",
-    "Partition",
-    "PeriodicBaseError",
-    "Plain",
-    "PreSingular",
-    "RealizationBoundExceededError",
-    "STAR",
-    "SeparatingAddress",
-    "Shape",
-    "TransitionMatrix",
-    "Triod",
-    "TriodShape",
-    "Vertex",
-    "VertexKind",
-    "address",
-    "address_triod_step",
-    "addresses_of",
-    "addresses_of_periodic",
-    "build_tree",
-    "canonicalize",
-    "check_tree_invariants",
-    "classify",
-    "compare_lex",
-    "cyclic_between",
-    "expansivity_report",
-    "inverse_branch",
-    "is_in_S_nu",
-    "itinerary",
-    "kneading",
-    "majority_vote",
-    "middle_point",
-    "omega_plus",
-    "same_map",
-    "sector_of",
-    "separating_addresses",
-    "shift_itinerary",
-    "spectral_radius_exact",
-    "spectral_radius_power",
-    "to_dot",
-    "to_itinerary_triod",
-    "to_json",
-    "transition_matrix",
-    "tree_equivalent",
-    "tree_from_json",
-    "triod_step",
-    "validate_base",
-    "vertex_set",
+    name
+    for module in (analysis, errors, partition, realization, sequences, treebuild, triods)
+    for name in module.__all__
 ]

@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("itinerary")
     sp.add_argument(
         "--m-max",
-        type=int,
+        type=_positive_int,
         help="cap on the realization multiplier (default: the bound the base gives)",
     )
     sp.add_argument(
@@ -115,84 +115,65 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     cmd = args.command
-    if cmd == "kneading":
-        P = validate_base(parse_address(args.base))
-        print(P.kneading)
-        return 0
-    if cmd == "itinerary":
-        P = validate_base(parse_address(args.base))
-        print(itinerary(P, parse_address(args.address)))
-        return 0
-    if cmd == "tree":
-        tree = build_tree(validate_base(parse_address(args.base)))
-        if args.format == "dot":
-            sys.stdout.write(to_dot(tree))
-            return 0
-        text = to_json(tree, indent=args.indent)
-        if args.check:
-            check_tree_invariants(tree_from_json(text))
-            print("check: ok", file=sys.stderr)
-        print(text)
-        return 0
-    if cmd == "entropy":
-        tree = build_tree(validate_base(parse_address(args.base)))
-        print(f"{core_entropy(tree, tol=args.tol):.9f}")
-        return 0
     if cmd == "same-map":
         result = same_map(parse_address(args.first), parse_address(args.second))
         print("true" if result else "false")
         return 0 if result else 1
-    if cmd == "addresses-of":
-        P = validate_base(parse_address(args.base))
+    if cmd == "verify":
+        options = (args.max_preperiod, args.max_period, args.entry_range)
+        # Checked on its own: a ValueError from inside the suites is a defect.
+        try:
+            verify_mod._check_support(args.count, *options)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        report = verify_mod.run_all(args.count, args.seed, *options)
+        for res in report:
+            print(f"{res.name}: {'ok' if res.ok() else 'FAILED'} ({res.cases} checks)")
+            for msg in res.failures:
+                print(f"  - {msg}", file=sys.stderr)
+        return 0 if all(res.ok() for res in report) else 1
+    P = validate_base(parse_address(args.base))
+    if cmd == "kneading":
+        print(P.kneading)
+    elif cmd == "itinerary":
+        print(itinerary(P, parse_address(args.address)))
+    elif cmd == "tree":
+        tree = build_tree(P)
+        if args.format == "dot":
+            sys.stdout.write(to_dot(tree))
+        else:
+            text = to_json(tree, indent=args.indent)
+            if args.check:
+                check_tree_invariants(tree_from_json(text))
+                print("check: ok", file=sys.stderr)
+            print(text)
+    elif cmd == "entropy":
+        print(f"{core_entropy(build_tree(P), tol=args.tol):.9f}")
+    elif cmd == "addresses-of":
         m_range = range(args.m_range[0], args.m_range[1] + 1) if args.m_range else None
-        found = addresses_of(P, parse_itinerary(args.itinerary), args.m_max, m_range)
-        for a in found:
+        for a in addresses_of(P, parse_itinerary(args.itinerary), args.m_max, m_range):
             print(a)
-        return 0
-    if cmd == "separate":
-        P = validate_base(parse_address(args.base))
-        A = AddressTriod(
-            (parse_address(args.a1), parse_address(args.a2), parse_address(args.a3)), P
-        )
+    elif cmd == "separate":
+        A = AddressTriod(tuple(map(parse_address, (args.a1, args.a2, args.a3))), P)
         A.validate()
         shape, assignments = separating_addresses(P, A)
         print(f"shape: {shape}")
         for sa in assignments:
             where = f"gap {sa.gap}" if sa.gap is not None else f"member {sa.member}"
             print(f"{where}: {sa.address}")
-        return 0
-    if cmd == "triod":
-        P = validate_base(parse_address(args.base))
-        T = Triod(
-            (
-                parse_itinerary(args.i1),
-                parse_itinerary(args.i2),
-                parse_itinerary(args.i3),
-            ),
-            P,
-        )
+    elif cmd == "triod":
+        T = Triod(tuple(map(parse_itinerary, (args.i1, args.i2, args.i3))), P)
         T.validate()
         b = middle_point(T)
         print(f"middle: {b}")
         print(f"shape: {_shape(T, b)}")
-        return 0
-    if cmd == "verify":
-        report = verify_mod.run_all(
-            count=args.count,
-            seed=args.seed,
-            max_preperiod=args.max_preperiod,
-            max_period=args.max_period,
-            entry_range=args.entry_range,
-        )
-        ok = True
-        for res in report:
-            status = "ok" if not res.failures else "FAILED"
-            print(f"{res.name}: {status} ({res.cases} checks)")
-            for msg in res.failures:
-                ok = False
-                print(f"  - {msg}", file=sys.stderr)
-        return 0 if ok else 1
-    raise InternalInvariantError(f"unhandled command {cmd}")
+    else:
+        raise InternalInvariantError(f"unhandled command {cmd}")
+    return 0
+
+
+_EXIT_CODES = {ParseError: 2, RealizationBoundExceededError: 4}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -203,18 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except ParseError as exc:
-        print(error_name(exc))
-        print(exc, file=sys.stderr)
-        return 2
-    except (RealizationBoundExceededError,) as exc:
-        print(error_name(exc))
-        print(exc, file=sys.stderr)
-        return 4
     except ExptreeError as exc:
         print(error_name(exc))
         print(exc, file=sys.stderr)
-        return 3
+        return _EXIT_CODES.get(type(exc), 3)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,27 @@
 """Exception hierarchy for the exptree library.
 
 The CLI prints ``error_name(exc)`` for domain errors, so class names are
-part of the user-facing contract.
+part of the user-facing contract.  ``__all__`` leaves out
+:class:`InternalInvariantError`, which only signals a library defect.
 """
+
+__all__ = [
+    "ClosureViolationError",
+    "ConvergenceFailureError",
+    "EmptyPeriodError",
+    "EmptyRangeError",
+    "ExptreeError",
+    "GapAssignmentFailureError",
+    "IsStopCaseError",
+    "NormalizationWarning",
+    "NotATreeError",
+    "NotDistinctError",
+    "NotExpansiveError",
+    "NotFormalError",
+    "ParseError",
+    "PeriodicBaseError",
+    "RealizationBoundExceededError",
+]
 
 
 class ExptreeError(Exception):

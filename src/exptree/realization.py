@@ -40,7 +40,7 @@ from .partition import (
     inverse_branch,
     itinerary,
 )
-from .sequences import ExtAddress, canonicalize, cyclic_between
+from .sequences import ExtAddress, _gap_of, canonicalize
 from .triods import (
     AddressTriod,
     TriodShape,
@@ -314,19 +314,18 @@ def separating_addresses(
     else:
         addrs = list(addresses_of(P, b, m_max))
 
-    t1, t2, t3 = A.members
-    gaps = [(t1, t2), (t2, t3), (t3, t1)]
+    # The members are a rotation of their sorted order, so the sorted
+    # gap ``i`` is the triod's gap ``i + r`` (counted from 0), where
+    # member ``r`` is the least.
+    anchors = sorted(A.members)
+    r = A.members.index(anchors[0])
     out: list[SeparatingAddress] = []
     for a in addrs:
-        member = next((i for i, t in enumerate(A.members, start=1) if a == t), None)
-        if member is not None:
-            out.append(SeparatingAddress(a, gap=None, member=member))
-            continue
-        gap = next(
-            (i for i, (lo, hi) in enumerate(gaps, start=1) if cyclic_between(lo, a, hi)),
-            None,
-        )
-        out.append(SeparatingAddress(a, gap=gap, member=None))
+        gap = _gap_of(anchors, a)
+        if gap is None:
+            out.append(SeparatingAddress(a, gap=None, member=A.members.index(a) + 1))
+        else:
+            out.append(SeparatingAddress(a, gap=(gap + r) % 3 + 1, member=None))
 
     got_gaps = {sa.gap for sa in out if sa.gap is not None}
     if shape.is_linear():

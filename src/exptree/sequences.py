@@ -11,10 +11,11 @@ Entries are plain Python integers, so magnitudes are unbounded.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable
+from typing import Any, Iterable, Sequence
 
 from .errors import EmptyPeriodError, NotDistinctError
 
@@ -93,16 +94,18 @@ class ExtAddress:
         return ExtAddress((), self.period[-1:] + self.period[:-1])
 
     def shifts(self) -> list["ExtAddress"]:
-        """All distinct forward shifts, starting with the address itself."""
+        """All distinct forward shifts, starting with the address itself.
+
+        There are exactly ``|pre| + |per|`` of them.  The first ``|pre|``
+        have preperiods of lengths ``|pre|, ..., 1``; the rest are the
+        ``|per|`` rotations of the primitive period, which are pairwise
+        distinct, and the next shift is the first rotation again.  All
+        are canonical, so distinct forms denote distinct sequences.
+        """
         out = [self]
-        seen = {self}
-        cur = self
-        while True:
-            cur = cur.shift()
-            if cur in seen:
-                return out
-            seen.add(cur)
-            out.append(cur)
+        for _ in range(len(self.preperiod) + len(self.period) - 1):
+            out.append(out[-1].shift())
+        return out
 
     def is_periodic(self) -> bool:
         """True iff the shift orbit returns to the address itself."""
@@ -216,3 +219,17 @@ def cyclic_between(a: ExtAddress, b: ExtAddress, c: ExtAddress) -> bool:
     if a == b or b == c or a == c:
         raise NotDistinctError("cyclic order requires pairwise distinct addresses")
     return (a < b < c) or (b < c < a) or (c < a < b)
+
+
+def _gap_of(anchors: Sequence[Any], a: Any) -> int | None:
+    """Index ``i`` of the gap ``(anchors[i], anchors[i+1 mod q])`` that
+    holds ``a``, or ``None`` when ``a`` is an anchor.
+
+    ``anchors`` must strictly increase, in any total order (addresses,
+    or their words in the tree build); the last gap wraps around, so it
+    holds both the keys above the last anchor and those below the first.
+    """
+    j = bisect_left(anchors, a)
+    if j < len(anchors) and anchors[j] == a:
+        return None
+    return (j - 1) % len(anchors)

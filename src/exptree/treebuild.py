@@ -41,7 +41,6 @@ order is the lexicographic order of the addresses.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -66,7 +65,7 @@ from .partition import (
 )
 from .notation import parse_address, parse_itinerary
 from .realization import _pullback, _vertex_sheets, addresses_of
-from .sequences import ExtAddress, _least_rotation
+from .sequences import ExtAddress, _gap_of, _least_rotation
 from .triods import _TriodMap
 
 __all__ = [
@@ -327,20 +326,6 @@ def _address_words(
     return [tuple(tuple(a.entries(L)) for a in f) for f in families]
 
 
-def _gap_of(anchors: Sequence[Any], a: Any) -> int | None:
-    """Index ``i`` of the gap ``(anchors[i], anchors[i+1 mod q])`` that
-    holds ``a``, or ``None`` when ``a`` is an anchor.
-
-    ``anchors`` must strictly increase, in any total order (addresses,
-    or their words in the tree build); the last gap wraps around, so it
-    holds both the keys above the last anchor and those below the first.
-    """
-    j = bisect_left(anchors, a)
-    if j < len(anchors) and anchors[j] == a:
-        return None
-    return (j - 1) % len(anchors)
-
-
 def _cyclic_order_by_gaps(
     vid: int,
     vit: Itinerary,
@@ -420,15 +405,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
 
-    # Vertex kinds need degrees.
-    kinds = []
-    for i in range(n):
-        if i == sing:
-            kinds.append(VertexKind.SINGULAR)
-        elif i in orbit:
-            kinds.append(VertexKind.BOTH if len(adj[i]) >= 3 else VertexKind.POST_SINGULAR)
-        else:
-            kinds.append(VertexKind.BRANCH_EXTRA)
+    kinds = [_kind(i == sing, i in orbit, len(adj[i])) for i in range(n)]
 
     # Cyclic orders, from the realizing addresses of every vertex as words,
     # derived when the first branch vertex needs them and sorted as tuples.
@@ -464,6 +441,16 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     return tree
 
 
+def _kind(singular: bool, on_orbit: bool, degree: int) -> VertexKind:
+    """Kind of a vertex: the singular point, other points of the singular
+    orbit (``BOTH`` from degree 3 on), or an extra branch point."""
+    if singular:
+        return VertexKind.SINGULAR
+    if on_orbit:
+        return VertexKind.BOTH if degree >= 3 else VertexKind.POST_SINGULAR
+    return VertexKind.BRANCH_EXTRA
+
+
 def _component(
     adj: dict[int, list[int]], start: int, removed: int | None = None
 ) -> set[int]:
@@ -493,7 +480,9 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     """Verify all structural invariants of an abstract Hubbard tree.
 
     Raises :class:`NotATreeError`, :class:`NotExpansiveError` or
-    :class:`ClosureViolationError` accordingly.
+    :class:`ClosureViolationError` accordingly; a vertex whose kind
+    disagrees with its place on the singular orbit and its degree is a
+    closure violation.
     """
     P = tree.partition
     n = len(tree.vertices)
@@ -581,6 +570,10 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             raise ClosureViolationError(
                 f"dynamics does not preserve the cyclic order at {its[i]}"
             )
+
+    for i, v in enumerate(tree.vertices):
+        if v.kind != _kind(i == sing, its[i] in orbit, len(adj[i])):
+            raise ClosureViolationError(f"vertex {its[i]} has the wrong kind {v.kind.value}")
 
 
 def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:

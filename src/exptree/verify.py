@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .analysis import (
     core_entropy,
@@ -112,6 +112,34 @@ def random_external_address(
     return a
 
 
+def _check_support(
+    count: int, max_preperiod: int, max_period: int, entry_range: int
+) -> None:
+    """Raise :class:`ValueError` unless :func:`random_base` can return
+    ``count`` distinct bases.
+
+    Walks the words that :func:`random_base` draws from in a fixed order
+    and stops at the ``count``-th distinct base, so a feasible count costs
+    about as many steps as drawing the corpus.
+    """
+    entries = range(-entry_range, entry_range + 1)
+    found: set[ExtAddress] = set()
+    for n, m in product(range(max_preperiod), range(1, max_period + 1)):
+        for pre in product(entries, repeat=n):
+            for per in product(entries, repeat=m):
+                if len(found) >= count:
+                    return
+                a = canonicalize((0,) + pre, per)
+                if not a.is_periodic() and a.entry(1) == 0:
+                    found.add(a)
+    if len(found) < count:
+        raise ValueError(
+            f"only {len(found)} distinct bases have preperiod <= {max_preperiod}, "
+            f"period <= {max_period} and entries in [-{entry_range}, {entry_range}]; "
+            f"asked for {count}"
+        )
+
+
 @dataclass
 class Corpus:
     bases: list[ExtAddress]
@@ -127,7 +155,12 @@ def make_corpus(
     entry_range: int = 3,
     build_trees: bool = True,
 ) -> Corpus:
-    """A deterministic corpus of distinct base addresses (plus trees)."""
+    """A deterministic corpus of distinct base addresses (plus trees).
+
+    Raises :class:`ValueError` when :func:`random_base` has fewer than
+    ``count`` distinct bases to give under the options.
+    """
+    _check_support(count, max_preperiod, max_period, entry_range)
     rng = random.Random(seed)
     bases: list[ExtAddress] = []
     seen = set()

@@ -15,6 +15,19 @@ from exptree.sequences import canonicalize
 from exptree.treebuild import check_tree_invariants, tree_from_json
 
 
+def run_verify(*options):
+    """``exptree verify`` in a fresh interpreter, stopped after 60 s."""
+    path = [str(Path(exptree.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "exptree.cli", "verify", *options],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestParsing:
     def test_examples(self):
         assert parse_address("0(1)") == canonicalize([0], [1])
@@ -165,6 +178,8 @@ class TestCommands:
             (["entropy", "0(1)", "--tol", "0"], 2, ""),
             (["triod", "--base", "0(0,1)", "1,0(0,1)", "(0,1)", "(1,0)"], 3, "NotFormal"),
             (["entropy", "0(1)", "--tol", "nan"], 2, ""),
+            (["addresses-of", "--base", "0(1)", "--m-max", "0", "(1)"], 2, ""),
+            (["addresses-of", "--base", "0(1)", "--m-max", "-2", "(1)"], 2, ""),
         ],
     )
     def test_bad_input_exit_codes(self, args, code, out, capsys):
@@ -188,17 +203,17 @@ class TestCommands:
 
     def test_verify_single_base_finishes(self):
         # One base has no partner of a different map for the cross checks.
-        path = [str(Path(exptree.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        done = subprocess.run(
-            [sys.executable, "-m", "exptree.cli", "verify", "--count", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = run_verify("--count", "1")
         assert done.returncode == 0, done.stderr
         assert "classification: ok" in done.stdout
+
+    def test_verify_with_too_few_bases_exits_2(self):
+        # Only 0(1) and 0(-1) fit these options, so no third base can be drawn.
+        options = ["--entry-range", "1", "--max-preperiod", "1", "--max-period", "1"]
+        done = run_verify(*options, "--count", "3")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "only 2 distinct bases" in done.stderr
 
     def test_verify_deterministic(self, capsys):
         args = ["verify", "--count", "4", "--seed", "11"]

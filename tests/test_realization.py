@@ -463,6 +463,28 @@ class TestSeparating:
         assert len(members) == 1 and members[0].member == 1
         assert any(sa.gap == 2 for sa in out)
 
+    def test_gaps_follow_the_rotation_of_the_members(self, acceptance_corpus):
+        # Bisection on the sorted members, rotated back, numbers the gaps
+        # as the scan of the triod's own gaps with cyclic_between does.
+        rng = random.Random(29)
+        checked = 0
+        for P in acceptance_corpus.partitions[:30]:
+            A = _random_address_triod(rng, P)
+            if A is None:
+                continue
+            m = A.members
+            for rot in (m, m[1:] + m[:1], m[2:] + m[:2]):
+                _, out = separating_addresses(P, AddressTriod(rot, P))
+                gaps = [(rot[0], rot[1]), (rot[1], rot[2]), (rot[2], rot[0])]
+                for sa in out:
+                    if sa.member is not None:
+                        assert rot[sa.member - 1] == sa.address
+                        continue
+                    lo, hi = gaps[sa.gap - 1]
+                    assert cyclic_between(lo, sa.address, hi)
+                    checked += 1
+        assert checked > 0
+
     def test_one_triod_walk_per_call(self, P_a, P_b, monkeypatch):
         # The shape is read off the middle point already computed, so a
         # call runs the triod map once and agrees with classify.

@@ -86,6 +86,17 @@ class TestEntryShiftPrepend:
         assert a.shift().entries(20) == a.entries(21)[1:]
 
 
+    @given(preperiods, periods)
+    def test_shifts_match_the_seen_set_loop(self, pre, per):
+        a = canonicalize(pre, per)
+        want, cur = [a], a.shift()
+        while cur not in want:
+            want.append(cur)
+            cur = cur.shift()
+        assert a.shifts() == want
+        assert len(want) == len(a.preperiod) + len(a.period)
+
+
 class TestCanonicalByConstruction:
     """``shift`` and ``prepend`` build their results without
     ``canonicalize``; they must agree with it."""

@@ -458,6 +458,23 @@ class TestSerialization:
         with pytest.raises(NotATreeError):
             check_tree_invariants(tree_from_json(json.dumps(doc)))
 
+    def test_tampered_kinds_detected(self, tree_a, tree_b):
+        # Swap the kinds of the singular point and the branch vertex of
+        # 0(0,1); on 0(1), mark a postsingular vertex as a branch point.
+        doc = json.loads(to_json(tree_b))
+        kinds = {v["kind"]: v for v in doc["vertices"]}
+        kinds["singular"]["kind"], kinds["branch"]["kind"] = "branch", "singular"
+        with pytest.raises(ClosureViolationError, match="wrong kind"):
+            check_tree_invariants(tree_from_json(json.dumps(doc)))
+        doc = json.loads(to_json(tree_a))
+        doc["vertices"][1]["kind"] = "branch"
+        with pytest.raises(ClosureViolationError, match="wrong kind"):
+            check_tree_invariants(tree_from_json(json.dumps(doc)))
+        doc = json.loads(to_json(tree_a))
+        doc["vertices"][2]["kind"] = "both"
+        with pytest.raises(ClosureViolationError, match="wrong kind"):
+            check_tree_invariants(tree_from_json(json.dumps(doc)))
+
     def test_dot_export(self, tree_a):
         dot = to_dot(tree_a)
         assert dot.startswith("digraph")

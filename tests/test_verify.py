@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from exptree.sequences import canonicalize
 from exptree.verify import (
     make_corpus,
     random_base,
@@ -26,6 +29,24 @@ class TestCorpus:
     def test_distinct(self):
         c = make_corpus(12, 5, build_trees=False)
         assert len(set(c.bases)) == 12
+
+    def test_too_few_bases_raise(self):
+        assert set(make_corpus(2, 1, 1, 1, 1, build_trees=False).bases) == {
+            canonicalize([0], [1]),
+            canonicalize([0], [-1]),
+        }
+        with pytest.raises(ValueError, match="only 2 distinct bases"):
+            make_corpus(3, 1, 1, 1, 1, build_trees=False)
+
+    def test_support_check_leaves_the_draw_alone(self):
+        # The support check takes nothing from the seeded generator.
+        rng = random.Random(8)
+        want = []
+        while len(want) < 30:
+            a = random_base(rng)
+            if a not in want:
+                want.append(a)
+        assert make_corpus(30, 8, build_trees=False).bases == want
 
 
 class TestSuites:
