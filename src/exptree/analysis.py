@@ -34,7 +34,7 @@ from .partition import (
     itinerary_entry,
     validate_base,
 )
-from .sequences import ExtAddress
+from .sequences import ExtAddress, _decision_length
 from .treebuild import AbstractHubbardTree, _min_rotation
 
 if TYPE_CHECKING:
@@ -120,8 +120,7 @@ def expansivity_report(T: AbstractHubbardTree) -> ExpansivityReport:
             b = T.vertices[j].itinerary
             pa, qa = _sequence_params(a, nu_pre, nu_per)
             pb, qb = _sequence_params(b, nu_pre, nu_per)
-            bound = max(pa, pb) + math.lcm(qa, qb)
-            for n in range(bound):
+            for n in range(_decision_length(max(pa, pb), qa, qb)):
                 if itinerary_entry(P, a, n + 1) != itinerary_entry(P, b, n + 1):
                     depths[(i, j)] = n
                     break

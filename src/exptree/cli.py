@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--m-max",
         type=_positive_int,
-        help="cap on the realization multiplier (default: the bound the base gives)",
+        help="cap on the realization multiplier (default: none)",
     )
     sp.add_argument(
         "--m-range",

@@ -15,6 +15,7 @@ __all__ = [
     "IsStopCaseError",
     "NormalizationWarning",
     "NotATreeError",
+    "NotCyclicallyOrderedError",
     "NotDistinctError",
     "NotExpansiveError",
     "NotFormalError",
@@ -36,6 +37,10 @@ class NotDistinctError(ExptreeError):
     """A cyclic-order query or triod received non-distinct arguments."""
 
 
+class NotCyclicallyOrderedError(NotDistinctError):
+    """Distinct address triod members not listed in positive cyclic order."""
+
+
 class NotFormalError(ExptreeError, ValueError):
     """A triod member lies outside the formal points ``S_nu``."""
 
@@ -49,11 +54,8 @@ class IsStopCaseError(ExptreeError):
 
 
 class RealizationBoundExceededError(ExptreeError):
-    """No realizing address found for multipliers up to the search cap.
-
-    Only an explicit ``m_max`` below the bound that the base gives can
-    cause it; under the default bound it signals a defect in the library.
-    """
+    """A realizing address needs a multiplier above the search cap; only
+    an explicit ``m_max`` can cause it."""
 
 
 class EmptyRangeError(ExptreeError):

@@ -3,14 +3,13 @@
 Every formal (pre-)periodic itinerary is realized by finitely many
 external addresses, all sharing one preperiod length and one period
 length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
-of a periodic itinerary are the periodic points of the composed inverse
-branch ``G`` of its period word; :func:`_periodic_search` iterates ``G``
-once from each of its cuts, certifies the periodic address that the
-repeating prepended words spell, and adds its ``G``-orbit.  The base
-``s`` bounds the multiplier ``m`` by ``2(|pre_s| + |per_s|) + 1``, and
-with it the steps per seed; an explicit ``m_max`` caps the search.  This is
-the pull-back machinery of Bruin and Schleicher's *Symbolic Dynamics of
-Quadratic Polynomials*, carried over to exponential addresses.
+of a periodic itinerary are the cycles of a finite automaton: the
+positions of an address among the shifts of the base ``s``, moved by
+the composed inverse branch of its period word (:func:`_periodic_search`).
+A cycle has at most ``2(|pre_s| + |per_s|) + 1`` positions, which bounds
+``m``.  This is the pull-back machinery of Bruin and Schleicher's
+*Symbolic Dynamics of Quadratic Polynomials*, carried over to
+exponential addresses.
 
 Every other family is a pullback (:func:`_pullback`): the shift maps
 each sector ``I_k`` one-to-one, so the realizations of ``k.t`` are the
@@ -22,6 +21,7 @@ between calls.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,9 +38,8 @@ from .partition import (
     Plain,
     PreSingular,
     inverse_branch,
-    itinerary,
 )
-from .sequences import ExtAddress, _gap_of, canonicalize
+from .sequences import ExtAddress, _gap_of, _word, canonicalize
 from .triods import (
     AddressTriod,
     TriodShape,
@@ -97,104 +96,100 @@ def addresses_of_periodic(
 
     Each call runs one search on ``p``'s own period word.  Raises
     :class:`RealizationBoundExceededError` when the search needs a
-    multiplier above ``m_max``; ``None`` means the bound that the base
-    gives (see :func:`_periodic_search`), which every search meets.
+    multiplier above ``m_max``; ``None`` means no cap (see
+    :func:`_periodic_search`).
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
     return AddressSet(tuple(sorted(_periodic_search(P, p.seq.period, m_max))), p)
 
 
-def _pull(P: Partition, letters: Sequence[int], x: ExtAddress) -> ExtAddress:
-    """``L_{letters[0]} o ... o L_{letters[-1]}`` applied to ``x``, unfiltered:
-    the periodic search's cut test needs the ``<= s`` rule at the base."""
-    for k in reversed(letters):
-        x = inverse_branch(P, k, x)
-    return x
-
-
 def _periodic_search(
     P: Partition, word: tuple[int, ...], m_max: int | None = None
 ) -> tuple[ExtAddress, ...]:
-    """The periodic addresses whose itinerary has period ``word``.
+    """The periodic addresses whose itinerary has period ``word``: the
+    periodic points of ``G = L_{p_1} o ... o L_{p_n}`` (``L_k`` is
+    :func:`inverse_branch`, which inverts the shift on ``I_k``; a periodic
+    point of ``G`` is no sector bound ``(j0+k+1).s``).
 
-    These are the periodic points of ``G = L_{p_1} o ... o L_{p_n}``
-    (``L_k`` is :func:`inverse_branch`).  ``G`` prepends one ``n``-word
-    per step and jumps only at its cuts: the ``sigma^r s`` (``0 <= r <
-    n``) that the last ``r`` letters of ``word`` pull back to the base
-    ``s`` exactly, ``s`` itself among them.  Iterating ``G`` once from
-    each cut, by the ``<= s`` rule, finds every orbit.  Each ``L_k`` is
-    increasing on the circle cut at ``s``, left-continuous (``s`` goes to
-    the top ``(j0+k+1).s`` of ``I_k^-``) and continuous elsewhere in the
-    order completion, so ``G^m`` is increasing and continuous on each arc
-    ``(q, q']`` between its jumps.  Near a realizing ``x0`` of
-    ``G``-period ``m``, ``G^m`` prepends a fixed word, so ``x0`` attracts
-    from both sides and is the only fixed point on its arc (completion
-    points are not fixed, and two attracting fixed points need a third
-    between them).  So the iterates of the top ``q'`` converge to ``x0``,
-    and ``q'``, a jump of ``G^m``, lands on a cut of ``G`` within ``m``
-    steps; from there on it is that cut's seed.
+    Positions.  The ``L = |pre_s| + |per_s|`` shifts ``o_i = sigma^i s``
+    of the base form ``O``.  They differ within ``L`` entries (see
+    :func:`~exptree.sequences.compare_lex`), so the slices ``W[i : i + L]``
+    of ``s``'s first ``2L`` entries order them.  An address is a point of
+    ``O`` or lies in one of the ``L + 1`` (nonempty) arcs around them:
+    ``N = 2L + 1`` positions, numbered upward, the points odd.
 
-    Once the last ``j`` prepended words repeat the ``j`` words before
-    them, the periodic address with those ``j`` words as its period is
-    certified by its itinerary (or found among the addresses already
-    certified), and its whole ``G``-orbit, the rotations of its period
-    word by multiples of ``n``, is added.  All orbits share one
-    multiplier ``m``, the address period over ``n``.  With ``j`` at most
-    ``m_max`` and ``2 * m_max + 2`` steps per seed, a seed that does not
-    close raises :class:`RealizationBoundExceededError`.
+    Every transition is well defined.  ``L_k(u) = e.u`` with ``e =
+    j0+k+1`` if ``u <= s`` and ``j0+k`` otherwise, fixed by ``u``'s
+    position.  ``e.u`` compares with ``o_i = W[i].o_{i+1}`` (``o_L`` is
+    ``o_{|pre_s|}``) as ``(e, u)`` with ``(W[i], o_{i+1})``, and ``u`` with
+    ``o_{i+1}`` as their positions do, so one bisection of ``(e, pos u)``
+    among the sorted keys ``(W[i], pos o_{i+1})`` places ``e.u``.  The
+    tables composed over ``word`` give a map ``g`` on positions and the
+    word ``W_q`` that ``G`` prepends at ``q``.
 
-    The base bounds the multiplier, and ``m_max=None`` takes that bound
-    ``N = 2(|pre_s| + |per_s|) + 1``.  Let ``O`` be the ``|pre_s| +
-    |per_s|`` distinct shifts of ``s``: ``O`` is closed under the shift and
-    totally ordered, so an address either equals a point of ``O`` or lies
-    strictly between two neighbours, one of ``N`` positions.  ``L_k(u) =
-    e.u`` with ``e = j0+k+1`` if ``u <= s`` and ``e = j0+k`` otherwise, so
-    ``e`` is fixed by ``u``'s position.  For ``o = f.sigma(o)`` in ``O``,
-    ``e.u`` compares with ``o`` as ``e`` with ``f``, and when ``e == f`` as
-    ``u`` with ``sigma(o)``, again a point of ``O``.  So the position of
-    ``L_k(u)``, and every word ``G`` prepends, are functions of ``u``'s
-    position: the words of a seed are eventually periodic with transient
-    plus period at most ``N``.  Every multiplier is therefore at most
-    ``N``, and each seed closes within ``2N`` steps.
+    Every realizing address lies on a cycle, whose length is its
+    multiplier.  A realizing ``x`` of ``G``-period ``m`` visits ``pi_0,
+    pi_1 = g(pi_0), ...``, so ``G^j x = W_{pi_{j-1}} ... W_{pi_0}.x``.  If
+    the positions first close after ``j`` steps, ``x = G^{jm} x`` is that
+    word prepended ``m`` times to ``x``, so ``x = (W_{pi_{j-1}} ...
+    W_{pi_0})^infinity = G^j x``: ``j = m``, ``x`` is what its cycle spells
+    from ``pi_0``, and its period is ``m n``, as ``G`` is injective.
+
+    Conversely, the address ``x`` that a cycle spells from ``pi_0`` is a
+    periodic point of ``G`` if it has position ``pi_0``.  A point ``pi_0``
+    is one address, fixed by ``G^m``, so it is ``x``.  On an arc ``pi_0 =
+    (a, b)`` the iterates ``G^{jm} u`` of any ``u`` stay in it and
+    converge to ``x``, so ``x`` lies in the closed ``[a, b]``, at ``pi_0``
+    unless it is ``a`` or ``b``.  So an arc cycle realizes ``word`` unless
+    its limit lies in ``O``; then it is dropped.
+
+    No cycle is longer than ``N``, so ``m_max=None`` means no cap; an
+    explicit ``m_max`` raises :class:`RealizationBoundExceededError` when a
+    kept cycle is longer.
     """
-    n, s = len(word), P.base
-    if m_max is None:
-        m_max = 2 * (len(s.preperiod) + len(s.period)) + 1
-    found: set[ExtAddress] = set()
-    cut = s
-    for r in range(n):
-        if _pull(P, word[n - r :], cut) == s:
-            found |= _seed_orbit(P, word, cut, m_max, found)
-        cut = cut.shift()
+    s, n = P.base, len(word)
+    pre, L = len(s.preperiod), len(s.preperiod) + len(s.period)
+    W, N = _word(s, 2 * L), 2 * L + 1
+    pos = [0] * L
+    for r, i in enumerate(sorted(range(L), key=lambda i: W[i : i + L])):
+        pos[i] = 2 * r + 1
+    keys = sorted((W[i], pos[i + 1] if i + 1 < L else pos[pre]) for i in range(L))
+    tables = {}
+    for k in set(word):
+        tables[k] = row = []
+        for q in range(N):
+            key = (P.offset_j0 + k + (q <= pos[0]), q)
+            j = bisect_left(keys, key)
+            row.append((key[0], 2 * j + 1 if j < L and keys[j] == key else 2 * j))
+    # g[q] and the letters G prepends from q, the last first.
+    g, prepended = list(range(N)), [[] for _ in range(N)]
+    for k in reversed(word):
+        for q in range(N):
+            e, g[q] = tables[k][g[q]]
+            prepended[q].append(e)
+
+    orbit, found, walked = set(s.shifts()), set(), [-1] * N
+    for start in range(N):
+        q = start
+        while walked[q] < 0:
+            walked[q], q = start, g[q]
+        if walked[q] != start:
+            continue
+        cycle = [q]
+        while g[cycle[-1]] != q:
+            cycle.append(g[cycle[-1]])
+        x = canonicalize((), [e for c in cycle for e in prepended[c]][::-1])
+        if q % 2 == 0 and x in orbit:
+            continue
+        if m_max is not None and len(cycle) > m_max:
+            raise RealizationBoundExceededError(
+                f"no realizing address of the rotations of {canonicalize((), word)} "
+                f"over the base {s} found for m <= {m_max}; a cycle needs m = {len(cycle)}"
+            )
+        per = x.period
+        found |= {ExtAddress((), per[r:] + per[:r]) for r in range(0, len(per), n)}
     return tuple(found)
-
-
-def _seed_orbit(
-    P: Partition,
-    word: tuple[int, ...],
-    x: ExtAddress,
-    m_max: int,
-    found: set[ExtAddress],
-) -> set[ExtAddress]:
-    """The ``G``-orbit that the seed ``x`` closes on."""
-    n = len(word)
-    words: list[tuple[int, ...]] = []
-    for i in range(1, 2 * m_max + 3):
-        x = _pull(P, word, x)
-        words.append(tuple(x.entries(n)))
-        for j in range(1, min(i // 2, m_max) + 1):
-            if words[i - j :] != words[i - 2 * j : i - j]:
-                continue
-            t = canonicalize((), [e for w in reversed(words[i - j :]) for e in w])
-            if t in found or itinerary(P, t) == Plain(canonicalize((), word)):
-                per = t.period
-                rotations = range(0, len(per), n)
-                return {ExtAddress((), per[r:] + per[:r]) for r in rotations}
-    raise RealizationBoundExceededError(
-        f"no realizing address of the rotations of {canonicalize((), word)} "
-        f"over the base {P.base} found for m <= {m_max}"
-    )
 
 
 def _pullback(

@@ -382,8 +382,7 @@ def _cyclic_order_by_gaps(
 def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``.
 
-    ``m_max`` caps the realization multiplier; ``None`` takes the bound
-    that the base gives, which every valid base meets."""
+    ``m_max`` caps the realization multiplier; ``None`` means no cap."""
     its, middles, dynamics, sectors, sing, orbit = _vertex_set(P)
     n = len(its)
 

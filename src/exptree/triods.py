@@ -27,6 +27,7 @@ from enum import Enum
 from .errors import (
     InternalInvariantError,
     IsStopCaseError,
+    NotCyclicallyOrderedError,
     NotDistinctError,
     NotFormalError,
 )
@@ -120,7 +121,7 @@ class AddressTriod:
     def __post_init__(self):
         t, u, v = self.members
         if not cyclic_between(t, u, v):
-            raise NotDistinctError(
+            raise NotCyclicallyOrderedError(
                 "address triod members must be listed in positive cyclic order"
             )
 

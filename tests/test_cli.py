@@ -177,6 +177,8 @@ class TestCommands:
             (["entropy", "0(1)", "--tol", "-1"], 2, ""),
             (["entropy", "0(1)", "--tol", "0"], 2, ""),
             (["triod", "--base", "0(0,1)", "1,0(0,1)", "(0,1)", "(1,0)"], 3, "NotFormal"),
+            # Distinct members out of positive cyclic order.
+            (["separate", "--base", "0,-2(-1,0)", "(1)", "(0)", "(-1)"], 3, "NotCyclicallyOrdered"),
             (["entropy", "0(1)", "--tol", "nan"], 2, ""),
             (["addresses-of", "--base", "0(1)", "--m-max", "0", "(1)"], 2, ""),
             (["addresses-of", "--base", "0(1)", "--m-max", "-2", "(1)"], 2, ""),

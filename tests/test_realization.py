@@ -334,20 +334,12 @@ class TestPeriodicSearch:
             ("0(1,1,1,-1)", [(0, 1, 1, 0, -1, 0)]),
         ],
     )
-    def test_one_seed_per_cut(self, base, words, monkeypatch):
+    def test_cycles_match_the_two_sided_search(self, base, words):
         P = validate_base(parse_address(base))
-        seeds = []
-
-        def counting(P, word, x, *args):
-            seeds.append(x)
-            return seed_orbit(P, word, x, *args)
-
-        seed_orbit = realization._seed_orbit
-        monkeypatch.setattr(realization, "_seed_orbit", counting)
         for word in words:
-            seeds.clear()
-            _periodic_search(P, word)
-            assert seeds == cuts(P, word), f"{base}: {word}"
+            assert set(_periodic_search(P, word)) == two_sided_search(P, word), (
+                f"{base}: {word}"
+            )
 
 
 def periodic_sample(P, seed, count=12):
@@ -425,6 +417,16 @@ class TestRotationSharing:
             match=r"rotations of \(1,0,0\) over the base 0\(0,1\) found for m <= 1",
         ):
             addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
+
+    def test_bound_error_names_the_multiplier_needed(self, P_b):
+        with pytest.raises(RealizationBoundExceededError, match=r"needs m = 2$"):
+            addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
+
+    def test_bound_is_exact(self, P_b):
+        # (0) over 0(0,1) needs multiplier 3: a cap of 2 raises, 3 does not.
+        with pytest.raises(RealizationBoundExceededError, match=r"needs m = 3$"):
+            addresses_of_periodic(P_b, plain([], [0]), m_max=2)
+        assert len(addresses_of_periodic(P_b, plain([], [0]), m_max=3)) == 3
 
 
 class TestSeparating:

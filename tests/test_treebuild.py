@@ -92,6 +92,22 @@ class TestGoldenTreeA:
         assert kinds["(1)"] is VertexKind.POST_SINGULAR
 
 
+class TestBothKind:
+    """``0,-1,0(0,0,-1)`` has the fixed point ``(0)`` on the singular orbit
+    as a vertex of degree 3, the only kind no golden tree shows."""
+
+    def test_orbit_branch_vertex(self):
+        tree = build_tree(validate_base(parse_address("0,-1,0(0,0,-1)")))
+        ids = tree.vertex_by_itinerary()
+        both = [v for v in tree.vertices if v.kind is VertexKind.BOTH]
+        assert [v.id for v in both] == [ids[plain([], [0])]]
+        assert len(tree.adjacency()[both[0].id]) == 3
+        check_tree_invariants(tree)
+        back = tree_from_json(to_json(tree))
+        check_tree_invariants(back)
+        assert to_json(back) == to_json(tree)
+
+
 class TestGoldenTreeB:
     def test_structure(self, P_b, tree_b):
         ids = tree_b.vertex_by_itinerary()
@@ -620,9 +636,9 @@ class TestWideBases:
 
 class TestMultiplierBound:
     """Every realizing multiplier is at most ``N = 2(|pre_s| + |per_s|) + 1``,
-    the default cap of the periodic search.  The families are searched
-    with a cap of ``4N``, so a multiplier above ``N`` fails the check
-    rather than the search."""
+    the number of positions of the periodic search's automaton.  The
+    families are searched with a cap of ``4N``, so a multiplier above ``N``
+    fails the check rather than the search."""
 
     @staticmethod
     def check(s):
