@@ -10,21 +10,20 @@ marks the edges of one tree path.
 The spectral radius is the largest over the strongly connected classes
 of the matrix's graph (on a reducible matrix the whole-matrix bracket
 need not close); each class radius is certified by the Collatz-Wielandt
-bracket of power iteration on ``(A_C + I)^k``, closed to relative width
-``1e-3 * tol``.  ``k`` is a power of two chosen so that the power of an
-integer matrix is exact in float64 (entries below ``2^53``); a class
-then takes a few numpy calls.  ``spectral_radius_exact`` is the
-reference.
+bracket of power iteration on ``(A_C + I)^2``, in pure Python on sparse
+integer rows, closed to relative width ``1e-3 * tol``.
+``spectral_radius_exact`` is the reference.
 
-numpy is imported by the functions that build or read a matrix, so a
-caller that never does (``same_map``, say) does not load it.
+numpy is imported only by ``transition_matrix``, ``row_map`` and, with
+sympy, by the exact fallback of ``core_entropy``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import itemgetter, truediv
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConvergenceFailureError, NotExpansiveError, PeriodicBaseError
 from .partition import (
@@ -169,72 +168,92 @@ def transition_matrix(T: AbstractHubbardTree) -> TransitionMatrix:
 
 
 def spectral_radius_power(
-    A: np.ndarray,
+    A: np.ndarray | Sequence[Sequence[int]],
     tol: float = 1e-9,
     max_iter: int = 100_000,
 ) -> float:
-    """Spectral radius of a nonnegative matrix, certified per class.
+    """Spectral radius of a nonnegative integer matrix, certified per class.
 
-    The radius is the largest over the diagonal blocks ``A_C`` of the
-    strongly connected classes of the matrix's graph (0 for a zero
-    block).  The shift ``B = A_C + I`` is primitive, so nothing
-    oscillates.  ``B`` is squared to ``M = B^k``, ``k`` a power of two,
-    while the next power of an integer matrix stays exact in float64: a
-    square is taken only if ``r^(2k) < 2^53``, ``r`` the largest row sum
-    of ``B`` rounded up, and only if ``2k <= max_iter``.  Power iteration
-    on ``M`` from the all-ones vector gives at every step the
-    Collatz-Wielandt bracket
-    ``min_i (Mx)_i/x_i <= (rho(A_C) + 1)^k <= max_i (Mx)_i/x_i``, whose
-    k-th roots are ``lo`` and ``hi``.  It stops at
-    ``hi - lo <= 1e-3 * tol * lo`` with the midpoint minus 1, which is
-    within ``5e-4 * tol * (rho + 1)`` of the class radius.
-    ``max_iter`` counts applications of ``B`` (one step of ``M`` is
-    ``k`` of them); :class:`ConvergenceFailureError` is raised if a
-    class needs more.
+    ``A`` (an ndarray or rows; other entries raise ``ValueError``) becomes
+    sparse rows, row ``i`` listing column ``j`` ``A[i, j]`` times.  The radius
+    is the largest over the blocks ``A_C`` of the strongly connected classes
+    (0 for a zero block).  ``B = A_C + I`` is primitive: power iteration on
+    ``M = B^k`` from the all-ones vector, one ``itemgetter`` per row, brackets
+    ``(rho(A_C) + 1)^k`` between the least and the largest ``(Mx)_i/x_i``
+    (Collatz-Wielandt), read every 4 steps and at the last.  ``k = 2``, an
+    exact square of index multisets, if ``max_iter >= 2``, else 1.  It stops
+    once the k-th roots satisfy ``hi - lo <= 1e-3 * tol * lo``, with the
+    midpoint minus 1, within ``5e-4 * tol * (rho + 1)`` of the class radius.
+    A class needing more than ``max_iter`` applications of ``B`` raises
+    :class:`ConvergenceFailureError`.
     """
-    import numpy as np
+    if any(a < 0 or a != int(a) for row in A for a in row):
+        raise ValueError("matrix entries must be nonnegative integers")
+    rows = [[j for j, a in enumerate(row) for _ in range(int(a))] for row in A]
+    return _radius(rows, tol, max_iter)
 
-    n = A.shape[0]
-    # Reachability closure: after j squarings ``reach`` covers every
-    # path of length <= 2^j; it is closed once a square adds nothing.
-    reach = (A != 0) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        nxt = reach @ reach
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    if reach.all():
-        blocks = [A]
-    else:
-        # Each distinct row of mutual reachability marks one class.
-        rows = {row.tobytes(): row for row in reach & reach.T}
-        blocks = [A[np.ix_(C, C)] for C in map(np.flatnonzero, rows.values())]
+
+def _radius(rows: list[list[int]], tol: float, max_iter: int) -> float:
+    """:func:`spectral_radius_power` on sparse rows of column indices."""
+    k = 2 if max_iter >= 2 else 1
     rho = 0.0
-    for block in blocks:
-        if not block.any():
-            continue
-        m = len(block)
-        M = block + np.eye(m)
-        r = math.ceil(M.sum(axis=1).max())
-        k = 1
-        while r ** (2 * k) < 2**53 and 2 * k <= max_iter:
-            M = M @ M
-            k *= 2
-        x = np.ones(m)
-        for _ in range(max_iter // k):
-            y = M @ x
-            ratios = y / x
-            lo, hi = ratios.min() ** (1 / k), ratios.max() ** (1 / k)
+    for C in _classes(rows):
+        local = {j: c for c, j in enumerate(C)}
+        B = [[local[j] for j in rows[i] if j in local] + [c] for c, i in enumerate(C)]
+        if B == [[0]]:
+            continue  # zero block
+        if k == 2:
+            B = [[j for i in row for j in B[i]] for row in B]
+        # Every row has two indices or more, so each getter returns a tuple.
+        steps = [itemgetter(*row) for row in B]
+        x = [1.0] * len(B)
+        last = max_iter // k
+        for t in range(1, last + 1):
+            y = [sum(step(x)) for step in steps]
+            if t % 4 and t < last:
+                x = y
+                continue
+            ratios = list(map(truediv, y, x))
+            lo, hi = min(ratios) ** (1 / k), max(ratios) ** (1 / k)
             if hi - lo <= 1e-3 * tol * lo:
                 break
-            x = y / y.max()
+            top = max(y)
+            x = [v / top for v in y]
         else:
             raise ConvergenceFailureError(
-                f"Collatz-Wielandt bracket of a {m}-index class still open "
+                f"Collatz-Wielandt bracket of a {len(B)}-index class still open "
                 f"after {max_iter} applications of A_C + I"
             )
-        rho = max(rho, float((lo + hi) / 2) - 1.0)
+        rho = max(rho, (lo + hi) / 2 - 1.0)
     return rho
+
+
+def _classes(rows: list[list[int]]) -> list[list[int]]:
+    """Strongly connected classes of the graph ``i -> j in rows[i]``, by
+    Tarjan's algorithm without recursion from a virtual root ``n`` with an
+    arc to every vertex.  A finished vertex's index rises to ``n + 1``."""
+    n = len(rows)
+    index, low, stack, classes = {n: 0}, {n: 0}, [n], []
+    work = [(n, iter(range(n)))]
+    while work:
+        v, arcs = work[-1]
+        for w in arcs:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                work.append((w, iter(rows[w])))
+                break
+            low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if low[v] < index[v]:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            else:
+                cut = stack.index(v)
+                classes.append(stack[cut:])
+                index.update(dict.fromkeys(stack[cut:], n + 1))
+                del stack[cut:]
+    return classes[:-1]  # the virtual root's class comes last
 
 
 def spectral_radius_exact(A: np.ndarray) -> float:
@@ -266,19 +285,20 @@ def core_entropy(
 ) -> float:
     """Core entropy: log of the spectral radius of the transition matrix.
 
-    Uses the certified bracket of :func:`spectral_radius_power`; when
-    that hits its iteration cap and the matrix is small enough, falls
-    back to exact root isolation.
-    A spectral radius at most 1 yields entropy 0.
+    The rows, edge indices along ``T.path``, go to the certified bracket
+    of :func:`spectral_radius_power`.  If that hits its iteration cap on a
+    small enough matrix, exact root isolation on :func:`transition_matrix`
+    decides.  A spectral radius at most 1 yields entropy 0.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
-    A = transition_matrix(T).matrix
+    index = {e: i for i, (a, b) in enumerate(T.edges) for e in ((a, b), (b, a))}
+    paths = (T.path(T.dynamics[u], T.dynamics[v]) for u, v in T.edges)
+    rows = [[index[e] for e in zip(p, p[1:])] for p in paths]
     try:
-        rho = spectral_radius_power(A, tol, max_iter)
+        rho = _radius(rows, tol, max_iter)
     except ConvergenceFailureError:
-        if A.shape[0] <= exact_size_limit:
-            rho = spectral_radius_exact(A)
-        else:
+        if len(rows) > exact_size_limit:
             raise
+        rho = spectral_radius_exact(transition_matrix(T).matrix)
     return math.log(rho) if rho > 1.0 else 0.0

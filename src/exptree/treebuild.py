@@ -497,26 +497,30 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     if its[sing] != PreSingular(()):
         raise ClosureViolationError("singular point does not carry the itinerary *nu")
 
-    it2id = {it: i for i, it in enumerate(its)}
+    dyn = tree.dynamics
     for i, it in enumerate(its):
-        img = shift_itinerary(P, it)
-        if tree.dynamics[i] != it2id.get(img):
+        d = dyn[i]
+        if not 0 <= d < n or its[d] != shift_itinerary(P, it):
             raise ClosureViolationError(f"dynamics at vertex {it} is not the shift")
 
-    # Endpoints lie on the singular orbit; the singular value is one.
-    orbit = set(omega_plus(P))
-    nu_id = it2id[Plain(P.kneading.seq)]
+    # Endpoints lie on the orbit of the singular point; the singular value is one.
+    orbit, i = set(), sing
+    while i not in orbit:
+        orbit.add(i)
+        i = dyn[i]
+    nu_id = dyn[sing]
     for i in range(n):
-        if len(adj[i]) == 1 and its[i] not in orbit:
+        if len(adj[i]) == 1 and i not in orbit:
             raise ClosureViolationError(f"endpoint {its[i]} is not on the singular orbit")
     if len(adj[nu_id]) != 1:
         raise ClosureViolationError("the singular value vertex is not an endpoint")
 
     # Sectors = branches at the singular point = first-entry groups.
+    firsts = [it.first_symbol() for it in its]
     expected: dict[int, set[int]] = {}
-    for i, it in enumerate(its):
+    for i in range(n):
         if i != sing:
-            expected.setdefault(it.first_symbol(), set()).add(i)
+            expected.setdefault(firsts[i], set()).add(i)
     got = {k: set(v) for k, v in tree.sectors}
     if got != expected:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
@@ -526,12 +530,12 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     # dynamics restricted to it is injective.
     for nb in adj[sing]:
         comp = _component(adj, nb, removed=sing)
-        firsts = {its[i].first_symbol() for i in comp}
-        if len(firsts) != 1:
+        branch_firsts = {firsts[i] for i in comp}
+        if len(branch_firsts) != 1:
             raise ClosureViolationError(
-                f"branch at the singular point mixes sectors {sorted(firsts)}"
+                f"branch at the singular point mixes sectors {sorted(branch_firsts)}"
             )
-        if len({tree.dynamics[i] for i in comp}) != len(comp):
+        if len({dyn[i] for i in comp}) != len(comp):
             raise ClosureViolationError(
                 "dynamics folds a branch at the singular point onto itself"
             )
@@ -549,20 +553,22 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     for i in range(n):
         if i == sing or len(adj[i]) < 3:
             continue
-        image = tree.dynamics[i]
+        image = dyn[i]
+        # label[w]: the first step of the path from the image to w.
+        label = {w: nb for nb in adj[image] for w in _component(adj, nb, removed=image)}
         branch_images = []
         for nb in tree.cyclic_order[i]:
-            w = tree.dynamics[nb]
+            w = dyn[nb]
             if w == image:
                 raise ClosureViolationError(
                     f"neighbor {its[nb]} collapses onto the image of {its[i]}"
                 )
-            branch_images.append(tree.path(image, w)[1])
+            branch_images.append(label[w])
         if len(set(branch_images)) != len(branch_images):
             raise ClosureViolationError(f"dynamics folds branches at {its[i]}")
         if image == sing:
-            firsts = [its[w].first_symbol() for w in branch_images]
-            ok = _cyclic_subsequence(firsts, sorted(set(firsts)))
+            branch_firsts = [firsts[w] for w in branch_images]
+            ok = _cyclic_subsequence(branch_firsts, sorted(set(branch_firsts)))
         else:
             ok = _cyclic_subsequence(branch_images, list(tree.cyclic_order[image]))
         if not ok:
@@ -571,7 +577,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             )
 
     for i, v in enumerate(tree.vertices):
-        if v.kind != _kind(i == sing, its[i] in orbit, len(adj[i])):
+        if v.kind != _kind(i == sing, i in orbit, len(adj[i])):
             raise ClosureViolationError(f"vertex {its[i]} has the wrong kind {v.kind.value}")
 
 

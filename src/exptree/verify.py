@@ -11,6 +11,7 @@ report.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -562,7 +563,8 @@ def suite_classification(
 
 
 def suite_entropy_agreement(corpus: Corpus, tol: float = 1e-9) -> SuiteResult:
-    """Power-iteration and exact spectral radii agree on small matrices."""
+    """Power-iteration and exact spectral radii agree on small matrices,
+    and the core entropy is the log of the exact radius."""
     res = SuiteResult("entropy agreement")
     for P, tree in zip(corpus.partitions, corpus.trees):
         A = transition_matrix(tree).matrix
@@ -579,7 +581,8 @@ def suite_entropy_agreement(corpus: Corpus, tol: float = 1e-9) -> SuiteResult:
             abs(rho_p - rho_e) < tol,
             f"{P.base}: spectral radii differ: {rho_p} vs {rho_e}",
         )
-        res.check(core_entropy(tree) >= 0.0, f"{P.base}: negative entropy")
+        h, want = core_entropy(tree, tol=tol), math.log(max(rho_e, 1.0))
+        res.check(abs(h - want) < tol, f"{P.base}: entropy {h} is not log {rho_e}")
     return res
 
 

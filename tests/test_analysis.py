@@ -225,7 +225,14 @@ class TestEntropy:
     def test_power_on_hand_matrices(self, rows, want):
         A = np.array(rows, dtype=np.int64)
         assert spectral_radius_power(A) == pytest.approx(want, abs=1e-12)
+        assert spectral_radius_power(A.tolist()) == pytest.approx(want, abs=1e-12)
         assert numpy_spectral_radius(A) == pytest.approx(want, abs=1e-7)
+
+    def test_power_takes_integral_floats_only(self):
+        assert spectral_radius_power(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
+        for bad in ([[0.5, 0.5], [0.5, 0.5]], [[-1]]):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                spectral_radius_power(np.array(bad))
 
     # Reducible transition matrices; on the first (8 edges in classes of
     # 2 and 6, radius the golden ratio) the whole-matrix bracket stays
@@ -252,8 +259,8 @@ class TestEntropy:
         assert abs(spectral_radius_power(A) - spectral_radius_exact(A)) < 1e-9
 
     def test_power_squares_only_while_exact(self):
-        # Rows of A + I sum to 85 and 85^16 > 2^53, so the squaring stops
-        # at (A + I)^8; squaring on would overflow float64 (85^256 > 1e308).
+        # Rows of A + I all sum to 85, so the all-ones vector is the Perron
+        # vector and closes the bracket at once: 85^2 for (A + I)^2.
         A = np.full((12, 12), 7, dtype=np.int64)
         assert spectral_radius_power(A) == pytest.approx(84.0, rel=1e-9)
 
@@ -295,15 +302,24 @@ class TestEntropy:
             core_entropy(tree_a, tol=float("nan"))
 
 
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's exptree."""
+    import exptree
+
+    src = str(Path(exptree.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestLazyNumpy:
     def test_queries_without_a_matrix_skip_numpy(self):
-        import exptree
-
-        src = str(Path(exptree.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         code = (
             "import sys, exptree\n"
             "s = exptree.address('0(0,1)')\n"
@@ -312,11 +328,16 @@ class TestLazyNumpy:
             "assert exptree.same_map(s, s)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        run = _fresh_interpreter(code)
+        assert run.returncode == 0, run.stderr
+
+    def test_core_entropy_skips_numpy_and_sympy(self):
+        code = (
+            "import sys, exptree as ex\n"
+            "tree = ex.build_tree(ex.validate_base(ex.address('0(0,1)')))\n"
+            "assert abs(ex.core_entropy(tree) - 0.4196) < 1e-3\n"
+            "loaded = {'numpy', 'sympy'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'\n"
         )
+        run = _fresh_interpreter(code)
         assert run.returncode == 0, run.stderr

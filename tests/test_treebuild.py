@@ -474,6 +474,17 @@ class TestSerialization:
         with pytest.raises(NotATreeError):
             check_tree_invariants(tree_from_json(json.dumps(doc)))
 
+    def test_out_of_range_dynamics_detected(self, tree_b):
+        # An image id off by the vertex count names the right itinerary
+        # under Python's negative indexing, or no vertex at all.
+        n = len(tree_b.vertices)
+        for i, d in enumerate(tree_b.dynamics):
+            for bad in (d - n, d + n):
+                doc = json.loads(to_json(tree_b))
+                doc["dynamics"][str(i)] = bad
+                with pytest.raises(ClosureViolationError, match="is not the shift"):
+                    check_tree_invariants(tree_from_json(json.dumps(doc)))
+
     def test_tampered_kinds_detected(self, tree_a, tree_b):
         # Swap the kinds of the singular point and the branch vertex of
         # 0(0,1); on 0(1), mark a postsingular vertex as a branch point.
