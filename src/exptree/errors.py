@@ -5,6 +5,13 @@ part of the user-facing contract.  ``__all__`` leaves out
 :class:`InternalInvariantError`, which only signals a library defect.
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .sequences import ExtAddress
+
 __all__ = [
     "ClosureViolationError",
     "ConvergenceFailureError",
@@ -55,7 +62,23 @@ class IsStopCaseError(ExptreeError):
 
 class RealizationBoundExceededError(ExptreeError):
     """A realizing address needs a multiplier above the search cap; only
-    an explicit ``m_max`` can cause it."""
+    an explicit ``m_max`` can cause it.
+
+    ``base`` is the partition's base address, ``word`` the itinerary's
+    period word, ``m_max`` the cap and ``multiplier`` what the address
+    needs.
+    """
+
+    def __init__(
+        self, base: ExtAddress, word: tuple[int, ...], m_max: int, multiplier: int
+    ):
+        super().__init__(
+            f"no realizing address of the rotations of ({','.join(map(str, word))}) "
+            f"over the base {base} found for m <= {m_max}; "
+            f"a cycle needs m = {multiplier}"
+        )
+        self.base, self.word = base, tuple(word)
+        self.m_max, self.multiplier = m_max, multiplier
 
 
 class EmptyRangeError(ExptreeError):

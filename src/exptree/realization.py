@@ -3,27 +3,29 @@
 Every formal (pre-)periodic itinerary is realized by finitely many
 external addresses, all sharing one preperiod length and one period
 length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
-of a periodic itinerary are the cycles of a finite automaton: the
-positions of an address among the shifts of the base ``s``, moved by
-the composed inverse branch of its period word (:func:`_periodic_search`).
-A cycle has at most ``2(|pre_s| + |per_s|) + 1`` positions, which bounds
-``m``.  This is the pull-back machinery of Bruin and Schleicher's
-*Symbolic Dynamics of Quadratic Polynomials*, carried over to
-exponential addresses.
+of a periodic itinerary are the cycles of a finite automaton
+(:class:`_Positions`): the positions of an address among the shifts of
+the base ``s``, moved by the composed inverse branch of its period word
+(:func:`_periodic_search`).  A cycle has at most ``2(|pre_s| + |per_s|) +
+1`` positions, which bounds ``m``.  This is the pull-back machinery of
+Bruin and Schleicher's *Symbolic Dynamics of Quadratic Polynomials*,
+carried over to exponential addresses.
 
 Every other family is a pullback (:func:`_pullback`): the shift maps
 each sector ``I_k`` one-to-one, so the realizations of ``k.t`` are the
 images under the inverse branch ``L_k`` of those of ``t`` other than the
 base.  Preperiodic itineraries are pulled back from their periodic part,
-pre-singular ones from the boundary sheets ``m.s``.  Nothing is kept
-between calls.
+pre-singular ones from the boundary sheets ``m.s``.  The public functions
+keep nothing between calls and compare addresses to pull them back.  The
+tree build instead keeps one automaton, on which a pullback is a table
+lookup on positions (:meth:`_Positions.pull`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptyRangeError,
@@ -39,7 +41,7 @@ from .partition import (
     PreSingular,
     inverse_branch,
 )
-from .sequences import ExtAddress, _gap_of, _word, canonicalize
+from .sequences import ExtAddress, _gap_of, _primitive_root, _word, canonicalize
 from .triods import (
     AddressTriod,
     TriodShape,
@@ -104,6 +106,118 @@ def addresses_of_periodic(
     return AddressSet(tuple(sorted(_periodic_search(P, p.seq.period, m_max))), p)
 
 
+class _Realization(NamedTuple):
+    """A realizing address as the tree build carries it: a preperiod and
+    a period word, not reduced to canonical form, and the address's
+    position in the automaton of :class:`_Positions`."""
+
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+    position: int
+
+
+class _Positions:
+    """The position automaton of a partition's base ``s`` (see
+    :func:`_periodic_search`): the sorted shifts of ``s``, their keys
+    ``(W[i], pos o_{i+1})``, and per letter ``k`` the table of ``L_k`` on
+    positions, ``q -> (e, q')``, filled as it is read.  One automaton
+    serves every periodic search and pullback of a tree build."""
+
+    def __init__(self, P: Partition):
+        s = P.base
+        pre, L = len(s.preperiod), len(s.preperiod) + len(s.period)
+        W = _word(s, 2 * L)
+        pos = [0] * L
+        for r, i in enumerate(sorted(range(L), key=lambda i: W[i : i + L])):
+            pos[i] = 2 * r + 1
+        self.P, self.size, self.base_position = P, 2 * L + 1, pos[0]
+        self._keys = sorted(
+            (W[i], pos[i + 1] if i + 1 < L else pos[pre]) for i in range(L)
+        )
+        per = s.period
+        self._base_periods = {per[r:] + per[:r] for r in range(len(per))}
+        self._tables: dict[int, list] = {}
+
+    def place(self, e: int, q: int) -> int:
+        """The position of ``e.u`` for an address ``u`` at position ``q``."""
+        keys = self._keys
+        j = bisect_left(keys, (e, q))
+        return 2 * j + 1 if j < len(keys) and keys[j] == (e, q) else 2 * j
+
+    def row(self, k: int) -> list:
+        """The table of ``L_k``, by position: an entry is ``None`` until
+        :meth:`step` fills it."""
+        row = self._tables.get(k)
+        if row is None:
+            row = self._tables[k] = [None] * self.size
+        return row
+
+    def step(self, k: int, q: int) -> tuple[int, int]:
+        """``(e, q')``: at position ``q``, ``L_k`` prepends ``e``, and the
+        image lies at position ``q'``."""
+        row = self.row(k)
+        if row[q] is None:
+            e = self.P.offset_j0 + k + (q <= self.base_position)
+            row[q] = (e, self.place(e, q))
+        return row[q]
+
+    def cycles(
+        self, word: tuple[int, ...], m_max: int | None
+    ) -> list[_Realization]:
+        """Every periodic address with itinerary period ``word``, each once,
+        at its own position: the points that the kept cycles of ``g`` spell
+        (see :func:`_periodic_search`)."""
+        N, n = self.size, len(word)
+        g = list(range(N))
+        for k in reversed(word):
+            row = self.row(k)
+            g = [(row[q] or self.step(k, q))[1] for q in g]
+
+        out, walked = [], [-1] * N
+        for start in range(N):
+            q = start
+            while walked[q] < 0:
+                walked[q], q = start, g[q]
+            if walked[q] != start:
+                continue
+            # Walk the cycle pi_0 = q, pi_1, ... once more for the letters
+            # G prepends, innermost first: reversed, they spell
+            # V = W_{pi_{m-1}} ... W_{pi_0}.
+            cycle, letters, c = [], [], q
+            while not cycle or c != q:
+                cycle.append(c)
+                for k in reversed(word):
+                    e, c = self.step(k, c)
+                    letters.append(e)
+            V = tuple(reversed(letters))
+            if q % 2 == 0 and _primitive_root(V) in self._base_periods:
+                continue
+            m = len(cycle)
+            if m_max is not None and m > m_max:
+                raise RealizationBoundExceededError(self.P.base, word, m_max, m)
+            # G^j x = W_{pi_{j-1}} ... W_{pi_0}.x turns V right by j n entries.
+            out += [
+                _Realization((), V[len(V) - j * n :] + V[: len(V) - j * n], c)
+                for j, c in enumerate(cycle)
+            ]
+        return out
+
+    def sheets(self, ms: Iterable[int]) -> list[_Realization]:
+        """The boundary sheets ``m.s``, each located once."""
+        s, q = self.P.base, self.base_position
+        return [_Realization((m,) + s.preperiod, s.period, self.place(m, q)) for m in ms]
+
+    def pull(self, k: int, family: Iterable[_Realization]) -> list[_Realization]:
+        """:func:`_pullback` by one letter ``k``, as table lookups: the base,
+        the one address at its position, is dropped."""
+        row, out = self.row(k), []
+        for a in family:
+            if a.position != self.base_position:
+                e, q = row[a.position] or self.step(k, a.position)
+                out.append(_Realization((e,) + a.preperiod, a.period, q))
+        return out
+
+
 def _periodic_search(
     P: Partition, word: tuple[int, ...], m_max: int | None = None
 ) -> tuple[ExtAddress, ...]:
@@ -124,9 +238,10 @@ def _periodic_search(
     position.  ``e.u`` compares with ``o_i = W[i].o_{i+1}`` (``o_L`` is
     ``o_{|pre_s|}``) as ``(e, u)`` with ``(W[i], o_{i+1})``, and ``u`` with
     ``o_{i+1}`` as their positions do, so one bisection of ``(e, pos u)``
-    among the sorted keys ``(W[i], pos o_{i+1})`` places ``e.u``.  The
-    tables composed over ``word`` give a map ``g`` on positions and the
-    word ``W_q`` that ``G`` prepends at ``q``.
+    among the sorted keys ``(W[i], pos o_{i+1})`` places ``e.u``.  It
+    meets a key only if ``u`` is a point, so arcs go to arcs and points
+    to points.  The tables composed over ``word`` give a map ``g`` on
+    positions and the word ``W_q`` that ``G`` prepends at ``q``.
 
     Every realizing address lies on a cycle, whose length is its
     multiplier.  A realizing ``x`` of ``G``-period ``m`` visits ``pi_0,
@@ -136,60 +251,32 @@ def _periodic_search(
     W_{pi_0})^infinity = G^j x``: ``j = m``, ``x`` is what its cycle spells
     from ``pi_0``, and its period is ``m n``, as ``G`` is injective.
 
-    Conversely, the address ``x`` that a cycle spells from ``pi_0`` is a
+    Conversely, the address ``x = V^infinity``, ``V = W_{pi_{m-1}} ...
+    W_{pi_0}``, that a cycle of length ``m`` spells from ``pi_0`` is a
     periodic point of ``G`` if it has position ``pi_0``.  A point ``pi_0``
     is one address, fixed by ``G^m``, so it is ``x``.  On an arc ``pi_0 =
     (a, b)`` the iterates ``G^{jm} u`` of any ``u`` stay in it and
     converge to ``x``, so ``x`` lies in the closed ``[a, b]``, at ``pi_0``
-    unless it is ``a`` or ``b``.  So an arc cycle realizes ``word`` unless
-    its limit lies in ``O``; then it is dropped.
+    unless it is ``a`` or ``b``, a point of ``O``.
+
+    Such an arc cycle is dropped, which lists each address once, at its
+    own position, and changes neither the set nor the multipliers.  Its
+    limit ``x`` realizes ``word``: for ``u`` at ``pi_0`` and ``t < r m n``
+    the shift ``sigma^t G^{rm} u`` lies inside the sector of letter ``t mod
+    n`` of ``word`` (no step meets ``s``, the one address ``L_k`` sends to
+    a sector bound, as arcs go to arcs) and agrees with ``sigma^t x`` on
+    ``r m n - t`` entries, so ``sigma^t x`` lies in the closed sector, and
+    not on its bounds, which are strictly preperiodic.  So ``x`` lies on
+    its own cycle, through its point position, of length its multiplier
+    ``j``; and ``j n``, the period of ``x = V^infinity``, divides ``|V| =
+    m n``, so ``j <= m``.  A periodic point of ``O`` is one whose period is
+    a rotation of ``per_s``.
 
     No cycle is longer than ``N``, so ``m_max=None`` means no cap; an
     explicit ``m_max`` raises :class:`RealizationBoundExceededError` when a
-    kept cycle is longer.
+    kept cycle is longer.  This is one use of :class:`_Positions`.
     """
-    s, n = P.base, len(word)
-    pre, L = len(s.preperiod), len(s.preperiod) + len(s.period)
-    W, N = _word(s, 2 * L), 2 * L + 1
-    pos = [0] * L
-    for r, i in enumerate(sorted(range(L), key=lambda i: W[i : i + L])):
-        pos[i] = 2 * r + 1
-    keys = sorted((W[i], pos[i + 1] if i + 1 < L else pos[pre]) for i in range(L))
-    tables = {}
-    for k in set(word):
-        tables[k] = row = []
-        for q in range(N):
-            key = (P.offset_j0 + k + (q <= pos[0]), q)
-            j = bisect_left(keys, key)
-            row.append((key[0], 2 * j + 1 if j < L and keys[j] == key else 2 * j))
-    # g[q] and the letters G prepends from q, the last first.
-    g, prepended = list(range(N)), [[] for _ in range(N)]
-    for k in reversed(word):
-        for q in range(N):
-            e, g[q] = tables[k][g[q]]
-            prepended[q].append(e)
-
-    orbit, found, walked = set(s.shifts()), set(), [-1] * N
-    for start in range(N):
-        q = start
-        while walked[q] < 0:
-            walked[q], q = start, g[q]
-        if walked[q] != start:
-            continue
-        cycle = [q]
-        while g[cycle[-1]] != q:
-            cycle.append(g[cycle[-1]])
-        x = canonicalize((), [e for c in cycle for e in prepended[c]][::-1])
-        if q % 2 == 0 and x in orbit:
-            continue
-        if m_max is not None and len(cycle) > m_max:
-            raise RealizationBoundExceededError(
-                f"no realizing address of the rotations of {canonicalize((), word)} "
-                f"over the base {s} found for m <= {m_max}; a cycle needs m = {len(cycle)}"
-            )
-        per = x.period
-        found |= {ExtAddress((), per[r:] + per[:r]) for r in range(0, len(per), n)}
-    return tuple(found)
+    return tuple(ExtAddress((), a.period) for a in _Positions(P).cycles(word, m_max))
 
 
 def _pullback(

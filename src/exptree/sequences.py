@@ -171,6 +171,18 @@ def _decision_length(pre: int, p: int, q: int) -> int:
     return pre + p + q - gcd(p, q)
 
 
+def _word_length(pre: int, periods: Iterable[int]) -> int:
+    """A length at which the words (:func:`_word`) of addresses that are
+    periodic after at most ``pre`` entries, with periods among
+    ``periods``, order as the addresses do and are equal only for equal
+    addresses: the greatest decision length of two such addresses (see
+    :func:`compare_lex`)."""
+    periods = set(periods)
+    return max(
+        (_decision_length(pre, p, q) for p in periods for q in periods), default=pre
+    )
+
+
 def _compare(a: ExtAddress, b: ExtAddress) -> int:
     """-1, 0 or 1 as ``a`` is below, equal to or above ``b``.
 

@@ -30,12 +30,14 @@ and the latter is a closure violation.  That pass yields the one vertex
 table the build reads: the ids of the vertices' shifts are the dynamics,
 the sectors label the branches at ``*nu``, and the edges are the pairs
 inside one ``V_s + {*nu}`` with nothing in between.  At every other
-vertex of degree at least three, pre-singular or not, the realizing external addresses of the vertex split the circle
-at infinity into gaps, one per branch, which yields the cyclic order of
-the branches.  Each vertex's realizing addresses are pulled back once per
-build from its image's, with one search per periodic cycle, and bisected
-as fixed-length tuples of their first entries, long enough that tuple
-order is the lexicographic order of the addresses.
+vertex of degree at least three, pre-singular or not, the realizing
+external addresses of the vertex split the circle at infinity into gaps,
+one per branch, which yields the cyclic order of the branches.  All of
+them are realized on one position automaton per build: the periodic
+cycles from its cycles, one per cycle, ``*nu`` from the sheets, and
+every other vertex from its image's by table lookups.  They are bisected
+as tuples of their first entries, all of one length at which tuple order
+is the lexicographic order of the addresses.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from .partition import (
     validate_base,
 )
 from .notation import parse_address, parse_itinerary
-from .realization import _pullback, _vertex_sheets, addresses_of
-from .sequences import ExtAddress, _gap_of, _least_rotation
+from .realization import _Positions, _Realization, _vertex_sheets
+from .sequences import _gap_of, _least_rotation, _word, _word_length, canonicalize
 from .triods import _TriodMap
 
 __all__ = [
@@ -184,12 +186,17 @@ def omega_plus(P: Partition) -> list[Itinerary]:
 
 def _sort_itineraries(items: list[Itinerary]) -> list[Itinerary]:
     """Deterministic vertex order: pre-singular first (by prefix), then
-    plain itineraries lexicographically, as words (:func:`_address_words`)."""
+    plain itineraries lexicographically, as words of one length that
+    orders them (:func:`~exptree.sequences._word_length`)."""
     seqs = [it.seq for it in items if isinstance(it, Plain)]
-    word = dict(zip(seqs, *_address_words([seqs])))
+    L = _word_length(
+        max((len(a.preperiod) for a in seqs), default=0), (len(a.period) for a in seqs)
+    )
     return sorted(
         items,
-        key=lambda it: (1, word[it.seq]) if isinstance(it, Plain) else (0, it.prefix),
+        key=lambda it: (
+            (1, _word(it.seq, L)) if isinstance(it, Plain) else (0, it.prefix)
+        ),
     )
 
 
@@ -287,43 +294,55 @@ def _min_rotation(seq: tuple) -> tuple:
 
 def _vertex_families(
     P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
-) -> list[list[ExtAddress]]:
-    """The realizing addresses of every vertex, unsorted.  ``*nu``, on the
-    sheets of :func:`_vertex_sheets`, and the first vertex of each periodic
-    cycle (its least rotation) are realized by :func:`addresses_of`; every
-    other vertex takes the :func:`_pullback` of its image's family by its
-    first symbol, walking along the dynamics to a cycle or to ``*nu``."""
+) -> list[list[_Realization]]:
+    """The realizing addresses of every vertex, unsorted, all realized on
+    one position automaton of ``P`` (:class:`~exptree.realization._Positions`).
+    The first vertex of each periodic cycle (its least rotation) takes the
+    points of the automaton's cycles for its period word, and ``*nu`` the
+    sheets of :func:`_vertex_sheets`, each located once.  Every other
+    vertex takes its image's family pulled back by its first symbol, by
+    table lookups, walking along the dynamics to a cycle or to ``*nu``; an
+    address at the base's position is the base, and is dropped."""
+    automaton = _Positions(P)
     sheets = _vertex_sheets(P, its)
-    fams: list[list[ExtAddress] | None] = [None] * len(its)
+    star = its.index(PreSingular(()))
+    fams: list[list[_Realization] | None] = [None] * len(its)
     # Periodic vertices first: a walk then closes each cycle at its least rotation.
     periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
     for v in sorted(range(len(its)), key=lambda v: not periodic[v]):
         chain = []
-        while fams[v] is None and v not in chain and its[v] != PreSingular(()):
+        while fams[v] is None and v not in chain and v != star:
             chain.append(v)
             v = dynamics[v]
         if fams[v] is None:
-            fams[v] = list(addresses_of(P, its[v], m_max, sheets))
+            if v == star:
+                fams[v] = automaton.sheets(sheets)
+            else:
+                fams[v] = automaton.cycles(its[v].seq.period, m_max)
         for w in reversed(chain):
             if fams[w] is None:
-                fams[w] = _pullback(P, (its[w].first_symbol(),), fams[dynamics[w]])
+                fams[w] = automaton.pull(its[w].first_symbol(), fams[dynamics[w]])
     return fams
 
 
-def _address_words(
-    families: Sequence[Sequence[ExtAddress]],
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Every address of every family as the tuple of its first ``L``
-    entries, ``L`` twice the longest ``|pre| + |per|`` among them.
-
-    By Fine and Wilf, two distinct addresses differ within
-    ``max |pre| + p + q - gcd(p, q) < L`` entries, so the words sort as
-    the addresses do and are equal only for equal addresses.
-    """
-    L = 2 * max(
-        (len(a.preperiod) + len(a.period) for f in families for a in f), default=0
+def _family_words(
+    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
+) -> tuple[list[tuple[tuple[int, ...], ...]], Callable[[tuple[int, ...]], str]]:
+    """Every vertex's realizing addresses (:func:`_vertex_families`) as the
+    sorted words of their first entries, at one length that orders them
+    (:func:`~exptree.sequences._word_length`), and a function that names
+    the address of a word, for error messages."""
+    fams = _vertex_families(P, its, dynamics, m_max)
+    addrs = [a for f in fams for a in f]
+    L = _word_length(
+        max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
     )
-    return [tuple(tuple(a.entries(L)) for a in f) for f in families]
+
+    def name(word: tuple[int, ...]) -> str:
+        a = next(a for a in addrs if _word(a, L) == word)
+        return str(canonicalize(a.preperiod, a.period))
+
+    return [tuple(sorted(_word(a, L) for a in f)) for f in fams], name
 
 
 def _cyclic_order_by_gaps(
@@ -333,13 +352,15 @@ def _cyclic_order_by_gaps(
     itineraries: Sequence[Itinerary],
     addresses: Callable[[int], Sequence[Any]],
     notes: list[str],
+    name: Callable[[Any], str] = str,
 ) -> tuple[int, ...]:
     """Order the branches at a vertex by the cyclic gaps of its realizing
     addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``;
     ``addresses`` maps a vertex id to keys of its realizing addresses:
     the addresses themselves or any keys that order and tell them apart
-    the same way.  A vertex's keys must strictly increase, so each key
-    finds its gap by bisection."""
+    the same way, and ``name`` gives a key's address in address notation.
+    A vertex's keys must strictly increase, so each key finds its gap by
+    bisection."""
     anchors = addresses(vid)
     if len(anchors) < len(branches):
         raise GapAssignmentFailureError(
@@ -351,21 +372,25 @@ def _cyclic_order_by_gaps(
         )
     gap_of_branch: dict[int, int] = {}
     for nb, members in branches:
-        gaps_seen: set[int] = set()
         for w in members:
             for a in addresses(w):
                 gap = _gap_of(anchors, a)
                 if gap is None:
                     raise GapAssignmentFailureError(
-                        f"address {a} of branch vertex {itineraries[w]} collides "
-                        f"with an anchor address of {vit}"
+                        f"address {name(a)} of branch vertex {itineraries[w]} "
+                        f"collides with an anchor address of {vit}"
                     )
-                gaps_seen.add(gap)
-        if len(gaps_seen) != 1:
+                first = gap_of_branch.setdefault(nb, gap)
+                if gap != first:
+                    raise GapAssignmentFailureError(
+                        f"branch through {nb} at vertex {vit} spans gaps "
+                        f"{sorted((first, gap))}: address {name(a)} of branch "
+                        f"vertex {itineraries[w]} lies in gap {gap}"
+                    )
+        if nb not in gap_of_branch:
             raise GapAssignmentFailureError(
-                f"branch through {nb} at vertex {vit} spans gaps {sorted(gaps_seen)}"
+                f"branch through {nb} at vertex {vit} has no realizing address"
             )
-        gap_of_branch[nb] = gaps_seen.pop()
     if len(set(gap_of_branch.values())) != len(branches):
         raise GapAssignmentFailureError(f"two branches at {vit} share a gap")
     # A pre-singular vertex has an address on every sheet, so its count
@@ -409,6 +434,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     # Cyclic orders, from the realizing addresses of every vertex as words,
     # derived when the first branch vertex needs them and sorted as tuples.
     words: list[tuple[tuple[int, ...], ...]] = []
+    name: Callable[[Any], str] = str
     notes: list[str] = []
     cyclic: list[tuple[int, ...] | None] = []
     for i, it in enumerate(its):
@@ -421,9 +447,10 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
             continue
         branches = [(nb, sorted(_component(adj, nb, removed=i))) for nb in nbrs]
         if not words:
-            fams = _vertex_families(P, its, dynamics, m_max)
-            words.extend(tuple(sorted(f)) for f in _address_words(fams))
-        order = _cyclic_order_by_gaps(i, it, branches, its, words.__getitem__, notes)
+            words, name = _family_words(P, its, dynamics, m_max)
+        order = _cyclic_order_by_gaps(
+            i, it, branches, its, words.__getitem__, notes, name
+        )
         cyclic.append(_min_rotation(order))
 
     tree = AbstractHubbardTree(

@@ -1,5 +1,6 @@
 import random
 import warnings
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +22,7 @@ from exptree.realization import (
     separating_addresses,
 )
 from exptree.sequences import canonicalize, cyclic_between
+from exptree import treebuild
 from exptree.treebuild import build_tree
 from exptree import triods
 from exptree.triods import (
@@ -342,6 +344,37 @@ class TestPeriodicSearch:
             )
 
 
+def own_position(s, a):
+    """The position of ``a`` among the sorted shifts of ``s``: ``2r + 1``
+    at the ``r``-th, ``2r`` in the arc below it."""
+    shifts = sorted(s.shifts())
+    j = bisect_left(shifts, a)
+    return 2 * j + 1 if j < len(shifts) and shifts[j] == a else 2 * j
+
+
+class TestDropRule:
+    """A periodic shift of the base is spelled by its own cycle of points
+    and again by the arc cycles that converge to it.  Dropping those
+    lists each realizing address once, at its own position, which the
+    build's pullbacks read."""
+
+    @pytest.mark.parametrize(
+        "base", ["0(-1)", "0(0,1)", "0,2,-1(-2,3,0,-3)", "0,-3,1,0(-1)", "-1,0(1,-2,0)"]
+    )
+    def test_each_address_once_at_its_own_position(self, base):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            P = validate_base(parse_address(base))
+        s = P.base
+        word = itinerary(P, canonicalize((), s.period)).seq.period
+        found = realization._Positions(P).cycles(word, None)
+        addrs = [canonicalize(a.preperiod, a.period) for a in found]
+        assert len(set(addrs)) == len(addrs)
+        assert [a.position for a in found] == [own_position(s, x) for x in addrs]
+        assert canonicalize((), s.period) in addrs
+        assert set(addrs) == two_sided_search(P, word)
+
+
 def periodic_sample(P, seed, count=12):
     """Itineraries of random periodic addresses of period at most 3, so
     every search ends at a multiplier of at most 3."""
@@ -384,18 +417,24 @@ class TestRotationSharing:
                         assert set(got) == {canonicalize((), w) for w in raw}
 
     def test_one_search_per_rotation_class(self, P_b, monkeypatch):
-        # The build searches once per periodic cycle of the tree and pulls
-        # the other rotations back along the dynamics; 0(0,1) has the
-        # cycles (0) and (0,1) -> (1,0).
-        calls = []
+        # The build searches once per periodic cycle of the tree, all on
+        # one automaton, and pulls the other rotations back along the
+        # dynamics; 0(0,1) has the cycles (0) and (0,1) -> (1,0).
+        automata, calls = [], []
 
-        def counting(P, word, m_max):
-            calls.append(word)
-            return search(P, word, m_max)
+        class Counting(realization._Positions):
+            def __init__(self, P):
+                super().__init__(P)
+                automata.append(self)
 
-        search = realization._periodic_search
-        monkeypatch.setattr(realization, "_periodic_search", counting)
+            def cycles(self, word, m_max):
+                calls.append(word)
+                return super().cycles(word, m_max)
+
+        monkeypatch.setattr(realization, "_Positions", Counting)
+        monkeypatch.setattr(treebuild, "_Positions", Counting)
         tree = build_tree(P_b)
+        assert len(automata) == 1
         periodic = [
             v.itinerary.seq.period
             for v in tree.vertices
@@ -421,6 +460,13 @@ class TestRotationSharing:
     def test_bound_error_names_the_multiplier_needed(self, P_b):
         with pytest.raises(RealizationBoundExceededError, match=r"needs m = 2$"):
             addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
+
+    def test_bound_error_carries_its_context(self, P_b):
+        with pytest.raises(RealizationBoundExceededError) as info:
+            addresses_of_periodic(P_b, plain([], [1, 0, 0]), m_max=1)
+        err = info.value
+        assert (err.base, err.word) == (P_b.base, (1, 0, 0))
+        assert (err.m_max, err.multiplier) == (1, 2)
 
     def test_bound_is_exact(self, P_b):
         # (0) over 0(0,1) needs multiplier 3: a cap of 2 raises, 3 does not.

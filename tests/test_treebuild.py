@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 import warnings
 from itertools import combinations
@@ -19,10 +20,15 @@ from exptree.notation import parse_address
 from exptree import treebuild
 from exptree.partition import Plain, PreSingular, shift_itinerary, validate_base
 from exptree.realization import _vertex_sheets, addresses_of
-from exptree.sequences import canonicalize, compare_lex, cyclic_between
+from exptree.sequences import (
+    _word,
+    _word_length,
+    canonicalize,
+    compare_lex,
+    cyclic_between,
+)
 from exptree.treebuild import (
     VertexKind,
-    _address_words,
     _cyclic_order_by_gaps,
     _gap_of,
     _vertex_set,
@@ -313,6 +319,27 @@ class TestGapBisection:
         with pytest.raises(InternalInvariantError):
             self.order(own)
 
+    def test_build_names_a_colliding_address(self, P_b, monkeypatch):
+        # The build bisects words, but names a failing address in address
+        # notation: here an address of the branch vertex (0), handed to
+        # its neighbour (0,1) as well.
+        def corrupted(P, its, dynamics, m_max):
+            fams = vertex_families(P, its, dynamics, m_max)
+            fams[its.index(plain([], [0, 1]))] += fams[its.index(plain([], [0]))][:1]
+            return fams
+
+        vertex_families = treebuild._vertex_families
+        monkeypatch.setattr(treebuild, "_vertex_families", corrupted)
+        with pytest.raises(GapAssignmentFailureError) as info:
+            build_tree(P_b)
+        named = re.fullmatch(
+            r"address (\S+) of branch vertex \(0,1\) collides with an anchor "
+            r"address of \(0\)",
+            str(info.value),
+        )
+        assert named, str(info.value)
+        assert parse_address(named[1]) in addresses_of(P_b, plain([], [0])).addresses
+
     def test_golden_gaps_match_the_scan(self, P_a, P_b, tree_a, tree_b):
         assert gap_checks(P_a, tree_a) + gap_checks(P_b, tree_b) > 0
 
@@ -334,48 +361,55 @@ def has_branch_vertex(tree):
 
 
 class TestVertexFamilies:
-    """The build derives each vertex's realizing addresses from its
-    image's; they must be those that ``addresses_of`` finds afresh.  Only
-    a branch vertex other than ``*nu`` needs them."""
+    """The build realizes each vertex's addresses on one automaton, from
+    its image's; they must be those that ``addresses_of`` finds afresh."""
 
     @staticmethod
-    def check(P, monkeypatch):
-        # What _vertex_families returns is what the build hands to
-        # _address_words (which also serves the vertex sort).
+    def check(P):
+        # The words the build orders its branches by are those of the
+        # fresh addresses, at a length that orders and tells them apart.
+        # Only a branch vertex other than *nu needs words; without one,
+        # they are asked for directly.
         handed = []
 
         def recording(*args):
-            families = vertex_families(*args)
-            handed.append([tuple(sorted(f)) for f in families])
-            return families
+            handed.append(family_words(*args))
+            return handed[-1]
 
-        vertex_families = treebuild._vertex_families
-        monkeypatch.setattr(treebuild, "_vertex_families", recording)
-        tree = build_tree(P)
+        family_words = treebuild._family_words
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebuild, "_family_words", recording)
+            tree = build_tree(P)
         assert len(handed) == has_branch_vertex(tree)
         its = [v.itinerary for v in tree.vertices]
+        if not handed:
+            handed.append(family_words(P, its, tree.dynamics, None))
         sheets = _vertex_sheets(P, its)
-        for families in handed:
-            assert families == [
-                addresses_of(P, it, m_range=sheets).addresses for it in its
-            ], str(P.base)
+        fresh = [addresses_of(P, it, m_range=sheets).addresses for it in its]
+        addrs = [a for f in fresh for a in f]
+        for words, _ in handed:
+            L = len(words[tree.singular_point][0])
+            assert L >= _word_length(
+                max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
+            )
+            assert words == [tuple(_word(a, L) for a in f) for f in fresh], str(P.base)
 
-    def test_golden(self, P_a, P_b, monkeypatch):
-        self.check(P_a, monkeypatch)
-        self.check(P_b, monkeypatch)
+    def test_golden(self, P_a, P_b):
+        self.check(P_a)
+        self.check(P_b)
 
-    def test_acceptance_trees(self, acceptance_corpus, monkeypatch):
+    def test_acceptance_trees(self, acceptance_corpus):
         branched = [
             P
             for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees)
             if has_branch_vertex(tree)
         ]
         for P in branched[:20]:
-            self.check(P, monkeypatch)
+            self.check(P)
 
     @pytest.mark.parametrize("k", [8, 9, 10])
-    def test_ladder(self, k, monkeypatch):
-        self.check(validate_base(addr([0], [1, 0] * k + [2])), monkeypatch)
+    def test_ladder(self, k):
+        self.check(validate_base(addr([0], [1, 0] * k + [2])))
 
     def test_presingular_vertices_take_no_note(self, monkeypatch):
         # The branch vertex 0,* of 0(1,0,3) has a realizing address on
@@ -584,12 +618,15 @@ class TestAddressWords:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fine_wilf_pairs(), st.lists(addresses(), max_size=6))
     def test_words_sort_as_compare_lex(self, pair, extra):
+        # At the length _word_length fixes, words order the addresses.
         a, b, agree = pair
         assert a.entries(agree) == b.entries(agree)
         assert a.entry(agree + 1) != b.entry(agree + 1)
-        families = [(a,), (b,), tuple(extra)]
-        addrs = [x for f in families for x in f]
-        words = [w for f in _address_words(families) for w in f]
+        addrs = [a, b] + extra
+        L = _word_length(
+            max(len(x.preperiod) for x in addrs), (len(x.period) for x in addrs)
+        )
+        words = [_word(x, L) for x in addrs]
         for x, wx in zip(addrs, words):
             for y, wy in zip(addrs, words):
                 assert (wx > wy) - (wx < wy) == compare_lex(x, y).value, (x, y)
@@ -643,6 +680,24 @@ class TestWideBases:
             back = tree_from_json(to_json(tree))
         check_tree_invariants(back)
         assert to_json(back) == to_json(tree)
+
+
+class TestFamiliesBeyondTheCorpus:
+    """The build's families on bases of any leading entry, preperiod up to
+    6, period up to 12 and entries in [-6, 6], and on ladders."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(addresses())
+    def test_wide_bases(self, s):
+        assume(not s.is_periodic())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            TestVertexFamilies.check(validate_base(s))
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("w", [(1, 0), (1, 0, 0), (0, 1), (1, -1)], ids=str)
+    def test_ladders(self, w, k):
+        TestVertexFamilies.check(validate_base(addr([0], list(w) * k + [2])))
 
 
 class TestMultiplierBound:
