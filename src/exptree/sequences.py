@@ -44,9 +44,9 @@ def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
-def _least_rotation(word: tuple) -> int:
-    """The ``k`` whose rotation ``word[k:] + word[:k]`` is least."""
-    return min(range(len(word)), key=lambda i: word[i:] + word[:i])
+def _min_rotation(word: tuple) -> tuple:
+    """The least rotation ``word[k:] + word[:k]`` of ``word``."""
+    return min((word[k:] + word[:k] for k in range(len(word))), default=word)
 
 
 @dataclass(frozen=True, slots=True)

@@ -67,7 +67,7 @@ from .partition import (
 )
 from .notation import parse_address, parse_itinerary
 from .realization import _Positions, _Realization, _vertex_sheets
-from .sequences import _gap_of, _least_rotation, _word, _word_length, canonicalize
+from .sequences import _gap_of, _min_rotation, _word, _word_length, canonicalize
 from .triods import _TriodMap
 
 __all__ = [
@@ -132,18 +132,14 @@ class AbstractHubbardTree:
         parent: dict[int, int | None] = {}
         for root in adj:
             if root not in parent:
-                parent[root] = None
-                stack = [root]
-                while stack:
-                    cur = stack.pop()
-                    for nxt in adj[cur]:
-                        if nxt not in parent:
-                            parent[nxt] = cur
-                            stack.append(nxt)
+                parent.update(_walk(adj, root))
         return parent
 
     def path(self, a: int, b: int) -> list[int]:
         """Vertex ids along the unique tree path from ``a`` to ``b``."""
+        for x in (a, b):
+            if x not in self._parents:
+                raise NotATreeError(f"no vertex {x}")
         up, down = [a], [b]
         for chain in (up, down):
             while (p := self._parents[chain[-1]]) is not None:
@@ -285,13 +281,6 @@ def _vertex_set(P: Partition) -> tuple:
     return its, middles, dynamics, sectors, sing, orbit
 
 
-def _min_rotation(seq: tuple) -> tuple:
-    if not seq:
-        return seq
-    best = _least_rotation(seq)
-    return seq[best:] + seq[:best]
-
-
 def _vertex_families(
     P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
 ) -> list[list[_Realization]]:
@@ -424,7 +413,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     )
 
     adj = _adjacency(range(n), edges)
-    if len(edges) != n - 1 or len(_component(adj, 0)) != n:
+    if len(edges) != n - 1 or len(_walk(adj, 0)) != n:
         raise NotATreeError(
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
@@ -445,7 +434,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
         if len(nbrs) <= 2:
             cyclic.append(_min_rotation(tuple(nbrs)))
             continue
-        branches = [(nb, sorted(_component(adj, nb, removed=i))) for nb in nbrs]
+        branches = [(nb, sorted(_walk(adj, nb, removed=i))) for nb in nbrs]
         if not words:
             words, name = _family_words(P, its, dynamics, m_max)
         order = _cyclic_order_by_gaps(
@@ -477,18 +466,20 @@ def _kind(singular: bool, on_orbit: bool, degree: int) -> VertexKind:
     return VertexKind.BRANCH_EXTRA
 
 
-def _component(
-    adj: dict[int, list[int]], start: int, removed: int | None = None
-) -> set[int]:
-    """Vertices reachable from ``start``, not passing through ``removed``."""
-    seen = {start}
-    stack = [start]
+def _walk(
+    adj: dict[int, list[int]], root: int, removed: int | None = None
+) -> dict[int, int | None]:
+    """The parent of every vertex reached from ``root`` without passing
+    through ``removed``, by depth-first search; ``root`` maps to ``None``."""
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
     while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt != removed and nxt not in seen:
-                seen.add(nxt)
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt != removed and nxt not in parent:
+                parent[nxt] = cur
                 stack.append(nxt)
-    return seen
+    return parent
 
 
 def _cyclic_subsequence(sub: list, full: list) -> bool:
@@ -512,12 +503,21 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     """
     P = tree.partition
     n = len(tree.vertices)
+    if [v.id for v in tree.vertices] != list(range(n)):
+        raise NotATreeError(f"vertex ids are not 0..{n - 1}")
+    if len(tree.dynamics) != n or len(tree.cyclic_order) != n:
+        raise NotATreeError(f"dynamics or cyclic orders do not cover {n} vertices")
+    for e in tree.edges:
+        if any(x not in range(n) for x in e):
+            raise NotATreeError(f"edge {list(e)} names no vertex")
+    if tree.singular_point not in range(n):
+        raise NotATreeError(f"singular point {tree.singular_point} names no vertex")
     its = [v.itinerary for v in tree.vertices]
     adj = tree.adjacency()
 
     if len(set(its)) != n:
         raise NotExpansiveError("two vertices share an itinerary")
-    if len(tree.edges) != n - 1 or len(_component(adj, 0)) != n:
+    if len(tree.edges) != n - 1 or len(_walk(adj, 0)) != n:
         raise NotATreeError("vertex/edge data is not a tree")
 
     sing = tree.singular_point
@@ -556,7 +556,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     # Each branch at the singular point lies in one sector, and the
     # dynamics restricted to it is injective.
     for nb in adj[sing]:
-        comp = _component(adj, nb, removed=sing)
+        comp = _walk(adj, nb, removed=sing)
         branch_firsts = {firsts[i] for i in comp}
         if len(branch_firsts) != 1:
             raise ClosureViolationError(
@@ -582,7 +582,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             continue
         image = dyn[i]
         # label[w]: the first step of the path from the image to w.
-        label = {w: nb for nb in adj[image] for w in _component(adj, nb, removed=image)}
+        label = {w: nb for nb in adj[image] for w in _walk(adj, nb, removed=image)}
         branch_images = []
         for nb in tree.cyclic_order[i]:
             w = dyn[nb]
@@ -645,6 +645,8 @@ def tree_from_json(text: str) -> AbstractHubbardTree:
     n = len(vertices)
     cyclic: list[tuple[int, ...] | None] = [None] * n
     for k, order in doc["cyclic_order"].items():
+        if int(k) not in range(n):
+            raise NotATreeError(f"cyclic order of {k} names no vertex")
         cyclic[int(k)] = tuple(order)
     return AbstractHubbardTree(
         partition=P,

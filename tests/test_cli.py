@@ -15,12 +15,12 @@ from exptree.sequences import canonicalize
 from exptree.treebuild import check_tree_invariants, tree_from_json
 
 
-def run_verify(*options):
-    """``exptree verify`` in a fresh interpreter, stopped after 60 s."""
+def run_cli(*argv):
+    """``python -m exptree.cli`` in a fresh interpreter, stopped after 60 s."""
     path = [str(Path(exptree.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "exptree.cli", "verify", *options],
+        [sys.executable, "-m", "exptree.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -90,6 +90,13 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "true"
         assert main(["same-map", "0(1)", "0,2(1)"]) == 1
         assert capsys.readouterr().out.strip() == "false"
+
+    def test_module_exit_codes(self):
+        # The process exit code is what main returns.
+        done = run_cli("kneading", "0(1)")
+        assert (done.returncode, done.stdout) == (0, "0(1)\n"), done.stderr
+        done = run_cli("same-map", "0(1)", "0(2)")
+        assert (done.returncode, done.stdout) == (1, "false\n"), done.stderr
 
     def test_tree_json(self, capsys):
         assert main(["tree", "0(1)", "--format", "json"]) == 0
@@ -205,14 +212,14 @@ class TestCommands:
 
     def test_verify_single_base_finishes(self):
         # One base has no partner of a different map for the cross checks.
-        done = run_verify("--count", "1")
+        done = run_cli("verify", "--count", "1")
         assert done.returncode == 0, done.stderr
         assert "classification: ok" in done.stdout
 
     def test_verify_with_too_few_bases_exits_2(self):
         # Only 0(1) and 0(-1) fit these options, so no third base can be drawn.
         options = ["--entry-range", "1", "--max-preperiod", "1", "--max-period", "1"]
-        done = run_verify(*options, "--count", "3")
+        done = run_cli("verify", *options, "--count", "3")
         assert done.returncode == 2
         assert done.stdout == ""
         assert "only 2 distinct bases" in done.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from exptree.errors import (
     InternalInvariantError,
     NormalizationWarning,
     NotATreeError,
+    NotExpansiveError,
 )
 from exptree.notation import parse_address
 from exptree import treebuild
@@ -49,6 +51,13 @@ def addr(pre, per):
 
 def plain(pre, per):
     return Plain(canonicalize(pre, per))
+
+
+def raises_exactly(error, message, fn, *args):
+    """``fn(*args)`` raises ``error`` itself (not a subclass) with ``message``."""
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestVertexSet:
@@ -319,6 +328,54 @@ class TestGapBisection:
         with pytest.raises(InternalInvariantError):
             self.order(own)
 
+    def test_too_few_anchors_raise(self):
+        own = {0: self.anchors[:2], 1: (), 2: (), 3: ()}
+        raises_exactly(
+            GapAssignmentFailureError,
+            "vertex (0): 2 addresses for 3 branches",
+            self.order,
+            own,
+        )
+
+    def test_branch_spanning_gaps_raises(self):
+        own = {
+            0: self.anchors,
+            1: (addr([0], [1]), addr([], [1, 2])),
+            2: (addr([], [1, 2]),),
+            3: (addr([], [3]),),
+        }
+        raises_exactly(
+            GapAssignmentFailureError,
+            "branch through 1 at vertex (0) spans gaps [0, 1]: "
+            "address (1,2) of branch vertex (1) lies in gap 1",
+            self.order,
+            own,
+        )
+
+    def test_branch_without_address_raises(self):
+        own = {0: self.anchors, 1: (), 2: (addr([], [1, 2]),), 3: (addr([], [3]),)}
+        raises_exactly(
+            GapAssignmentFailureError,
+            "branch through 1 at vertex (0) has no realizing address",
+            self.order,
+            own,
+        )
+
+    def test_branches_sharing_a_gap_raise(self):
+        # 0(1) and 0(2) both lie between (0) and (1).
+        own = {
+            0: self.anchors,
+            1: (addr([0], [1]),),
+            2: (addr([0], [2]),),
+            3: (addr([], [3]),),
+        }
+        raises_exactly(
+            GapAssignmentFailureError,
+            "two branches at (0) share a gap",
+            self.order,
+            own,
+        )
+
     def test_build_names_a_colliding_address(self, P_b, monkeypatch):
         # The build bisects words, but names a failing address in address
         # notation: here an address of the branch vertex (0), handed to
@@ -555,6 +612,178 @@ class TestSerialization:
             '"sectors": {"0": [1], "1": [2]}, '
             '"cyclic_order": {"1": [0], "2": [0]}}'
         )
+
+
+class TestCheckGuards:
+    """One fault per guard of the check, each reaching that guard first.
+
+    On 0(0,1) the vertices are 0 ``*``, 1 ``(0)``, 2 ``0(0,1)`` (the
+    singular value), 3 ``(0,1)`` and 4 ``(1,0)``; the edges are 0-1, 0-4,
+    1-2 and 1-3.  Three guards have no such fault, as the dynamics must be
+    the shift and the sectors the first symbols.  The singular value then
+    lies in sector 0, since every base is normalized to start with 0.  Two
+    vertices with one first symbol and one image share an itinerary, so
+    no branch at the singular point folds.  A neighbor of a branch vertex
+    lies in its branch at the singular point or is the singular point,
+    whose image no other vertex has, so none collapses onto the image."""
+
+    def check(self, tree, error, message):
+        raises_exactly(error, message, check_tree_invariants, tree)
+
+    def test_shared_itinerary(self, tree_b):
+        v = list(tree_b.vertices)
+        v[2] = dataclasses.replace(v[2], itinerary=v[3].itinerary)
+        self.check(
+            dataclasses.replace(tree_b, vertices=tuple(v)),
+            NotExpansiveError,
+            "two vertices share an itinerary",
+        )
+
+    def test_singular_point_without_star(self, tree_b):
+        self.check(
+            dataclasses.replace(tree_b, singular_point=1),
+            ClosureViolationError,
+            "singular point does not carry the itinerary *nu",
+        )
+
+    def test_endpoint_off_the_orbit(self, tree_b):
+        # All four edges at the singular point leave (0) an endpoint.
+        self.check(
+            dataclasses.replace(tree_b, edges=((0, 1), (0, 2), (0, 3), (0, 4))),
+            ClosureViolationError,
+            "endpoint (0) is not on the singular orbit",
+        )
+
+    def test_singular_value_inside(self, tree_b):
+        self.check(
+            dataclasses.replace(tree_b, edges=((0, 2), (0, 4), (1, 2), (1, 3))),
+            ClosureViolationError,
+            "the singular value vertex is not an endpoint",
+        )
+
+    def test_sector_labels(self, tree_b):
+        self.check(
+            dataclasses.replace(tree_b, sectors=((0, (1, 2)), (1, (3, 4)))),
+            ClosureViolationError,
+            "sector labels disagree with first itinerary entries",
+        )
+
+    def test_branch_mixes_sectors(self, tree_b):
+        self.check(
+            dataclasses.replace(tree_b, edges=((0, 1), (1, 2), (1, 3), (1, 4))),
+            ClosureViolationError,
+            "branch at the singular point mixes sectors [0, 1]",
+        )
+
+    def test_cyclic_order_at_the_singular_point(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        doc["cyclic_order"]["0"] = [1, 4]
+        self.check(
+            tree_from_json(json.dumps(doc)),
+            ClosureViolationError,
+            "singular point must not carry a cyclic order",
+        )
+
+    def test_missing_cyclic_order(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        del doc["cyclic_order"]["2"]
+        self.check(
+            tree_from_json(json.dumps(doc)),
+            ClosureViolationError,
+            "cyclic order at vertex 0(0,1) is inconsistent",
+        )
+
+    def test_folded_branches(self):
+        # On 0(1,0,0,2), vertex 1 is (0) with neighbors (0, 4, 2, 5, 3) in
+        # cyclic order, and the branch through 0 holds (2,0,0,0).  Moving
+        # the edge 0-1 to 0-3, with the cyclic orders to match, puts the
+        # images of 3 and 5 in one branch at (0).
+        tree = build_tree(validate_base(addr([0], [1, 0, 0, 2])))
+        cyclic = list(tree.cyclic_order)
+        cyclic[1], cyclic[3] = (4, 2, 5, 3), (0, 1)
+        edges = tuple(sorted({(0, 3)} | set(tree.edges) - {(0, 1)}))
+        self.check(
+            dataclasses.replace(tree, edges=edges, cyclic_order=tuple(cyclic)),
+            ClosureViolationError,
+            "dynamics folds branches at (0)",
+        )
+
+    def test_cyclic_order_not_preserved(self):
+        tree = build_tree(validate_base(addr([0], [1, 0, 0, 2])))
+        cyclic = list(tree.cyclic_order)
+        cyclic[1] = (0, 4, 2, 3, 5)
+        self.check(
+            dataclasses.replace(tree, cyclic_order=tuple(cyclic)),
+            ClosureViolationError,
+            "dynamics does not preserve the cyclic order at (0)",
+        )
+
+    def test_stored_kneading(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        doc["kneading"] = "0(1)"
+        raises_exactly(
+            ClosureViolationError,
+            "stored kneading 0(1) disagrees with the base 0(0,1)",
+            tree_from_json,
+            json.dumps(doc),
+        )
+
+
+class TestMalformedTrees:
+    """Ids that name no vertex raise typed errors, not lookup errors."""
+
+    def test_edge_to_no_vertex(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        doc["edges"].append([0, 99])
+        raises_exactly(
+            NotATreeError,
+            "edge [0, 99] names no vertex",
+            check_tree_invariants,
+            tree_from_json(json.dumps(doc)),
+        )
+
+    @pytest.mark.parametrize("sing", [99, -1])
+    def test_singular_point_names_no_vertex(self, tree_b, sing):
+        raises_exactly(
+            NotATreeError,
+            f"singular point {sing} names no vertex",
+            check_tree_invariants,
+            dataclasses.replace(tree_b, singular_point=sing),
+        )
+
+    def test_vertex_ids_skip(self, tree_b):
+        doc = json.loads(to_json(tree_b))
+        doc["vertices"][0]["id"] = 50
+        raises_exactly(
+            NotATreeError,
+            "vertex ids are not 0..4",
+            check_tree_invariants,
+            tree_from_json(json.dumps(doc)),
+        )
+
+    @pytest.mark.parametrize("field", ["dynamics", "cyclic_order"])
+    def test_table_misses_a_vertex(self, tree_b, field):
+        short = {field: getattr(tree_b, field)[:-1]}
+        raises_exactly(
+            NotATreeError,
+            "dynamics or cyclic orders do not cover 5 vertices",
+            check_tree_invariants,
+            dataclasses.replace(tree_b, **short),
+        )
+
+    @pytest.mark.parametrize("key", ["99", "-1"])
+    def test_cyclic_order_of_no_vertex(self, tree_b, key):
+        doc = json.loads(to_json(tree_b))
+        doc["cyclic_order"][key] = [0]
+        raises_exactly(
+            NotATreeError,
+            f"cyclic order of {key} names no vertex",
+            tree_from_json,
+            json.dumps(doc),
+        )
+
+    def test_path_to_no_vertex(self, tree_b):
+        raises_exactly(NotATreeError, "no vertex 99", tree_b.path, 0, 99)
 
 
 class TestDeterminism:
