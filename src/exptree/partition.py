@@ -154,8 +154,11 @@ def validate_base(s: ExtAddress) -> Partition:
             NormalizationWarning,
             stacklevel=2,
         )
-    j0 = s.entry(1) - 1 if s.shift() < s else s.entry(1)
-    nu = _itinerary_against(s, j0, s)
+    # The kneading walk's first comparison, sigma s against s, decides
+    # j0 = s_1 - [sigma s < s]; the two differ, as s is not periodic.
+    T, S, d = words = _shift_words(s, s)
+    j0 = T[0] - (T[1 : 1 + d] < S)
+    nu = _itinerary_against(words, j0, s)
     if not isinstance(nu, Plain):
         raise InternalInvariantError(
             f"kneading of the preperiodic base {s} hit the partition boundary"
@@ -171,8 +174,12 @@ def sector_of(P: Partition, t: ExtAddress) -> SectorResult:
     return Interior(t.entry(1) - (cmp < 0) - P.offset_j0)
 
 
-def _itinerary_against(base: ExtAddress, j0: int, t: ExtAddress) -> Itinerary:
-    T, S, d = _shift_words(t, base)
+def _itinerary_against(
+    words: tuple[tuple[int, ...], tuple[int, ...], int], j0: int, t: ExtAddress
+) -> Itinerary:
+    """The itinerary of ``t``, given its :func:`_shift_words` against the
+    base and the base's ``j0``."""
+    T, S, d = words
     out: list[int] = []
     for r in range(len(t.preperiod) + len(t.period)):
         w = T[r + 1 : r + 1 + d]
@@ -195,7 +202,7 @@ def itinerary(P: Partition, t: ExtAddress) -> Itinerary:
     docstring): equal words are a boundary hit, and otherwise the entry is
     ``t_k - j0``, less one when the shift lies below the base.
     """
-    return _itinerary_against(P.base, P.offset_j0, t)
+    return _itinerary_against(_shift_words(t, P.base), P.offset_j0, t)
 
 
 def kneading(P: Partition) -> Plain:

@@ -103,7 +103,20 @@ def addresses_of_periodic(
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
-    return AddressSet(tuple(sorted(_periodic_search(P, p.seq.period, m_max))), p)
+    return AddressSet(_sorted(_periodic_search(P, p.seq.period, m_max)), p)
+
+
+def _sorted(family: Iterable[ExtAddress]) -> tuple[ExtAddress, ...]:
+    """A family realizing one itinerary in lexicographic order, sorted by
+    the heads ``pre + per``.
+
+    The addresses share one preperiod length ``r`` and one period length
+    ``p`` (:class:`AddressSet` checks it).  Two of them are decided on
+    their first ``r + p + p - gcd(p, p) = r + p`` entries (see
+    :func:`~exptree.sequences.compare_lex`), which are exactly their
+    heads; so heads, all of that one length, order as the addresses do.
+    """
+    return tuple(sorted(family, key=lambda a: a.preperiod + a.period))
 
 
 class _Realization(NamedTuple):
@@ -352,7 +365,7 @@ def addresses_of(
         if not t.seq.preperiod:
             return family
         letters = t.seq.preperiod
-    return AddressSet(tuple(sorted(_pullback(P, letters, family))), t)
+    return AddressSet(_sorted(_pullback(P, letters, family)), t)
 
 
 @dataclass(frozen=True, slots=True)

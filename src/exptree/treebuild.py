@@ -630,32 +630,77 @@ def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _json_field(obj: Any, key: str, parent: str = "") -> Any:
+    """``obj[key]``; a missing field raises :class:`NotATreeError` that
+    names it by its path in the document."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        path = f"{parent}.{key}" if parent else key
+        raise NotATreeError(f"tree JSON has no field {path}") from None
+
+
+def _json_id(key: str, parent: str) -> int:
+    """The integer that the object key ``key`` of field ``parent`` names."""
+    try:
+        return int(key)
+    except ValueError:
+        raise NotATreeError(f"tree JSON key {parent}.{key} is not an integer") from None
+
+
+def _json_vertex(v: Any, path: str) -> Vertex:
+    """The vertex stored at ``path``, with its kind checked."""
+    kind = _json_field(v, "kind", path)
+    try:
+        kind = VertexKind(kind)
+    except ValueError:
+        raise NotATreeError(
+            f"tree JSON field {path}.kind has unknown value {kind!r}"
+        ) from None
+    itin = parse_itinerary(_json_field(v, "itinerary", path))
+    return Vertex(_json_field(v, "id", path), itin, kind)
+
+
 def tree_from_json(text: str) -> AbstractHubbardTree:
-    """Rebuild a tree from its JSON form (used by round-trip checks)."""
+    """Rebuild a tree from its JSON form (used by round-trip checks).
+
+    A missing field, an object key that is not an integer and an unknown
+    vertex kind raise :class:`NotATreeError` naming the field.
+    """
     doc = json.loads(text)
-    P = validate_base(parse_address(doc["base"]))
-    if str(P.kneading) != doc["kneading"]:
+    P = validate_base(parse_address(_json_field(doc, "base")))
+    if str(P.kneading) != _json_field(doc, "kneading"):
         raise ClosureViolationError(
             f"stored kneading {doc['kneading']} disagrees with the base {doc['base']}"
         )
     vertices = tuple(
-        Vertex(v["id"], parse_itinerary(v["itinerary"]), VertexKind(v["kind"]))
-        for v in sorted(doc["vertices"], key=lambda v: v["id"])
+        sorted(
+            (
+                _json_vertex(v, f"vertices[{i}]")
+                for i, v in enumerate(_json_field(doc, "vertices"))
+            ),
+            key=lambda v: v.id,
+        )
     )
     n = len(vertices)
     cyclic: list[tuple[int, ...] | None] = [None] * n
-    for k, order in doc["cyclic_order"].items():
-        if int(k) not in range(n):
+    for k, order in _json_field(doc, "cyclic_order").items():
+        i = _json_id(k, "cyclic_order")
+        if i not in range(n):
             raise NotATreeError(f"cyclic order of {k} names no vertex")
-        cyclic[int(k)] = tuple(order)
+        cyclic[i] = tuple(order)
+    dynamics = _json_field(doc, "dynamics")
     return AbstractHubbardTree(
         partition=P,
         vertices=vertices,
-        edges=tuple(sorted(tuple(sorted(e)) for e in doc["edges"])),
-        dynamics=tuple(doc["dynamics"][str(i)] for i in range(n)),
-        singular_point=doc["singular_point"],
+        edges=tuple(sorted(tuple(sorted(e)) for e in _json_field(doc, "edges"))),
+        dynamics=tuple(_json_field(dynamics, str(i), "dynamics") for i in range(n)),
+        singular_point=_json_field(doc, "singular_point"),
         sectors=tuple(
-            sorted((int(k), tuple(sorted(v))) for k, v in doc["sectors"].items())
+            sorted(
+                (_json_id(k, "sectors"), tuple(sorted(v)))
+                for k, v in _json_field(doc, "sectors").items()
+            )
         ),
         cyclic_order=tuple(cyclic),
     )

@@ -9,14 +9,17 @@ only itinerary starting with the star is ``*nu`` itself.
 
 The stream of majority votes assembles the middle point of the triple:
 the branch point if the triple is branched, the middle member if it is
-linear.  One triod map on integer itinerary ids (:class:`_TriodMap`)
-computes every middle point, for :func:`middle_point` and for the tree
-build, and keeps middle points as ids: a vote is prepended to an id
-through a ``(first symbol, shift id) -> id`` table, and an itinerary is
-built only when the table has no entry yet.  :func:`triod_step` and
-:func:`majority_vote` are the reference it agrees with.  The
-address-level map does the same bookkeeping through partition sectors
-and is semi-conjugate to the itinerary-level map.
+linear.  A triple whose first symbols are pairwise distinct is the stop
+case at once, with middle point ``*nu``, and :func:`middle_point` answers
+it without a map.  One triod map on integer itinerary ids
+(:class:`_TriodMap`) computes every other middle point, for
+:func:`middle_point` and for the tree build, and keeps middle points as
+ids: a vote is prepended to an id through a ``(first symbol, shift id)
+-> id`` table, and an itinerary is built only when the table has no
+entry yet.  :func:`triod_step` and :func:`majority_vote` are the
+reference it agrees with.  The address-level map does the same
+bookkeeping through partition sectors and is semi-conjugate to the
+itinerary-level map.
 """
 
 from __future__ import annotations
@@ -290,9 +293,14 @@ def middle_point(T: Triod) -> Itinerary:
     stream is eventually periodic: every member of an iterated triod is a
     shift of one of the inputs or of the kneading sequence, so the
     iteration revisits a state, at which point the votes split into
-    preperiod and period.  Each call runs the map on a fresh
+    preperiod and period.  Members with pairwise distinct first symbols
+    are the stop case before any vote, so the result is ``*nu`` and no
+    map is needed; every other call runs the map on a fresh
     :class:`_TriodMap`.
     """
+    t, u, v = T.members
+    if len({t.first_symbol(), u.first_symbol(), v.first_symbol()}) == 3:
+        return PreSingular(())
     m = _TriodMap(T.partition)
     return m.its[m.middle(*map(m.id, T.members))]
 

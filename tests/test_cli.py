@@ -173,6 +173,12 @@ class TestCommands:
         rc = main(["triod", "--base", "0(0,1)", "(0,1)", "(1,0)", "(0,0,1)"])
         assert rc == 0 and len(walks) == 1
         assert capsys.readouterr().out == "middle: (0)\nshape: branched\n"
+        # Itineraries 0(1), (1) and 2(1) start with three different
+        # symbols: the stop case, answered without a map.
+        walks.clear()
+        rc = main(["triod", "--base", "0(1)", "0(1)", "(1)", "2(1)"])
+        assert rc == 0 and walks == []
+        assert capsys.readouterr().out == "middle: *\nshape: presingular-branched\n"
 
     @pytest.mark.parametrize(
         "args, code, out",

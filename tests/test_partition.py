@@ -24,6 +24,7 @@ from exptree.treebuild import omega_plus
 
 from fine_wilf import extremal_tails
 from oracles import base_offset, itinerary_entries, sector_index, seq_compare, shift_raw
+from wide import wide_bases
 
 
 def addr(pre, per):
@@ -88,6 +89,19 @@ class TestValidateBase:
                 continue
             P = validate_base(s)
             assert P.offset_j0 == base_offset(s.preperiod, s.period)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wide_bases())
+    def test_j0_is_its_definition(self, s):
+        # j0 = s_1 - [sigma s < s], read off the kneading walk's first
+        # comparison; a leading entry other than 0 warns.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = validate_base(s)
+        assert P.offset_j0 == s.entry(1) - (s.shift() < s)
+        assert P.kneading.seq.entry(1) == 0
+        want = [NormalizationWarning] if s.entry(1) else []
+        assert [w.category for w in caught] == want
 
     def test_kneading_first_entry_zero(self):
         with pytest.warns(NormalizationWarning):

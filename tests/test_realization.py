@@ -21,7 +21,7 @@ from exptree.realization import (
     addresses_of_periodic,
     separating_addresses,
 )
-from exptree.sequences import canonicalize, cyclic_between
+from exptree.sequences import Ordering, canonicalize, compare_lex, cyclic_between
 from exptree import treebuild
 from exptree.treebuild import build_tree
 from exptree import triods
@@ -35,6 +35,7 @@ from exptree.triods import (
 from exptree.verify import _random_address_triod
 
 from oracles import epsilon_search, itinerary_entries, oracle_m_limit
+from wide import entries, wide_partitions
 
 
 def addr(pre, per):
@@ -233,6 +234,41 @@ class TestPullback:
             # w.nu: the base is nu's only realization, and the filter
             # drops it before the first letter of w.
             assert got == ()
+
+
+@st.composite
+def wide_families(draw):
+    """A wide base and a periodic, preperiodic or pre-singular itinerary
+    over it, the first two those of drawn addresses, the last with a
+    range of sheets."""
+    P = draw(wide_partitions())
+    kind = draw(st.sampled_from(["periodic", "preperiodic", "pre-singular"]))
+    if kind == "pre-singular":
+        lo = draw(st.integers(-8, 8))
+        sheets = range(lo, lo + draw(st.integers(1, 6)))
+        return P, PreSingular(tuple(draw(st.lists(entries, max_size=3)))), sheets
+    a = canonicalize(
+        draw(st.lists(entries, max_size=3)), draw(st.lists(entries, min_size=1, max_size=4))
+    )
+    t = itinerary(P, a)
+    assume(isinstance(t, Plain))
+    if kind == "periodic":
+        return P, Plain(canonicalize((), t.seq.period)), None
+    assume(t.seq.preperiod)
+    return P, t, None
+
+
+class TestFamilyOrder:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(wide_families())
+    def test_strictly_increasing(self, drawn):
+        # Families are sorted by their heads pre + per; that is the
+        # lexicographic order of the addresses.
+        P, t, sheets = drawn
+        family = addresses_of(P, t, m_range=sheets).addresses
+        assert family, f"{P.base}: {t}"
+        for a, b in zip(family, family[1:]):
+            assert compare_lex(a, b) is Ordering.LT, f"{P.base}: {t}"
 
 
 def cuts(P, word):
@@ -535,11 +571,14 @@ class TestSeparating:
 
     def test_one_triod_walk_per_call(self, P_a, P_b, monkeypatch):
         # The shape is read off the middle point already computed, so a
-        # call runs the triod map once and agrees with classify.
+        # call runs the triod map at most once and agrees with classify.
+        # Members whose first symbols all differ are the stop case, which
+        # needs no map.  Cases are (triod, maps built); the itineraries
+        # start 0,0,1 / 0,1,2 / 0,0,1.
         cases = [
-            AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b),
-            AddressTriod((P_a.base, addr([], [1]), addr([2], [1])), P_a),
-            AddressTriod((addr([], [0, 0, 1]), addr([], [0, 1]), addr([], [1, 0])), P_b),
+            (AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b), 1),
+            (AddressTriod((P_a.base, addr([], [1]), addr([2], [1])), P_a), 0),
+            (AddressTriod((addr([], [0, 0, 1]), addr([], [0, 1]), addr([], [1, 0])), P_b), 1),
         ]
         walks = []
 
@@ -548,13 +587,13 @@ class TestSeparating:
                 walks.append(P)
                 super().__init__(P)
 
-        for A in cases:
+        for A, maps in cases:
             want = classify(to_itinerary_triod(A))
             with monkeypatch.context() as m:
                 m.setattr(triods, "_TriodMap", CountingMap)
                 walks.clear()
                 shape, _ = separating_addresses(A.partition, A)
-            assert len(walks) == 1
+            assert len(walks) == maps
             assert shape == want
 
     def test_stop_stage_after_one_step_per_vote(self, acceptance_corpus):

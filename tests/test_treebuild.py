@@ -782,6 +782,29 @@ class TestMalformedTrees:
             json.dumps(doc),
         )
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["dynamics"].pop("4"), "tree JSON has no field dynamics.4"),
+            (
+                lambda d: d["cyclic_order"].update(x=[0]),
+                "tree JSON key cyclic_order.x is not an integer",
+            ),
+            (lambda d: d["sectors"].update(a=[0]), "tree JSON key sectors.a is not an integer"),
+            (lambda d: d["vertices"][2].pop("kind"), "tree JSON has no field vertices[2].kind"),
+            (lambda d: d.pop("edges"), "tree JSON has no field edges"),
+            (
+                lambda d: d["vertices"][1].update(kind="leaf"),
+                "tree JSON field vertices[1].kind has unknown value 'leaf'",
+            ),
+        ],
+        ids=["dynamics entry", "cyclic-order key", "sector key", "kind", "edges", "kind value"],
+    )
+    def test_malformed_json(self, tree_b, mutate, message):
+        doc = json.loads(to_json(tree_b))
+        mutate(doc)
+        raises_exactly(NotATreeError, message, tree_from_json, json.dumps(doc))
+
     def test_path_to_no_vertex(self, tree_b):
         raises_exactly(NotATreeError, "no vertex 99", tree_b.path, 0, 99)
 

@@ -3,6 +3,7 @@ import warnings
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exptree.errors import (
     ExptreeError,
@@ -17,7 +18,6 @@ from exptree.partition import (
     PreSingular,
     is_in_S_nu,
     itinerary,
-    itinerary_entry,
     validate_base,
 )
 from exptree.sequences import canonicalize
@@ -35,6 +35,8 @@ from exptree.triods import (
 )
 from exptree.verify import random_external_address
 
+from wide import entries, wide_partitions
+
 
 def addr(pre, per):
     return canonicalize(pre, per)
@@ -42,6 +44,48 @@ def addr(pre, per):
 
 def plain(pre, per):
     return Plain(canonicalize(pre, per))
+
+
+def reference_middle_point(T):
+    """The middle point from the reference :func:`triod_step` and
+    :func:`majority_vote`: the votes up to the stop case, or up to the
+    first triod that repeats, whose votes from then on are the period."""
+    seen, votes, cur = {}, [], T
+    while (nxt := triod_step(cur)) is not None:
+        if cur.members in seen:
+            i = seen[cur.members]
+            return Plain(canonicalize(votes[:i], votes[i:]))
+        seen[cur.members] = len(votes)
+        votes.append(majority_vote(cur))
+        cur = nxt
+    return PreSingular(tuple(votes))
+
+
+@st.composite
+def wide_triods(draw):
+    """A triod over a wide base.  Members are itineraries of addresses in
+    or next to the sheets ``j0 .. j0+2``, pre-singular words (``*nu``
+    among them) and words before a shift of the kneading sequence, with
+    letters 0 and 1, so that first symbols often agree and the map runs."""
+    P = draw(wide_partitions())
+    letters = st.lists(st.integers(0, 1), max_size=3)
+
+    def member():
+        kind = draw(st.sampled_from(["address", "pre-singular", "nu"]))
+        if kind == "address":
+            lead = P.offset_j0 + draw(st.integers(0, 2))
+            pre = [lead] + draw(st.lists(entries, max_size=2))
+            per = draw(st.lists(entries, min_size=1, max_size=4))
+            return itinerary(P, canonicalize(pre, per))
+        w = draw(letters)
+        if kind == "pre-singular":
+            return PreSingular(tuple(w))
+        tail = draw(st.sampled_from(P.kneading.seq.shifts()))
+        return Plain(canonicalize(w + list(tail.preperiod), tail.period))
+
+    members = (member(), member(), member())
+    assume(len(set(members)) == 3)
+    return Triod(members, P)
 
 
 class TestStep:
@@ -127,22 +171,23 @@ class TestMiddlePoint:
                     members.add(it)
             members = tuple(members)
             presingular_members += sum(isinstance(m, PreSingular) for m in members)
-            votes = []
-            cur = Triod(members, P)
-            while cur is not None and len(votes) < 30:
-                nxt = triod_step(cur)
-                if nxt is not None:
-                    votes.append(majority_vote(cur))
-                cur = nxt
             b = middle_point(Triod(members, P))
-            if cur is None:
-                stops += 1
-                assert b == PreSingular(tuple(votes))
-            else:
-                assert [itinerary_entry(P, b, i) for i in range(1, 31)] == votes
+            assert b == reference_middle_point(Triod(members, P))
+            stops += isinstance(b, PreSingular)
             for perm in permutations(members):
                 assert middle_point(Triod(perm, P)) == b
         assert stops and presingular_members
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wide_triods())
+    def test_matches_reference_on_wide_bases(self, T):
+        try:
+            want = reference_middle_point(T)
+        except NotDistinctError:
+            with pytest.raises(NotDistinctError):
+                middle_point(T)
+            return
+        assert middle_point(T) == want
 
     def test_step_to_equal_members_raises(self, P_a):
         # 1,0(1) shifts onto the kneading sequence 0(1), which also
