@@ -12,10 +12,8 @@ of the matrix's graph (on a reducible matrix the whole-matrix bracket
 need not close); each class radius is certified by the Collatz-Wielandt
 bracket of power iteration on ``(A_C + I)^2``, in pure Python on sparse
 integer rows, closed to relative width ``1e-3 * tol``.
-``spectral_radius_exact`` is the reference.
-
-numpy is imported only by ``transition_matrix``, ``row_map`` and, with
-sympy, by the exact fallback of ``core_entropy``.
+``spectral_radius_exact``, exact integer bisection, is the reference.
+Only ``transition_matrix``, which returns an ndarray, imports numpy.
 """
 
 from __future__ import annotations
@@ -140,12 +138,15 @@ class TransitionMatrix:
 
     def row_map(self) -> dict[tuple[int, int], set[tuple[int, int]]]:
         """Edge-to-covered-edges view, independent of row order."""
-        import numpy as np
+        edges = self.edges
+        return {e: {f for f, a in zip(edges, row) if a} for e, row in zip(edges, self.matrix)}
 
-        out = {}
-        for i, e in enumerate(self.edges):
-            out[e] = {self.edges[j] for j in np.nonzero(self.matrix[i])[0]}
-        return out
+
+def _edge_rows(T: AbstractHubbardTree) -> list[list[int]]:
+    """Row ``i``: the edges on the path between the images of edge ``i``'s ends."""
+    index = {e: i for i, (a, b) in enumerate(T.edges) for e in ((a, b), (b, a))}
+    paths = (T.path(T.dynamics[u], T.dynamics[v]) for u, v in T.edges)
+    return [[index[e] for e in zip(p, p[1:])] for p in paths]
 
 
 def transition_matrix(T: AbstractHubbardTree) -> TransitionMatrix:
@@ -157,14 +158,11 @@ def transition_matrix(T: AbstractHubbardTree) -> TransitionMatrix:
     """
     import numpy as np
 
-    edges = T.edges
-    index = {frozenset(e): i for i, e in enumerate(edges)}
-    mat = np.zeros((len(edges), len(edges)), dtype=np.int64)
-    for i, (u, v) in enumerate(edges):
-        path = T.path(T.dynamics[u], T.dynamics[v])
-        for a, b in zip(path, path[1:]):
-            mat[i, index[frozenset((a, b))]] = 1
-    return TransitionMatrix(mat, edges)
+    rows = _edge_rows(T)
+    mat = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        mat[i, row] = 1
+    return TransitionMatrix(mat, T.edges)
 
 
 def spectral_radius_power(
@@ -174,7 +172,7 @@ def spectral_radius_power(
 ) -> float:
     """Spectral radius of a nonnegative integer matrix, certified per class.
 
-    ``A`` (an ndarray or rows; other entries raise ``ValueError``) becomes
+    ``A`` (an ndarray or square rows; other input raises ``ValueError``) becomes
     sparse rows, row ``i`` listing column ``j`` ``A[i, j]`` times.  The radius
     is the largest over the blocks ``A_C`` of the strongly connected classes
     (0 for a zero block).  ``B = A_C + I`` is primitive: power iteration on
@@ -187,8 +185,8 @@ def spectral_radius_power(
     A class needing more than ``max_iter`` applications of ``B`` raises
     :class:`ConvergenceFailureError`.
     """
-    if any(a < 0 or a != int(a) for row in A for a in row):
-        raise ValueError("matrix entries must be nonnegative integers")
+    if any(len(row) != len(A) or any(a < 0 or a != int(a) for a in row) for row in A):
+        raise ValueError("matrix must be square and its entries nonnegative integers")
     rows = [[j for j, a in enumerate(row) for _ in range(int(a))] for row in A]
     return _radius(rows, tol, max_iter)
 
@@ -261,25 +259,35 @@ def _classes(rows: list[list[int]]) -> list[list[int]]:
     return classes[:-1]  # the virtual root's class comes last
 
 
-def spectral_radius_exact(A: np.ndarray) -> float:
-    """Spectral radius via the characteristic polynomial.
+def spectral_radius_exact(A: np.ndarray | Sequence[Sequence[int]]) -> float:
+    """Spectral radius of a nonnegative integer matrix ``A``, as for
+    :func:`spectral_radius_power`, by exact integer bisection.  For ``A >= 0``,
+    reducible or not, ``x > rho(A)`` iff ``xI - A`` is a nonsingular M-matrix,
+    iff every leading principal minor of ``xI - A`` is positive (Fiedler & Ptak
+    1962; Berman & Plemmons, ch. 6); at ``x = p/2^64``, iff every fraction-free
+    (Bareiss) pivot of ``pI - 2^64 A`` is.  A nonzero radius lies in ``[1, R]``,
+    ``R`` the largest row sum, so it is 0 if ``x = 1/2`` passes; else ``p`` is
+    bisected over ``[2^63, (R + 1) 2^64]`` to width 1 and the midpoint rounded."""
+    if any(len(row) != len(A) or any(a < 0 or a != int(a) for a in row) for row in A):
+        raise ValueError("matrix must be square and its entries nonnegative integers")
+    A = [[int(a) << 64 for a in row] for row in A]
 
-    The matrix is a nonnegative integer matrix, so its spectral radius is
-    its largest real eigenvalue; the roots are isolated exactly with
-    sympy and evaluated to high precision.
-    """
-    import sympy
+    def above(p: int) -> bool:  # every leading principal minor of pI - A > 0?
+        M, prev = [[p * (i == j) - a for j, a in enumerate(row)] for i, row in enumerate(A)], 1
+        while M:  # Bareiss: eliminate the first row and column, pivot d
+            (d, *top), *M = M
+            if d <= 0:
+                return False
+            M, prev = [[(d * a - r[0] * b) // prev for a, b in zip(r[1:], top)] for r in M], d
+        return True
 
-    n = A.shape[0]
-    if n == 0:
+    lo, hi = 1 << 63, max(map(sum, A), default=0) + (1 << 64)
+    if above(lo):
         return 0.0
-    M = sympy.Matrix(A.tolist())
-    lam = sympy.symbols("lam")
-    poly = M.charpoly(lam)
-    roots = sympy.real_roots(poly.as_expr(), lam)
-    if not roots:
-        return 0.0
-    return float(max(sympy.Float(r.evalf(30)) for r in roots))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return (lo + hi) / (1 << 65)
 
 
 def core_entropy(
@@ -292,18 +300,16 @@ def core_entropy(
 
     The rows, edge indices along ``T.path``, go to the certified bracket
     of :func:`spectral_radius_power`.  If that hits its iteration cap on a
-    small enough matrix, exact root isolation on :func:`transition_matrix`
-    decides.  A spectral radius at most 1 yields entropy 0.
+    small enough matrix, :func:`spectral_radius_exact` on the same rows,
+    made dense, decides.  A spectral radius at most 1 yields entropy 0.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
-    index = {e: i for i, (a, b) in enumerate(T.edges) for e in ((a, b), (b, a))}
-    paths = (T.path(T.dynamics[u], T.dynamics[v]) for u, v in T.edges)
-    rows = [[index[e] for e in zip(p, p[1:])] for p in paths]
+    rows = _edge_rows(T)
     try:
         rho = _radius(rows, tol, max_iter)
     except ConvergenceFailureError:
         if len(rows) > exact_size_limit:
             raise
-        rho = spectral_radius_exact(transition_matrix(T).matrix)
+        rho = spectral_radius_exact([[int(j in r) for j in range(len(rows))] for r in rows])
     return math.log(rho) if rho > 1.0 else 0.0

@@ -114,7 +114,7 @@ class InternalInvariantError(ExptreeError):
 
 
 class ConvergenceFailureError(ExptreeError):
-    """Neither the iterative nor the exact spectral-radius method stabilized."""
+    """Power iteration hit its step cap on a matrix too large for the exact radius."""
 
 
 class ParseError(ExptreeError):

@@ -630,14 +630,17 @@ def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def _json_field(obj: Any, key: str, parent: str = "") -> Any:
-    """``obj[key]``; a missing field raises :class:`NotATreeError` that
-    names it by its path in the document."""
+def _json_field(obj: Any, key: str | int, parent: str = "", kind: type = object) -> Any:
+    """``obj[key]``; a missing field, or one that is not a ``kind``, raises
+    :class:`NotATreeError` that names it by its path in the document."""
+    path = f"{parent}[{key}]" if isinstance(key, int) else f"{parent}.{key}".lstrip(".")
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError):
-        path = f"{parent}.{key}" if parent else key
         raise NotATreeError(f"tree JSON has no field {path}") from None
+    if not isinstance(value, kind):
+        raise NotATreeError(f"tree JSON field {path} is not of type {kind.__name__}")
+    return value
 
 
 def _json_id(key: str, parent: str) -> int:
@@ -658,14 +661,14 @@ def _json_vertex(v: Any, path: str) -> Vertex:
             f"tree JSON field {path}.kind has unknown value {kind!r}"
         ) from None
     itin = parse_itinerary(_json_field(v, "itinerary", path))
-    return Vertex(_json_field(v, "id", path), itin, kind)
+    return Vertex(_json_field(v, "id", path, int), itin, kind)
 
 
 def tree_from_json(text: str) -> AbstractHubbardTree:
     """Rebuild a tree from its JSON form (used by round-trip checks).
 
-    A missing field, an object key that is not an integer and an unknown
-    vertex kind raise :class:`NotATreeError` naming the field.
+    A missing or mistyped field, an object key that is not an integer and
+    an unknown vertex kind raise :class:`NotATreeError` naming the field.
     """
     doc = json.loads(text)
     P = validate_base(parse_address(_json_field(doc, "base")))
@@ -684,22 +687,23 @@ def tree_from_json(text: str) -> AbstractHubbardTree:
     )
     n = len(vertices)
     cyclic: list[tuple[int, ...] | None] = [None] * n
-    for k, order in _json_field(doc, "cyclic_order").items():
+    for k, order in _json_field(doc, "cyclic_order", kind=dict).items():
         i = _json_id(k, "cyclic_order")
         if i not in range(n):
             raise NotATreeError(f"cyclic order of {k} names no vertex")
         cyclic[i] = tuple(order)
-    dynamics = _json_field(doc, "dynamics")
+    dynamics, edges = _json_field(doc, "dynamics"), _json_field(doc, "edges", kind=list)
+    pairs = (tuple(sorted(_json_field(edges, i, "edges", list))) for i in range(len(edges)))
     return AbstractHubbardTree(
         partition=P,
         vertices=vertices,
-        edges=tuple(sorted(tuple(sorted(e)) for e in _json_field(doc, "edges"))),
+        edges=tuple(sorted(pairs)),
         dynamics=tuple(_json_field(dynamics, str(i), "dynamics") for i in range(n)),
         singular_point=_json_field(doc, "singular_point"),
         sectors=tuple(
             sorted(
                 (_json_id(k, "sectors"), tuple(sorted(v)))
-                for k, v in _json_field(doc, "sectors").items()
+                for k, v in _json_field(doc, "sectors", kind=dict).items()
             )
         ),
         cyclic_order=tuple(cyclic),

@@ -72,8 +72,6 @@ def test_criterion_1_golden_example_a():
 
 
 def test_criterion_2_golden_example_b():
-    import sympy  # noqa: F401  (one-time interpreter import, outside the timing)
-
     t0 = time.perf_counter()
     P = validate_base(addr([0], [0, 1]))
     assert P.kneading == plain([0], [0, 1])

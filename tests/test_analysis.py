@@ -31,6 +31,23 @@ def addr(pre, per):
     return canonicalize(pre, per)
 
 
+def sympy_spectral_radius(A):
+    """Reference radius: the largest real root of the characteristic
+    polynomial, isolated exactly by sympy and evaluated to 30 digits."""
+    import sympy
+
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    M = sympy.Matrix(A.tolist())
+    lam = sympy.symbols("lam")
+    poly = M.charpoly(lam)
+    roots = sympy.real_roots(poly.as_expr(), lam)
+    if not roots:
+        return 0.0
+    return float(max(sympy.Float(r.evalf(30)) for r in roots))
+
+
 def plain(pre, per):
     return Plain(canonicalize(pre, per))
 
@@ -274,7 +291,7 @@ class TestEntropy:
         calls = []
 
         def exact(A):
-            calls.append(A.shape)
+            calls.append(np.shape(A))
             return spectral_radius_exact(A)
 
         monkeypatch.setattr(analysis, "spectral_radius_exact", exact)
@@ -300,6 +317,46 @@ class TestEntropy:
         # NaN fails every comparison, so it would never meet the stop rule.
         with pytest.raises(ValueError, match="positive"):
             core_entropy(tree_a, tol=float("nan"))
+
+
+class TestExactRadius:
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([], 0.0),
+            ([[0, 0], [0, 0]], 0.0),
+            ([[0, 1, 1], [0, 0, 1], [0, 0, 0]], 0.0),  # nilpotent
+            ([[1, 1], [0, 1]], 1.0),  # Jordan block
+            # Two equal classes: a repeated Perron root.
+            ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 2.0),
+            ([[7] * 12] * 12, 84.0),
+        ],
+    )
+    def test_hand_matrices(self, rows, want):
+        assert spectral_radius_exact(rows) == want
+        n = len(rows)
+        assert spectral_radius_exact(np.array(rows, dtype=np.int64).reshape(n, n)) == want
+
+    @pytest.mark.parametrize("bad", [[[0.5]], [[-1]], [[1, 2]], [[1], [1, 1]]])
+    def test_takes_square_nonnegative_integer_matrices_only(self, bad):
+        for radius in (spectral_radius_exact, spectral_radius_power):
+            with pytest.raises(ValueError, match="square and its entries nonnegative integers"):
+                radius(bad)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(small_matrices())
+    def test_agrees_with_sympy_on_random_matrices(self, A):
+        assert abs(spectral_radius_exact(A) - sympy_spectral_radius(A)) < 1e-12
+
+    def test_agrees_with_sympy_on_acceptance_matrices(self, acceptance_corpus):
+        checked = 0
+        for tree in acceptance_corpus.trees:
+            if len(tree.edges) > 12:
+                continue
+            A = transition_matrix(tree).matrix
+            assert abs(spectral_radius_exact(A) - sympy_spectral_radius(A)) < 1e-12
+            checked += 1
+        assert checked
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -338,6 +395,22 @@ class TestLazyNumpy:
             "assert abs(ex.core_entropy(tree) - 0.4196) < 1e-3\n"
             "loaded = {'numpy', 'sympy'} & set(sys.modules)\n"
             "assert not loaded, f'{sorted(loaded)} imported'\n"
+        )
+        run = _fresh_interpreter(code)
+        assert run.returncode == 0, run.stderr
+
+    def test_runs_with_numpy_and_sympy_missing(self):
+        # A None entry in sys.modules makes any import of that name fail.
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = sys.modules['sympy'] = None\n"
+            "import exptree as ex\n"
+            "from exptree.cli import main\n"
+            "assert main(['tree', '0(0,1)']) == 0\n"
+            "assert main(['entropy', '0(0,1)']) == 0\n"
+            "assert main(['verify', '--count', '5', '--seed', '1']) == 0\n"
+            "tree = ex.build_tree(ex.validate_base(ex.address('0(0,1)')))\n"
+            "assert abs(ex.core_entropy(tree, max_iter=1) - 0.419617625) < 1e-9\n"
         )
         run = _fresh_interpreter(code)
         assert run.returncode == 0, run.stderr

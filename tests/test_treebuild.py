@@ -805,6 +805,27 @@ class TestMalformedTrees:
         mutate(doc)
         raises_exactly(NotATreeError, message, tree_from_json, json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(sectors=[]), "tree JSON field sectors is not of type dict"),
+            (
+                lambda d: d.update(cyclic_order=[[0]]),
+                "tree JSON field cyclic_order is not of type dict",
+            ),
+            (lambda d: d["edges"].__setitem__(1, 3), "tree JSON field edges[1] is not of type list"),
+            (
+                lambda d: d["vertices"][1].update(id="1"),
+                "tree JSON field vertices[1].id is not of type int",
+            ),
+        ],
+        ids=["sectors", "cyclic order", "edge", "vertex id"],
+    )
+    def test_mistyped_json(self, tree_b, mutate, message):
+        doc = json.loads(to_json(tree_b))
+        mutate(doc)
+        raises_exactly(NotATreeError, message, tree_from_json, json.dumps(doc))
+
     def test_path_to_no_vertex(self, tree_b):
         raises_exactly(NotATreeError, "no vertex 99", tree_b.path, 0, 99)
 
