@@ -78,7 +78,7 @@ class PreSingular:
         return self.prefix[0] if self.prefix else STAR
 
     def __str__(self) -> str:
-        return ",".join([str(k) for k in self.prefix] + [STAR])
+        return ",".join([*map(str, self.prefix), STAR])
 
 
 Itinerary = Union[Plain, PreSingular]

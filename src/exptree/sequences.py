@@ -124,8 +124,8 @@ class ExtAddress:
         return _compare(self, other) >= 0
 
     def __str__(self) -> str:
-        pre = ",".join(str(k) for k in self.preperiod)
-        per = ",".join(str(k) for k in self.period)
+        pre = ",".join(map(str, self.preperiod))
+        per = ",".join(map(str, self.period))
         return f"{pre}({per})" if pre else f"({per})"
 
     def __repr__(self) -> str:

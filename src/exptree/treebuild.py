@@ -23,16 +23,18 @@ between ``*nu`` or a vertex of sector ``s`` and a vertex of sector
 triple of sector ``s``, which starts with ``s``.
 
 One triod map per build walks the star triples of the orbit and then
-those of the vertex set.  It keeps middle points as integer ids, so the
-closure pass compares ids: it builds an itinerary only when a walk
-closes a new cycle of states or meets a middle point not seen before,
-and the latter is a closure violation.  That pass yields the one vertex
-table the build reads: the ids of the vertices' shifts are the dynamics,
-the sectors label the branches at ``*nu``, and the edges are the pairs
-inside one ``V_s + {*nu}`` with nothing in between.  At every other
-vertex of degree at least three, pre-singular or not, the realizing
-external addresses of the vertex split the circle at infinity into gaps,
-one per branch, which yields the cyclic order of the branches.  All of
+those of the vertex set.  It works on integer ids of canonical keys, so
+the orbit is read off its shift table, the vertices are sorted by words
+of their keys, membership in ``S_nu`` is decided on ids and the closure
+pass compares ids; a middle point not seen before is a closure
+violation.  An itinerary is built once per vertex, for the tree.  That
+pass yields the one vertex table the build reads: the ids of the
+vertices' shifts are the dynamics, the sectors label the branches at
+``*nu``, and the edges are the pairs inside one ``V_s + {*nu}`` with
+nothing in between.  At every other vertex of degree at least three,
+pre-singular or not, the realizing external addresses of the vertex
+split the circle at infinity into gaps, one per branch, which yields the
+cyclic order of the branches.  All of
 them are realized on one position automaton per build: the periodic
 cycles from its cycles, one per cycle, ``*nu`` from the sheets, and
 every other vertex from its image's by table lookups.  They are bisected
@@ -61,7 +63,6 @@ from .partition import (
     Partition,
     Plain,
     PreSingular,
-    is_in_S_nu,
     shift_itinerary,
     validate_base,
 )
@@ -180,22 +181,6 @@ def omega_plus(P: Partition) -> list[Itinerary]:
     return [PreSingular(())] + [Plain(x) for x in P.kneading.seq.shifts()]
 
 
-def _sort_itineraries(items: list[Itinerary]) -> list[Itinerary]:
-    """Deterministic vertex order: pre-singular first (by prefix), then
-    plain itineraries lexicographically, as words of one length that
-    orders them (:func:`~exptree.sequences._word_length`)."""
-    seqs = [it.seq for it in items if isinstance(it, Plain)]
-    L = _word_length(
-        max((len(a.preperiod) for a in seqs), default=0), (len(a.period) for a in seqs)
-    )
-    return sorted(
-        items,
-        key=lambda it: (
-            (1, _word(it.seq, L)) if isinstance(it, Plain) else (0, it.prefix)
-        ),
-    )
-
-
 def vertex_set(P: Partition) -> list[Itinerary]:
     """The formal vertex set: the singular orbit plus all middle points
     of its triods, sorted deterministically (pre-singular first).
@@ -237,25 +222,49 @@ def _vertex_set(P: Partition) -> tuple:
 
     One triod map serves the orbit's star triples and the closure pass
     over the vertices' star triples, so the states solved for the orbit
-    are looked up, not solved again.  The orbit holds ``*nu``, so its
-    star triples have the same middle points as all its triples; a
-    triple outside the star triples has middle point ``*nu`` or that of
-    a star triple, so closure on the star triples is closure on all.
-    Checks closure under the shift and under triods.
+    are looked up, not solved again.  It walks the orbit through its
+    shift table, the vertices are sorted by words of their keys, and a
+    plain vertex is a formal point unless its shift ids reach the id of
+    ``nu`` (:meth:`~exptree.triods._TriodMap.formal`); the vertices are
+    checked in their sorted order, so the first violation raises.  The
+    orbit holds ``*nu``, so its star triples have the same middle points
+    as all its triples; a triple outside the star triples has middle
+    point ``*nu`` or that of a star triple, so closure on the star
+    triples is closure on all.  Checks closure under the shift and under
+    triods.
     """
     triods = _TriodMap(P)
-    orbit_ids = [triods.id(it) for it in omega_plus(P)]
+    keys, shift = triods.keys, triods._shift
+    # The orbit *nu, nu, sigma nu, ... through the shift table.
+    orbit_ids = [triods.key_id(((),)), triods.nu]
+    while (v := shift(orbit_ids[-1])) not in orbit_ids:
+        orbit_ids.append(v)
     star = orbit_ids[0]
     vids = set(orbit_ids)
     orbit_sectors = _sectors(orbit_ids, triods.firsts, star)
     vids.update(triods.middle(*tri) for tri in _star_tuples(orbit_sectors, star, 3))
-    its = _sort_itineraries([triods.its[v] for v in vids])
-    ids = [triods.id(it) for it in its]
+    # Pre-singular vertices first (by prefix), then plain ones in
+    # lexicographic order, as words (:func:`_word`) of one length that
+    # orders them.
+    plain = [keys[v] for v in vids if len(keys[v]) == 2]
+    L = _word_length(
+        max((len(pre) for pre, _ in plain), default=0), (len(per) for _, per in plain)
+    )
+
+    def order(v: int) -> tuple:
+        key = keys[v]
+        if len(key) == 1:
+            return (0, key[0])
+        pre, per = key
+        return (1, (pre + per * (L // len(per) + 1))[:L])
+
+    ids = sorted(vids, key=order)
+    its = [triods.itinerary(v) for v in ids]
     index = {v: i for i, v in enumerate(ids)}
     for it, v in zip(its, ids):
-        if not is_in_S_nu(P, it):
+        if not triods.formal(v):
             raise ClosureViolationError(f"vertex {it} is not a formal point")
-        if triods._shift(v) not in index:
+        if shift(v) not in index:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
     dynamics = [index[triods.shifts[v]] for v in ids]
     firsts = [triods.firsts[v] for v in ids]
@@ -263,12 +272,13 @@ def _vertex_set(P: Partition) -> tuple:
     sectors = _sectors(range(len(its)), firsts, sing)
     middles: dict[tuple[int, ...], int] = {}
     for tri in _star_tuples(sectors, sing, 3):
-        m = triods.middle(*(ids[i] for i in tri))
+        x, y, z = tri
+        m = triods.middle(ids[x], ids[y], ids[z])
         b = middles[tri] = index.get(m, -1)
         if b < 0:
             msg = (
                 f"vertex set not closed under triods: "
-                f"b{tuple(its[i] for i in tri)} = {triods.its[m]}"
+                f"b{tuple(its[i] for i in tri)} = {triods.itinerary(m)}"
             )
             if sing in tri:
                 i, j = (x for x in tri if x != sing)
@@ -630,17 +640,39 @@ def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _json_path(parent: str, key: str | int) -> str:
+    """The path of field ``key`` of the field at ``parent``."""
+    return f"{parent}[{key}]" if isinstance(key, int) else f"{parent}.{key}".lstrip(".")
+
+
 def _json_field(obj: Any, key: str | int, parent: str = "", kind: type = object) -> Any:
     """``obj[key]``; a missing field, or one that is not a ``kind``, raises
-    :class:`NotATreeError` that names it by its path in the document."""
-    path = f"{parent}[{key}]" if isinstance(key, int) else f"{parent}.{key}".lstrip(".")
+    :class:`NotATreeError` that names it by its path in the document.  A
+    JSON ``true`` or ``false`` is not an ``int``."""
+    path = _json_path(parent, key)
     try:
         value = obj[key]
     except (KeyError, TypeError):
         raise NotATreeError(f"tree JSON has no field {path}") from None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise NotATreeError(f"tree JSON field {path} is not of type {kind.__name__}")
     return value
+
+
+def _json_ids(obj: Any, key: str | int, parent: str = "") -> tuple[int, ...]:
+    """The list of integers ``obj[key]``, each checked as :func:`_json_field`
+    checks a field."""
+    items = _json_field(obj, key, parent, list)
+    path = _json_path(parent, key)
+    return tuple(_json_field(items, i, path, int) for i in range(len(items)))
+
+
+def _json_edge(edges: list, i: int) -> tuple[int, int]:
+    """The ``i``-th edge, as a sorted pair of vertex ids."""
+    pair = _json_ids(edges, i, "edges")
+    if len(pair) != 2:
+        raise NotATreeError(f"tree JSON field edges[{i}] is not a pair")
+    return min(pair), max(pair)
 
 
 def _json_id(key: str, parent: str) -> int:
@@ -660,19 +692,20 @@ def _json_vertex(v: Any, path: str) -> Vertex:
         raise NotATreeError(
             f"tree JSON field {path}.kind has unknown value {kind!r}"
         ) from None
-    itin = parse_itinerary(_json_field(v, "itinerary", path))
+    itin = parse_itinerary(_json_field(v, "itinerary", path, str))
     return Vertex(_json_field(v, "id", path, int), itin, kind)
 
 
 def tree_from_json(text: str) -> AbstractHubbardTree:
     """Rebuild a tree from its JSON form (used by round-trip checks).
 
-    A missing or mistyped field, an object key that is not an integer and
-    an unknown vertex kind raise :class:`NotATreeError` naming the field.
+    A missing or mistyped field or value inside a field, an object key
+    that is not an integer, an edge that is not a pair and an unknown
+    vertex kind raise :class:`NotATreeError` naming the field.
     """
     doc = json.loads(text)
-    P = validate_base(parse_address(_json_field(doc, "base")))
-    if str(P.kneading) != _json_field(doc, "kneading"):
+    P = validate_base(parse_address(_json_field(doc, "base", kind=str)))
+    if str(P.kneading) != _json_field(doc, "kneading", kind=str):
         raise ClosureViolationError(
             f"stored kneading {doc['kneading']} disagrees with the base {doc['base']}"
         )
@@ -680,30 +713,31 @@ def tree_from_json(text: str) -> AbstractHubbardTree:
         sorted(
             (
                 _json_vertex(v, f"vertices[{i}]")
-                for i, v in enumerate(_json_field(doc, "vertices"))
+                for i, v in enumerate(_json_field(doc, "vertices", kind=list))
             ),
             key=lambda v: v.id,
         )
     )
     n = len(vertices)
     cyclic: list[tuple[int, ...] | None] = [None] * n
-    for k, order in _json_field(doc, "cyclic_order", kind=dict).items():
+    orders = _json_field(doc, "cyclic_order", kind=dict)
+    for k in orders:
         i = _json_id(k, "cyclic_order")
         if i not in range(n):
             raise NotATreeError(f"cyclic order of {k} names no vertex")
-        cyclic[i] = tuple(order)
+        cyclic[i] = _json_ids(orders, k, "cyclic_order")
     dynamics, edges = _json_field(doc, "dynamics"), _json_field(doc, "edges", kind=list)
-    pairs = (tuple(sorted(_json_field(edges, i, "edges", list))) for i in range(len(edges)))
+    sectors = _json_field(doc, "sectors", kind=dict)
     return AbstractHubbardTree(
         partition=P,
         vertices=vertices,
-        edges=tuple(sorted(pairs)),
-        dynamics=tuple(_json_field(dynamics, str(i), "dynamics") for i in range(n)),
-        singular_point=_json_field(doc, "singular_point"),
+        edges=tuple(sorted(_json_edge(edges, i) for i in range(len(edges)))),
+        dynamics=tuple(_json_field(dynamics, str(i), "dynamics", int) for i in range(n)),
+        singular_point=_json_field(doc, "singular_point", kind=int),
         sectors=tuple(
             sorted(
-                (_json_id(k, "sectors"), tuple(sorted(v)))
-                for k, v in _json_field(doc, "sectors", kind=dict).items()
+                (_json_id(k, "sectors"), tuple(sorted(_json_ids(sectors, k, "sectors"))))
+                for k in sectors
             )
         ),
         cyclic_order=tuple(cyclic),

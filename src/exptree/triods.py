@@ -13,10 +13,11 @@ linear.  A triple whose first symbols are pairwise distinct is the stop
 case at once, with middle point ``*nu``, and :func:`middle_point` answers
 it without a map.  One triod map on integer itinerary ids
 (:class:`_TriodMap`) computes every other middle point, for
-:func:`middle_point` and for the tree build, and keeps middle points as
-ids: a vote is prepended to an id through a ``(first symbol, shift id)
--> id`` table, and an itinerary is built only when the table has no
-entry yet.  :func:`triod_step` and :func:`majority_vote` are the
+:func:`middle_point` and for the tree build.  It keys the ids by raw
+canonical tuples, shifts and prepends on those tuples, and keeps middle
+points as ids: a vote is prepended to an id through a ``(first symbol,
+shift id) -> id`` table.  An itinerary is built only for an id that is
+handed back.  :func:`triod_step` and :func:`majority_vote` are the
 reference it agrees with.  The address-level map does the same
 bookkeeping through partition sectors and is semi-conjugate to the
 itinerary-level map.
@@ -46,7 +47,7 @@ from .partition import (
     sector_of,
     shift_itinerary,
 )
-from .sequences import ExtAddress, canonicalize, cyclic_between
+from .sequences import ExtAddress, _primitive_root, cyclic_between
 
 __all__ = [
     "AddressTriod",
@@ -187,40 +188,81 @@ def majority_vote(T: Triod) -> int:
 class _TriodMap:
     """The triod map of one partition on integer itinerary ids.
 
-    An itinerary gets an id the first time it is seen, with its first
+    An itinerary is keyed by its raw canonical tuples: ``(preperiod,
+    period)`` for a plain itinerary and ``(prefix,)`` for a pre-singular
+    one.  A key gets an id the first time it is seen, with its first
     symbol; the id of its shift is filled in when a step first shifts it,
     and so is the entry ``(first symbol, shift id) -> id`` of the prepend
-    table.  A state is the sorted triple of member ids: the middle point
-    does not depend on the order of the members.  Every state solved is
-    memoized with the id of its middle point, so one map answers many
-    triples of one partition without repeating work, and a middle point
-    is built as an itinerary only when the prepend table misses it.
+    table.  Shifts and prepends work on the keys, and an itinerary is
+    built only for an id that is handed back (:meth:`itinerary`).
+
+    Keys are canonical by construction, so ids are in bijection with
+    itineraries and id equality is itinerary equality.  The keys of
+    itineraries given to :meth:`id` are the canonical forms they hold.
+    The shift of a canonical key is canonical (see
+    :meth:`~exptree.sequences.ExtAddress.shift`): the last preperiod entry
+    is kept, and a rotation of a primitive period is primitive.  A prepend
+    is canonical with the rotation rule of
+    :meth:`~exptree.sequences.ExtAddress.prepend`, and the periodic tail
+    that closes a cycle of states is reduced to its primitive root.  A
+    pre-singular prefix is its own canonical form.
+
+    A state is the sorted triple of member ids: the middle point does not
+    depend on the order of the members.  Every state solved is memoized
+    with the id of its middle point, so one map answers many triples of
+    one partition without repeating work.
     """
 
-    __slots__ = ("P", "ids", "its", "firsts", "shifts", "prepends", "memo", "nu")
+    __slots__ = (
+        "P", "ids", "keys", "firsts", "shifts", "prepends", "memo", "formals", "nu"
+    )
 
     def __init__(self, P: Partition):
         self.P = P
-        self.ids: dict[Itinerary, int] = {}
-        self.its: list[Itinerary] = []
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
         self.firsts: list = []
         self.shifts: dict[int, int] = {}
         self.prepends: dict[tuple, int] = {}
         self.memo: dict[tuple[int, int, int], int] = {}
-        self.nu = self.id(P.kneading)
+        self.formals: dict[int, bool] = {}
+        self.nu = self.key_id((P.kneading.seq.preperiod, P.kneading.seq.period))
+
+    def key_id(self, key: tuple) -> int:
+        """The id of the canonical key ``key``."""
+        n = len(self.keys)
+        i = self.ids.setdefault(key, n)
+        if i == n:
+            self.keys.append(key)
+            if len(key) == 2:
+                self.firsts.append((key[0] or key[1])[0])
+            else:
+                self.firsts.append(key[0][0] if key[0] else STAR)
+        return i
 
     def id(self, it: Itinerary) -> int:
-        n = len(self.its)
-        i = self.ids.setdefault(it, n)
-        if i == n:
-            self.its.append(it)
-            self.firsts.append(it.first_symbol())
-        return i
+        """The id of the itinerary ``it``."""
+        if isinstance(it, Plain):
+            return self.key_id((it.seq.preperiod, it.seq.period))
+        return self.key_id((it.prefix,))
+
+    def itinerary(self, i: int) -> Itinerary:
+        """The itinerary with id ``i``."""
+        key = self.keys[i]
+        return Plain(ExtAddress(*key)) if len(key) == 2 else PreSingular(key[0])
 
     def _shift(self, i: int) -> int:
         j = self.shifts.get(i)
         if j is None:
-            j = self.shifts[i] = self.id(shift_itinerary(self.P, self.its[i]))
+            key = self.keys[i]
+            if len(key) == 2:
+                pre, per = key
+                j = self.key_id((pre[1:], per) if pre else ((), per[1:] + per[:1]))
+            elif key[0]:
+                j = self.key_id((key[0][1:],))
+            else:
+                j = self.nu
+            self.shifts[i] = j
             self.prepends[self.firsts[i], j] = i
         return j
 
@@ -228,17 +270,42 @@ class _TriodMap:
         """The id of ``vote`` followed by the itinerary with id ``i``."""
         j = self.prepends.get((vote, i))
         if j is None:
-            tail = self.its[i]
-            if isinstance(tail, PreSingular):
-                j = self.id(PreSingular((vote,) + tail.prefix))
+            key = self.keys[i]
+            if len(key) == 1:
+                key = ((vote,) + key[0],)
+            elif key[0] or vote != key[1][-1]:
+                key = ((vote,) + key[0], key[1])
             else:
-                j = self.id(Plain(tail.seq.prepend(vote)))
+                key = ((), key[1][-1:] + key[1][:-1])
+            j = self.key_id(key)
             self.shifts[j] = i
             self.prepends[vote, i] = j
         return j
 
+    def formal(self, i: int) -> bool:
+        """Whether the itinerary with id ``i`` lies in ``S_nu``
+        (:func:`~exptree.partition.is_in_S_nu`): it is pre-singular, or
+        following its shift ids never reaches the kneading sequence's id.
+        Each id on the way keeps the answer: its strict shifts are those
+        of the next id plus that id."""
+        if len(self.keys[i]) == 1:
+            return True
+        path: list[int] = []
+        while (ok := self.formals.get(i)) is None:
+            if i in path:
+                ok = True
+                break
+            path.append(i)
+            i = self._shift(i)
+            if i == self.nu:
+                ok = False
+                break
+        for j in path:
+            self.formals[j] = ok
+        return ok
+
     def _str(self, state: tuple[int, ...]) -> str:
-        return "[" + ", ".join(str(self.its[i]) for i in state) + "]"
+        return "[" + ", ".join(str(self.itinerary(i)) for i in state) + "]"
 
     def middle(self, *members: int) -> int:
         """The id of the middle point of the triod with the three member ids.
@@ -255,7 +322,7 @@ class _TriodMap:
         votes: list[int] = []
         while (tail := memo.get(state)) is None:
             if state in seen:
-                tail = self.id(Plain(canonicalize((), votes[seen[state] :])))
+                tail = self.key_id(((), _primitive_root(tuple(votes[seen[state] :]))))
                 break
             a, b, c = state
             vote, fb, fc = firsts[a], firsts[b], firsts[c]
@@ -268,18 +335,19 @@ class _TriodMap:
             elif fb == fc:
                 vote, nxt = fb, (nu, sh(b), sh(c))
             else:
-                tail = memo[state] = self.id(PreSingular(()))
+                tail = memo[state] = self.key_id(((),))
                 break
             if vote == STAR:
                 raise InternalInvariantError(
                     f"triod {self._str(state)}: two members start with the star, "
                     "but only *nu does"
                 )
-            if len(set(nxt)) < 3:
-                raise NotDistinctError(f"triod {self._str(state)} maps to equal members")
             seen[state] = len(votes)
             votes.append(vote)
-            state = tuple(sorted(nxt))
+            x, y, z = sorted(nxt)
+            if x == y or y == z:
+                raise NotDistinctError(f"triod {self._str(state)} maps to equal members")
+            state = (x, y, z)
         for state, vote in zip(reversed(seen), reversed(votes)):
             tail = memo[state] = self._prepend(vote, tail)
         return tail
@@ -302,7 +370,7 @@ def middle_point(T: Triod) -> Itinerary:
     if len({t.first_symbol(), u.first_symbol(), v.first_symbol()}) == 3:
         return PreSingular(())
     m = _TriodMap(T.partition)
-    return m.its[m.middle(*map(m.id, T.members))]
+    return m.itinerary(m.middle(*map(m.id, T.members)))
 
 
 def classify(T: Triod) -> TriodShape:

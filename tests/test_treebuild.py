@@ -818,8 +818,67 @@ class TestMalformedTrees:
                 lambda d: d["vertices"][1].update(id="1"),
                 "tree JSON field vertices[1].id is not of type int",
             ),
+            (
+                lambda d: d["cyclic_order"].update({"1": 5}),
+                "tree JSON field cyclic_order.1 is not of type list",
+            ),
+            (
+                lambda d: d["cyclic_order"].update({"1": [0, "2", 3]}),
+                "tree JSON field cyclic_order.1[1] is not of type int",
+            ),
+            (
+                lambda d: d["sectors"].update({"0": 5}),
+                "tree JSON field sectors.0 is not of type list",
+            ),
+            (
+                lambda d: d["vertices"][1].update(itinerary=5),
+                "tree JSON field vertices[1].itinerary is not of type str",
+            ),
+            (
+                lambda d: d["dynamics"].update({"1": "1"}),
+                "tree JSON field dynamics.1 is not of type int",
+            ),
+            (
+                lambda d: d["edges"].__setitem__(0, [0, "1"]),
+                "tree JSON field edges[0][1] is not of type int",
+            ),
+            (
+                lambda d: d["edges"].__setitem__(0, [0, 1, 2]),
+                "tree JSON field edges[0] is not a pair",
+            ),
+            (
+                lambda d: d["vertices"][1].update(id=True),
+                "tree JSON field vertices[1].id is not of type int",
+            ),
+            (
+                lambda d: d.update(singular_point=False),
+                "tree JSON field singular_point is not of type int",
+            ),
+            (lambda d: d.update(base=5), "tree JSON field base is not of type str"),
+            (lambda d: d.update(kneading=5), "tree JSON field kneading is not of type str"),
+            (
+                lambda d: d.update(vertices={"0": {}}),
+                "tree JSON field vertices is not of type list",
+            ),
         ],
-        ids=["sectors", "cyclic order", "edge", "vertex id"],
+        ids=[
+            "sectors",
+            "cyclic order",
+            "edge",
+            "vertex id",
+            "cyclic-order entry",
+            "cyclic-order member",
+            "sector entry",
+            "itinerary",
+            "dynamics value",
+            "edge end",
+            "edge length",
+            "vertex id bool",
+            "singular point bool",
+            "base",
+            "kneading",
+            "vertices",
+        ],
     )
     def test_mistyped_json(self, tree_b, mutate, message):
         doc = json.loads(to_json(tree_b))
@@ -922,15 +981,43 @@ class TestMiddleIds:
             maps.clear()
             _vertex_set(P)
             (m,) = maps
-            assert len(set(m.its)) == len(m.its)
-            assert all(m.ids[it] == i for i, it in enumerate(m.its))
+            its = [m.itinerary(i) for i in range(len(m.keys))]
+            assert len(set(its)) == len(its) == len(set(m.keys))
+            assert all(m.ids[k] == i == m.id(its[i]) for i, k in enumerate(m.keys))
             for i, j in m.shifts.items():
-                assert m.its[j] == shift_itinerary(P, m.its[i])
+                assert its[j] == shift_itinerary(P, its[i])
             for (vote, j), i in m.prepends.items():
                 assert m.firsts[i] == vote and m.shifts[i] == j
             for state, b in m.memo.items():
-                T = Triod(tuple(m.its[i] for i in state), P)
-                assert middle_point(T) == m.its[b], f"{P.base}: {T}"
+                T = Triod(tuple(its[i] for i in state), P)
+                assert middle_point(T) == its[b], f"{P.base}: {T}"
+
+
+class TestVertexSetWork:
+    def test_no_itinerary_work(self, P_a, P_b, acceptance_corpus, monkeypatch):
+        # The vertex set runs on keys: no formal-point test or shift on
+        # itineraries, and one itinerary built per vertex it returns.
+        from exptree import partition, triods
+
+        def forbidden(*args):
+            raise AssertionError("the vertex set works on itineraries")
+
+        for module in (partition, triods, treebuild):
+            for name in ("is_in_S_nu", "shift_itinerary"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        built = []
+        for cls in (Plain, PreSingular):
+
+            def init(self, *args, _init=cls.__init__):
+                built.append(self)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        for P in [P_a, P_b] + acceptance_corpus.partitions:
+            built.clear()
+            its = _vertex_set(P)[0]
+            assert len(built) == len(its), P.base
 
 
 @st.composite
@@ -1078,7 +1165,7 @@ class TestClosureViolations:
         outsider = self.OUTSIDER
 
         def middle(self, *ids):
-            if {self.its[i] for i in ids} == members:
+            if {self.itinerary(i) for i in ids} == members:
                 return self.id(outsider)
             return real(self, *ids)
 

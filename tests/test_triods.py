@@ -18,9 +18,11 @@ from exptree.partition import (
     PreSingular,
     is_in_S_nu,
     itinerary,
+    shift_itinerary,
     validate_base,
 )
 from exptree.sequences import canonicalize
+from exptree.treebuild import vertex_set
 from exptree.triods import (
     AddressTriod,
     Shape,
@@ -202,11 +204,11 @@ class TestMiddlePoint:
         members = (plain([], [0, 1]), plain([], [1, 0]), plain([], [0, 0, 1]))
         m = _TriodMap(P_b)
         ids = [m.id(x) for x in members]
-        known = list(m.its)
+        known = list(m.keys)
         b = m.middle(*ids)
-        assert m.its[b] == middle_point(Triod(members, P_b)) == plain([], [0])
-        assert m.its[b] not in known and b >= len(known)
-        assert m.id(m.its[b]) == b and len(set(m.its)) == len(m.its)
+        assert m.itinerary(b) == middle_point(Triod(members, P_b)) == plain([], [0])
+        assert m.keys[b] not in known and b >= len(known)
+        assert m.id(m.itinerary(b)) == b and len(set(m.keys)) == len(m.keys)
 
     def test_permutation_invariance(self, P_b):
         t, u, v = P_b.kneading, plain([], [0, 1]), plain([], [1, 0])
@@ -215,6 +217,39 @@ class TestMiddlePoint:
             for m in [(t, u, v), (u, v, t), (v, u, t), (t, v, u)]
         }
         assert len(results) == 1
+
+
+class TestKeyMap:
+    """The triod map's shifts, prepends, first symbols and formal-point
+    test on raw keys agree with the itineraries they stand for."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(wide_partitions(), st.lists(entries, min_size=1, max_size=3))
+    def test_keys_agree_with_itineraries(self, P, word):
+        m = _TriodMap(P)
+        nu = P.kneading.seq
+        # k.nu and w.nu for the letters k of w are not formal points.
+        tails = [nu.prepend(k) for k in word]
+        for k in reversed(word):
+            nu = nu.prepend(k)
+        tails.append(nu)
+        its = vertex_set(P) + [Plain(a) for a in tails] + [PreSingular(tuple(word))]
+        for it in its:
+            i = m.id(it)
+            assert m.itinerary(i) == it and m.id(m.itinerary(i)) == i
+            assert m.firsts[i] == it.first_symbol()
+            assert m.itinerary(m._shift(i)) == shift_itinerary(P, it)
+            for k in word:
+                want = (
+                    PreSingular((k,) + it.prefix)
+                    if isinstance(it, PreSingular)
+                    else Plain(it.seq.prepend(k))
+                )
+                assert m.itinerary(m._prepend(k, i)) == want
+            assert m.formal(i) == is_in_S_nu(P, it), it
+        for a in tails:
+            assert not m.formal(m.id(Plain(a)))
+        assert len(set(m.keys)) == len(m.keys)
 
 
 class TestClassify:
