@@ -50,12 +50,16 @@ __all__ = [
 STAR = "*"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Plain:
     """An itinerary without the star symbol: an eventually periodic
-    integer sequence, represented like an external address."""
+    integer sequence, represented like an external address.  Built like
+    :class:`~exptree.sequences.ExtAddress`, by its slot descriptor."""
 
     seq: ExtAddress
+
+    def __init__(self, seq: ExtAddress) -> None:
+        _set_seq(self, seq)
 
     def first_symbol(self):
         return self.seq.entry(1)
@@ -64,15 +68,19 @@ class Plain:
         return str(self.seq)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PreSingular:
     """An itinerary of the form ``prefix . * . nu``.
 
     Only the integer prefix is stored; the star and the ambient kneading
-    sequence tail are implied by context.
+    sequence tail are implied by context.  Built like
+    :class:`~exptree.sequences.ExtAddress`, by its slot descriptor.
     """
 
     prefix: tuple[int, ...]
+
+    def __init__(self, prefix: tuple[int, ...]) -> None:
+        _set_prefix(self, prefix)
 
     def first_symbol(self):
         return self.prefix[0] if self.prefix else STAR
@@ -80,6 +88,9 @@ class PreSingular:
     def __str__(self) -> str:
         return ",".join([*map(str, self.prefix), STAR])
 
+
+_set_seq = Plain.seq.__set__
+_set_prefix = PreSingular.prefix.__set__
 
 Itinerary = Union[Plain, PreSingular]
 
@@ -102,18 +113,24 @@ class Boundary:
 SectorResult = Union[Interior, Boundary]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Partition:
     """A validated base address together with its derived data.
 
     ``offset_j0`` is the integer with ``base`` inside
     ``I_0 = (j0.base, (j0+1).base)``; sector ``I_k`` is the interval
-    ``((j0+k).base, (j0+k+1).base)``.
+    ``((j0+k).base, (j0+k+1).base)``.  Built like
+    :class:`~exptree.sequences.ExtAddress`, by its slot descriptors.
     """
 
     base: ExtAddress
     offset_j0: int
     kneading: Plain
+
+    def __init__(self, base: ExtAddress, offset_j0: int, kneading: Plain) -> None:
+        _set_base(self, base)
+        _set_offset_j0(self, offset_j0)
+        _set_kneading(self, kneading)
 
     def sector_bounds(self, k: int) -> tuple[ExtAddress, ExtAddress]:
         """The endpoints ``(j0+k).base`` and ``(j0+k+1).base`` of ``I_k``."""
@@ -124,6 +141,11 @@ class Partition:
 
     def __str__(self) -> str:
         return f"Partition(base={self.base}, j0={self.offset_j0}, nu={self.kneading})"
+
+
+_set_base = Partition.base.__set__
+_set_offset_j0 = Partition.offset_j0.__set__
+_set_kneading = Partition.kneading.__set__
 
 
 def _shift_words(
@@ -146,9 +168,9 @@ def validate_base(s: ExtAddress) -> Partition:
     :class:`NormalizationWarning`: the partition itself is well defined,
     only the usual normalization of base addresses starts at 0.
     """
-    if s.is_periodic():
+    if not s.preperiod:
         raise PeriodicBaseError(f"base address {s} is purely periodic")
-    if s.entry(1) != 0:
+    if s.preperiod[0] != 0:
         warnings.warn(
             f"base address {s} does not start with 0",
             NormalizationWarning,
@@ -183,9 +205,12 @@ def _itinerary_against(
     out: list[int] = []
     for r in range(len(t.preperiod) + len(t.period)):
         w = T[r + 1 : r + 1 + d]
-        if w == S:
+        if w < S:
+            out.append(T[r] - 1 - j0)
+        elif w == S:
             return PreSingular(tuple(out))
-        out.append(T[r] - (w < S) - j0)
+        else:
+            out.append(T[r] - j0)
     # The entry stream factors through the shift orbit of t, so its
     # preperiod/period divide t's; boundary hits can only occur within
     # the preperiod of t (a boundary address is strictly preperiodic).

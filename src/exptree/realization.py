@@ -403,18 +403,41 @@ def separating_addresses(
     at least one further address lies in the gap opposite the middle.
     A violation raises :class:`GapAssignmentFailureError` (it would mean
     an internal inconsistency, not bad input).
+
+    A middle point ``w.nu`` (``|w| >= 1``) is a preimage of the singular
+    value.  The singular value is an asymptotic value without preimages,
+    and the preimage of a ray landing there is a curve to infinity; so
+    after ``|w| - 1`` steps the arcs of the triod meet at the singular
+    point ``*nu``, and its middle is the pre-singular point ``w[:-1].*nu``.
+    The address map does not stop at that stage, so the sheet range is
+    read from the members and from the triod there.  Every ray landing at
+    the singular value has such preimages: the sheets pulled back are
+    ``m.a`` for every address ``a`` of ``nu``, not only for ``a = s``.
+    :func:`~exptree.triods.middle_point` and
+    :func:`~exptree.triods.classify` still report ``w.nu``, so on these
+    triods ``exptree triod`` and ``exptree separate`` differ.
     """
     T = to_itinerary_triod(A)
     b = middle_point(T)
+    if isinstance(b, PreSingular):
+        stage = _stop_stage(A, len(b.prefix))
+    else:
+        nu = P.kneading.seq
+        j = len(b.seq.preperiod) - len(nu.preperiod)
+        if j >= 1 and b.seq.period == nu.period and b.seq.preperiod[j:] == nu.preperiod:
+            b, stage = PreSingular(b.seq.preperiod[: j - 1]), A
+            for _ in range(j - 1):
+                # the itinerary map does not stop, so neither does this one
+                stage = address_triod_step(stage)
     shape = _shape(T, b)
 
     if isinstance(b, PreSingular):
         # Boundary pullbacks; take the sheet range from both the initial
-        # and the stop-stage members so the gaps around each member are
+        # and the last-stage members so the gaps around each member are
         # covered.
-        firsts = [x.entry(1) for x in A.members]
-        firsts += [x.entry(1) for x in _stop_stage(A, len(b.prefix)).members]
-        addrs = _pullback(P, b.prefix, map(P.base.prepend, _presingular_sheets(firsts)))
+        sheets = _presingular_sheets(x.entry(1) for x in A.members + stage.members)
+        rays = addresses_of(P, P.kneading)
+        addrs = _pullback(P, b.prefix, [a.prepend(m) for a in rays for m in sheets])
     else:
         addrs = list(addresses_of(P, b, m_max))
 

@@ -36,9 +36,16 @@ class Ordering(Enum):
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortest word whose repetition gives ``word``."""
+    """Shortest word whose repetition gives ``word``.
+
+    A proper repetition ``u^m`` (``m >= 2``) has ``word[|u|] == word[0]``,
+    so a word whose first entry occurs once is primitive; otherwise a
+    root is at most half as long as the word.
+    """
+    if not word or word.count(word[0]) == 1:
+        return word
     n = len(word)
-    for d in range(1, n + 1):
+    for d in range(1, n // 2 + 1):
         if n % d == 0 and word == word[:d] * (n // d):
             return word[:d]
     return word
@@ -49,16 +56,36 @@ def _min_rotation(word: tuple) -> tuple:
     return min((word[k:] + word[:k] for k in range(len(word))), default=word)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExtAddress:
     """Canonical eventually periodic integer sequence.
 
     Do not call the constructor with non-canonical data; use
-    :func:`canonicalize` (or the :func:`address` shorthand) instead.
+    :func:`canonicalize` (or the :func:`address` shorthand) instead.  The
+    constructor stores its arguments as given and does not canonicalize.
+
+    This class and the itinerary value objects built on it
+    (:class:`~exptree.partition.Plain`,
+    :class:`~exptree.partition.PreSingular` and
+    :class:`~exptree.partition.Partition`) are frozen slotted dataclasses
+    with a hand-written ``__init__`` of the generated signature.  The
+    generated ``__init__`` of a frozen dataclass stores each field through
+    ``object.__setattr__``, which looks the name up on the type to find
+    the slot's descriptor.  The hand-written one calls the descriptors'
+    ``__set__`` (``ExtAddress.preperiod.__set__``, ...), bound once at
+    import, which is the same store without the lookup; a query builds
+    about a dozen of these objects.  Everything else stays generated: eq,
+    hash, ``dataclasses.replace``, pickling and copying (which do not call
+    ``__init__`` but restore the slots), and the
+    ``FrozenInstanceError`` on assignment.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
+
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        _set_preperiod(self, preperiod)
+        _set_period(self, period)
 
     def entry(self, i: int) -> int:
         """The ``i``-th entry of the denoted sequence, ``i >= 1``."""
@@ -132,21 +159,31 @@ class ExtAddress:
         return f"ExtAddress({self})"
 
 
+_set_preperiod = ExtAddress.preperiod.__set__
+_set_period = ExtAddress.period.__set__
+
+
 def canonicalize(preperiod: Iterable[int], period: Iterable[int]) -> ExtAddress:
     """Canonical form of ``preperiod . period^infinity``.
 
     The period word is reduced to its primitive root, and trailing
     preperiod entries equal to the last period entry are rotated into the
-    period.  Raises :class:`EmptyPeriodError` for an empty period.
+    period: folding ``k`` entries keeps ``pre[:-k]`` and rotates the
+    period right by ``k``, where entry ``pre[-1-i]`` folds iff it equals
+    ``per[-1-i mod n]``.  Raises :class:`EmptyPeriodError` for an empty
+    period.
     """
-    pre = list(preperiod)
-    per = list(_primitive_root(tuple(period)))
+    pre = tuple(preperiod)
+    per = _primitive_root(tuple(period))
     if not per:
         raise EmptyPeriodError("period word must be nonempty")
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per.insert(0, per.pop())
-    return ExtAddress(tuple(pre), tuple(per))
+    n, r, k = len(per), len(pre), 0
+    while k < r and pre[r - 1 - k] == per[(-1 - k) % n]:
+        k += 1
+    if k:
+        pre, i = pre[: r - k], n - k % n
+        per = per[i:] + per[:i]
+    return ExtAddress(pre, per)
 
 
 def address(text_or_pre, period=None) -> ExtAddress:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
 import warnings
 
@@ -8,6 +12,7 @@ from exptree.errors import NormalizationWarning, PeriodicBaseError
 from exptree.partition import (
     Boundary,
     Interior,
+    Partition,
     Plain,
     PreSingular,
     inverse_branch,
@@ -19,7 +24,7 @@ from exptree.partition import (
     validate_base,
 )
 from exptree.realization import addresses_of
-from exptree.sequences import canonicalize, cyclic_between
+from exptree.sequences import ExtAddress, canonicalize, cyclic_between
 from exptree.treebuild import omega_plus
 
 from fine_wilf import extremal_tails
@@ -290,3 +295,91 @@ class TestKneadingAgreement:
                 for it in omega_plus(P)[1:]:
                     for a in addresses_of(P, it).addresses:
                         assert itinerary(P2, a) == it
+
+
+def _twin(cls):
+    """A generated ``@dataclass(frozen=True, slots=True)`` with the fields
+    of ``cls`` and its hand-written ``__repr__``/``__str__``, if any."""
+    source = inspect.getsourcefile(cls)
+    own = {
+        k: v
+        for k in ("__repr__", "__str__")
+        if (v := vars(cls).get(k)) is not None and v.__code__.co_filename == source
+    }
+    fields = [(f.name, f.type) for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, namespace=own, frozen=True, slots=True
+    )
+
+
+def _value_objects():
+    """``(cls, args, other_args)``: two distinct argument tuples per class."""
+    P, Q = validate_base(addr([0], [1])), validate_base(addr([0], [0, 1]))
+    return [
+        (ExtAddress, ((0,), (1,)), ((), (1, 2))),
+        (Plain, (P.base,), (Q.base,)),
+        (PreSingular, ((1, 2),), ((),)),
+        (
+            Partition,
+            (P.base, P.offset_j0, P.kneading),
+            (Q.base, Q.offset_j0, Q.kneading),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, args, other",
+    _value_objects(),
+    ids=["ExtAddress", "Plain", "PreSingular", "Partition"],
+)
+class TestValueObjects:
+    """The hand-written ``__init__`` of the frozen slotted value objects
+    keeps what the generated one gives."""
+
+    def test_positional_and_keyword_construction(self, cls, args, other):
+        names = [f.name for f in dataclasses.fields(cls)]
+        x = cls(*args)
+        assert [getattr(x, n) for n in names] == list(args)
+        assert cls(**dict(zip(names, args))) == x
+        assert list(inspect.signature(cls).parameters) == names
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, args[0])
+
+    def test_replace(self, cls, args, other):
+        names = [f.name for f in dataclasses.fields(cls)]
+        x = cls(*args)
+        for i, name in enumerate(names):
+            y = dataclasses.replace(x, **{name: other[i]})
+            want = list(args)
+            want[i] = other[i]
+            assert type(y) is cls and y == cls(*want)
+        assert dataclasses.replace(x) == x
+
+    def test_copy_and_pickle(self, cls, args, other):
+        x = cls(*args)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is cls and y == x and hash(y) == hash(x)
+
+    def test_frozen(self, cls, args, other):
+        x = cls(*args)
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, other[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+        assert getattr(x, name) == args[0]
+
+    def test_eq_hash_repr_match_a_generated_twin(self, cls, args, other):
+        twin = _twin(cls)
+        assert cls.__slots__ == twin.__slots__
+        assert cls.__match_args__ == twin.__match_args__
+        for a in (args, other):
+            x, t = cls(*a), twin(*a)
+            assert hash(x) == hash(t)
+            assert repr(x) == repr(t) and str(x) == str(t)
+            for b in (args, other):
+                assert (x == cls(*b)) == (t == twin(*b))
+                assert (x != cls(*b)) == (t != twin(*b))
+        assert cls(*args) != twin(*args)

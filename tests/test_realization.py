@@ -13,7 +13,14 @@ from exptree.errors import (
     RealizationBoundExceededError,
 )
 from exptree.notation import parse_address
-from exptree.partition import Plain, PreSingular, inverse_branch, itinerary, validate_base
+from exptree.partition import (
+    Plain,
+    PreSingular,
+    inverse_branch,
+    is_in_S_nu,
+    itinerary,
+    validate_base,
+)
 from exptree.realization import (
     _periodic_search,
     _stop_stage,
@@ -32,7 +39,7 @@ from exptree.triods import (
     middle_point,
     to_itinerary_triod,
 )
-from exptree.verify import _random_address_triod
+from exptree.verify import _random_address_triod, random_external_address
 
 from oracles import epsilon_search, itinerary_entries, oracle_m_limit
 from wide import entries, wide_partitions
@@ -511,6 +518,35 @@ class TestRotationSharing:
         assert len(addresses_of_periodic(P_b, plain([], [0]), m_max=3)) == 3
 
 
+def _singular_preimage_triods(rng, P, count, tries=20_000):
+    """Address triods whose middle point is ``w.nu`` with ``|w| >= 1``: a
+    triod ``(x, s, y)`` whose middle point is ``nu``, pulled back along one
+    to three random letters.  Triods through ``s`` with middle ``nu`` turn
+    up only on bases where a second ray lands at the singular value."""
+    s, out = P.base, []
+    for _ in range(tries):
+        x, y = random_external_address(rng, P), random_external_address(rng, P)
+        if len({x, y, s}) < 3:
+            continue
+        members = tuple(sorted((x, s, y)))
+        its = [itinerary(P, m) for m in members]
+        if len(set(its)) < 3 or not all(is_in_S_nu(P, it) for it in its):
+            continue
+        if middle_point(to_itinerary_triod(AddressTriod(members, P))) != P.kneading:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(-3, 3)
+            members = tuple(inverse_branch(P, k, m) for m in members)
+        its = [itinerary(P, m) for m in members]
+        if len(set(its)) < 3 or not all(is_in_S_nu(P, it) for it in its):
+            continue
+        r = members.index(min(members))
+        out.append(AddressTriod(members[r:] + members[:r], P))
+        if len(out) == count:
+            break
+    return out
+
+
 class TestSeparating:
     def test_branched_golden(self, P_b):
         A = AddressTriod(
@@ -546,6 +582,55 @@ class TestSeparating:
         members = [sa for sa in out if sa.member is not None]
         assert len(members) == 1 and members[0].member == 1
         assert any(sa.gap == 2 for sa in out)
+
+    def test_singular_preimage_middle_branched(self):
+        # The middle point -1,0,0,-2(0) is -1,0.nu, read as -1.*nu.  Both
+        # rays at nu, the base and 0,-3(0,-1), are pulled back, and each
+        # reaches a gap the other does not.
+        P = validate_base(parse_address("0,-2(-1,0)"))
+        A = AddressTriod(
+            tuple(map(parse_address, ("-2(0,0,-3,3)", "-2,1,-1(1)", "-1,3(1,-1,2)"))), P
+        )
+        T = to_itinerary_triod(A)
+        assert str(middle_point(T)) == "-1,0,0,-2(0)"
+        assert str(classify(T)) == "branched"
+        shape, out = separating_addresses(P, A)
+        assert str(shape) == "presingular-branched"
+        by_gap = {}
+        for sa in out:
+            assert sa.member is None
+            by_gap.setdefault(sa.gap, []).append(str(sa.address))
+        assert by_gap[1] == ["-2,0,0,-2(-1,0)"]
+        assert by_gap[3] == ["-2,0,0,-3(0,-1)"]
+        assert len(by_gap[2]) == 10
+
+    def test_singular_preimage_middle_linear(self):
+        # The middle point -3,0,-2,3(0) is -3.nu, read as *nu: the third
+        # member, the sheet -3.s, so the triod is linear.
+        P = validate_base(parse_address("0,-3,3(-1,0)"))
+        A = AddressTriod(
+            tuple(map(parse_address, ("(-4,4)", "-3(0,-3,3,-2)", "-3,0,-3,3(-1,0)"))), P
+        )
+        T = to_itinerary_triod(A)
+        assert str(middle_point(T)) == "-3,0,-2,3(0)"
+        assert str(classify(T)) == "branched"
+        shape, out = separating_addresses(P, A)
+        assert str(shape) == "presingular-linear(middle=3)"
+        assert [sa.address for sa in out if sa.member == 3] == [A.members[2]]
+        assert [str(sa.address) for sa in out if sa.gap == 1] == ["-3,0,-3,2(0,-1)"]
+
+    @pytest.mark.parametrize("base", ["0,-2(-1,0)", "0,2(0,1)", "0,-3,3(-1,0)"])
+    def test_generated_singular_preimage_middles(self, base):
+        P = validate_base(parse_address(base))
+        found = _singular_preimage_triods(random.Random(7), P, 12)
+        assert len(found) == 12
+        nu = P.kneading.seq
+        for A in found:
+            b = middle_point(to_itinerary_triod(A))
+            j = len(b.seq.preperiod) - len(nu.preperiod)
+            assert j >= 1 and canonicalize(b.seq.preperiod[j:], b.seq.period) == nu
+            shape, _ = separating_addresses(P, A)
+            assert shape.is_presingular(), f"{A}"
 
     def test_gaps_follow_the_rotation_of_the_members(self, acceptance_corpus):
         # Bisection on the sorted members, rotated back, numbers the gaps

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from exptree.errors import EmptyPeriodError, NotDistinctError
 from exptree.sequences import (
     ExtAddress,
     Ordering,
+    _primitive_root,
     canonicalize,
     compare_lex,
     cyclic_between,
@@ -35,6 +37,11 @@ class TestCanonicalize:
     def test_already_canonical(self):
         assert addr([0], [1]) == ExtAddress((0,), (1,))
 
+    def test_constructor_stores_what_it_is_given(self):
+        x = ExtAddress((1,), (1, 1))
+        assert (x.preperiod, x.period) == ((1,), (1, 1))
+        assert x != canonicalize((1,), (1, 1))
+
     def test_empty_period_rejected(self):
         with pytest.raises(EmptyPeriodError):
             canonicalize([0], [])
@@ -56,6 +63,65 @@ class TestCanonicalize:
         b = canonicalize(list(pre) + list(per[:1]), list(per[1:]) + list(per[:1]))
         c = canonicalize(pre, list(per) * 2)
         assert a == b == c
+
+
+def _list_primitive_root(word):
+    """The shortest root, trying every divisor of the length."""
+    n = len(word)
+    for d in range(1, n + 1):
+        if n % d == 0 and word == word[:d] * (n // d):
+            return word[:d]
+    return word
+
+
+def _list_canonicalize(preperiod, period):
+    """The list-based canonical form: pop trailing preperiod entries into
+    the period one at a time."""
+    pre = list(preperiod)
+    per = list(_list_primitive_root(tuple(period)))
+    if not per:
+        raise EmptyPeriodError("period word must be nonempty")
+    while pre and pre[-1] == per[-1]:
+        pre.pop()
+        per.insert(0, per.pop())
+    return tuple(pre), tuple(per)
+
+
+def _words(max_len, min_len=0):
+    for n in range(min_len, max_len + 1):
+        yield from product((0, 1, 2), repeat=n)
+
+
+class TestCanonicalizeExhaustive:
+    """The tuple-based :func:`canonicalize` against the list-based one, on
+    every preperiod of length <= 3 and period of length <= 4 over
+    ``{0, 1, 2}``, each given as a tuple, a list and a generator."""
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_matches_list_based_version(self, kind):
+        for pre in _words(3):
+            for per in _words(4, 1):
+                a = canonicalize(kind(pre), kind(per))
+                assert type(a.preperiod) is tuple and type(a.period) is tuple
+                want = _list_canonicalize(pre, per)
+                assert (a.preperiod, a.period) == want, (pre, per)
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_empty_period(self, kind):
+        for pre in _words(3):
+            with pytest.raises(EmptyPeriodError):
+                canonicalize(kind(pre), kind(()))
+
+    @pytest.mark.parametrize(
+        "word, root",
+        [((1, 1), (1,)), ((1, 2, 1), (1, 2, 1)), ((1, 2, 1, 2), (1, 2)), ((), ())],
+    )
+    def test_primitive_root(self, word, root):
+        assert _primitive_root(word) == root
+
+    def test_primitive_root_matches_every_divisor_search(self):
+        for word in _words(6, 1):
+            assert _primitive_root(word) == _list_primitive_root(word), word
 
 
 class TestEntryShiftPrepend:
