@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInvariantError, NormalizationWarning, PeriodicBaseError
-from .sequences import ExtAddress, _compare, _decision_length, _word, canonicalize
+from .sequences import ExtAddress, _compare, _decision_length, _frozen, _word, canonicalize
 
 __all__ = [
     "STAR",
@@ -50,6 +50,7 @@ __all__ = [
 STAR = "*"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Plain:
     """An itinerary without the star symbol: an eventually periodic
@@ -68,6 +69,7 @@ class Plain:
         return str(self.seq)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class PreSingular:
     """An itinerary of the form ``prefix . * . nu``.
@@ -95,6 +97,7 @@ _set_prefix = PreSingular.prefix.__set__
 Itinerary = Union[Plain, PreSingular]
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Interior:
     """The queried address lies inside sector ``I_k``."""
@@ -102,6 +105,7 @@ class Interior:
     k: int
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Boundary:
     """The queried address equals ``m . base``, a point of the partition
@@ -113,6 +117,7 @@ class Boundary:
 SectorResult = Union[Interior, Boundary]
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Partition:
     """A validated base address together with its derived data.

@@ -41,7 +41,7 @@ from .partition import (
     PreSingular,
     inverse_branch,
 )
-from .sequences import ExtAddress, _gap_of, _primitive_root, _word, canonicalize
+from .sequences import ExtAddress, _frozen, _gap_of, _primitive_root, _word, canonicalize
 from .triods import (
     AddressTriod,
     TriodShape,
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class AddressSet:
     """Finite, lexicographically sorted family of addresses sharing one
@@ -368,6 +369,7 @@ def addresses_of(
     return AddressSet(_sorted(_pullback(P, letters, family)), t)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class SeparatingAddress:
     """An address of the middle-point itinerary, located relative to the

@@ -12,7 +12,7 @@ Entries are plain Python integers, so magnitudes are unbounded.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from math import gcd
 from typing import Any, Iterable, Sequence
@@ -56,6 +56,24 @@ def _min_rotation(word: tuple) -> tuple:
     return min((word[k:] + word[:k] for k in range(len(word))), default=word)
 
 
+def _frozen(cls: type) -> type:
+    """Make assigning or deleting any attribute of the frozen slotted
+    dataclass ``cls`` raise ``FrozenInstanceError``.  The methods that
+    ``@dataclass(frozen=True, slots=True)`` generates on Python 3.11 refer
+    to the class as it was before its slots were added, so for a name that
+    is not a field they raise ``TypeError`` from ``super()`` instead."""
+
+    def __setattr__(self: Any, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self: Any, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class ExtAddress:
     """Canonical eventually periodic integer sequence.
@@ -76,8 +94,9 @@ class ExtAddress:
     import, which is the same store without the lookup; a query builds
     about a dozen of these objects.  Everything else stays generated: eq,
     hash, ``dataclasses.replace``, pickling and copying (which do not call
-    ``__init__`` but restore the slots), and the
-    ``FrozenInstanceError`` on assignment.
+    ``__init__`` but restore the slots).  Every frozen slotted dataclass
+    of the library goes through :func:`_frozen`, so any assignment or
+    deletion raises ``FrozenInstanceError``.
     """
 
     preperiod: tuple[int, ...]

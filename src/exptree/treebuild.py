@@ -40,6 +40,13 @@ cycles from its cycles, one per cycle, ``*nu`` from the sheets, and
 every other vertex from its image's by table lookups.  They are bisected
 as tuples of their first entries, all of one length at which tuple order
 is the lexicographic order of the addresses.
+
+Each tree keeps one rooted table (:class:`_Rooted`): the sorted
+adjacency, a depth-first preorder from the singular point, each vertex's
+parent and each subtree's slice of the preorder.  The build makes it to
+test that the edges form a tree and to read the branches at a vertex as
+subtree slices, and hands it to the tree; :func:`check_tree_invariants`,
+``path`` and the entropy's edge rows read it.
 """
 
 from __future__ import annotations
@@ -58,17 +65,10 @@ from .errors import (
     NotATreeError,
     NotExpansiveError,
 )
-from .partition import (
-    Itinerary,
-    Partition,
-    Plain,
-    PreSingular,
-    shift_itinerary,
-    validate_base,
-)
+from .partition import STAR, Itinerary, Partition, Plain, PreSingular, validate_base
 from .notation import parse_address, parse_itinerary
 from .realization import _Positions, _Realization, _vertex_sheets
-from .sequences import _gap_of, _min_rotation, _word, _word_length, canonicalize
+from .sequences import _frozen, _gap_of, _min_rotation, _word, _word_length, canonicalize
 from .triods import _TriodMap
 
 __all__ = [
@@ -92,6 +92,7 @@ class VertexKind(Enum):
     BOTH = "both"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Vertex:
     id: int
@@ -100,6 +101,46 @@ class Vertex:
 
     def __str__(self) -> str:
         return f"{self.id}:{self.itinerary}[{self.kind.value}]"
+
+
+class _Rooted:
+    """A graph rooted for its walks: the sorted adjacency ``adj``, a
+    depth-first preorder ``order`` from each of the ``roots`` that no
+    earlier one reached, each vertex's ``parent`` (``None`` at a root),
+    and each vertex's subtree as the slice ``order[pos[v]:end[v]]``."""
+
+    __slots__ = ("adj", "order", "parent", "pos", "end")
+
+    def __init__(self, adj: dict[int, list[int]], roots: Iterable[int]) -> None:
+        parent: dict[int, int | None] = {}
+        order: list[int] = []
+        for root in roots:
+            if root in parent:
+                continue
+            parent[root] = None
+            stack = [root]
+            while stack:
+                cur = stack.pop()
+                order.append(cur)
+                for nxt in adj[cur]:
+                    if nxt not in parent:
+                        parent[nxt] = cur
+                        stack.append(nxt)
+        self.adj, self.order, self.parent = adj, order, parent
+        self.pos = {v: i for i, v in enumerate(order)}
+        self.end = end = {v: i for i, v in enumerate(order, 1)}
+        for v in reversed(order):
+            if (p := parent[v]) is not None:
+                end[p] = max(end[p], end[v])
+
+    def branch(self, v: int, nb: int) -> list[int]:
+        """The vertices of a tree reached from its vertex ``v``'s neighbor
+        ``nb`` without passing through ``v``: the subtree of ``nb``, or all
+        but the subtree of ``v`` when ``nb`` is ``v``'s parent."""
+        order, pos, end = self.order, self.pos, self.end
+        if self.parent[nb] == v:
+            return order[pos[nb] : end[nb]]
+        return order[: pos[v]] + order[end[v] :]
 
 
 @dataclass(frozen=True)
@@ -111,6 +152,10 @@ class AbstractHubbardTree:
     vertex ``i``; ``cyclic_order[i]`` lists the neighbors of ``i`` in
     cyclic order (``None`` exactly for the singular point, whose branch
     order is carried by the integer sector labels).
+
+    The cached property ``_rooted`` is the tree's one rooted table
+    (:class:`_Rooted`), handed in by :func:`build_tree` or made from
+    ``edges`` on first use; ``path`` and the check read it.
     """
 
     partition: Partition
@@ -126,30 +171,27 @@ class AbstractHubbardTree:
         return _adjacency((v.id for v in self.vertices), self.edges)
 
     @cached_property
-    def _parents(self) -> dict[int, int | None]:
-        """Parent pointers of a search forest, one root (parent ``None``)
-        per connected component."""
+    def _rooted(self) -> _Rooted:
+        """The rooted table of every component, the singular point's first."""
         adj = self.adjacency()
-        parent: dict[int, int | None] = {}
-        for root in adj:
-            if root not in parent:
-                parent.update(_walk(adj, root))
-        return parent
+        sing = self.singular_point
+        return _Rooted(adj, (sing, *adj) if sing in adj else adj)
 
     def path(self, a: int, b: int) -> list[int]:
-        """Vertex ids along the unique tree path from ``a`` to ``b``."""
+        """Vertex ids along the unique tree path from ``a`` to ``b``: up to
+        the first vertex whose subtree holds ``b``, then down to ``b``."""
+        table = self._rooted
+        pos, end, parent = table.pos, table.end, table.parent
         for x in (a, b):
-            if x not in self._parents:
+            if x not in pos:
                 raise NotATreeError(f"no vertex {x}")
-        up, down = [a], [b]
-        for chain in (up, down):
-            while (p := self._parents[chain[-1]]) is not None:
-                chain.append(p)
-        if up[-1] != down[-1]:
-            raise NotATreeError(f"no path between vertices {a} and {b}")
-        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-            up.pop()
-            down.pop()
+        up, down, at = [a], [b], pos[b]
+        while not pos[up[-1]] <= at < end[up[-1]]:
+            if (p := parent[up[-1]]) is None:
+                raise NotATreeError(f"no path between vertices {a} and {b}")
+            up.append(p)
+        while down[-1] != up[-1]:
+            down.append(parent[down[-1]])
         return up + down[-2::-1]
 
     def vertex_by_itinerary(self) -> dict[Itinerary, int]:
@@ -423,7 +465,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     )
 
     adj = _adjacency(range(n), edges)
-    if len(edges) != n - 1 or len(_walk(adj, 0)) != n:
+    table = _Rooted(adj, (sing,))
+    if len(edges) != n - 1 or len(table.order) != n:
         raise NotATreeError(
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
@@ -444,7 +487,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
         if len(nbrs) <= 2:
             cyclic.append(_min_rotation(tuple(nbrs)))
             continue
-        branches = [(nb, sorted(_walk(adj, nb, removed=i))) for nb in nbrs]
+        branches = [(nb, sorted(table.branch(i, nb))) for nb in nbrs]
         if not words:
             words, name = _family_words(P, its, dynamics, m_max)
         order = _cyclic_order_by_gaps(
@@ -462,6 +505,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
         cyclic_order=tuple(cyclic),
         notes=tuple(notes),
     )
+    # What the cached property would build from these edges, stored where it would be.
+    tree.__dict__["_rooted"] = table
     check_tree_invariants(tree)
     return tree
 
@@ -474,22 +519,6 @@ def _kind(singular: bool, on_orbit: bool, degree: int) -> VertexKind:
     if on_orbit:
         return VertexKind.BOTH if degree >= 3 else VertexKind.POST_SINGULAR
     return VertexKind.BRANCH_EXTRA
-
-
-def _walk(
-    adj: dict[int, list[int]], root: int, removed: int | None = None
-) -> dict[int, int | None]:
-    """The parent of every vertex reached from ``root`` without passing
-    through ``removed``, by depth-first search; ``root`` maps to ``None``."""
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt != removed and nxt not in parent:
-                parent[nxt] = cur
-                stack.append(nxt)
-    return parent
 
 
 def _cyclic_subsequence(sub: list, full: list) -> bool:
@@ -509,7 +538,9 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     Raises :class:`NotATreeError`, :class:`NotExpansiveError` or
     :class:`ClosureViolationError` accordingly; a vertex whose kind
     disagrees with its place on the singular orbit and its degree is a
-    closure violation.
+    closure violation.  Itineraries are compared by their keys
+    ``(preperiod, period)`` and ``(prefix,)``, and the walks read the
+    tree's rooted table.
     """
     P = tree.partition
     n = len(tree.vertices)
@@ -517,28 +548,42 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         raise NotATreeError(f"vertex ids are not 0..{n - 1}")
     if len(tree.dynamics) != n or len(tree.cyclic_order) != n:
         raise NotATreeError(f"dynamics or cyclic orders do not cover {n} vertices")
+    ids = set(range(n))
     for e in tree.edges:
-        if any(x not in range(n) for x in e):
+        if not ids.issuperset(e):
             raise NotATreeError(f"edge {list(e)} names no vertex")
-    if tree.singular_point not in range(n):
-        raise NotATreeError(f"singular point {tree.singular_point} names no vertex")
+    sing = tree.singular_point
+    if sing not in range(n):
+        raise NotATreeError(f"singular point {sing} names no vertex")
     its = [v.itinerary for v in tree.vertices]
-    adj = tree.adjacency()
+    keys = [
+        (it.seq.preperiod, it.seq.period) if isinstance(it, Plain) else (it.prefix,)
+        for it in its
+    ]
+    # The first entry of the preperiod, else of the period or prefix; *nu's is the star.
+    firsts = [(k[0] or k[-1] or STAR)[0] for k in keys]
 
-    if len(set(its)) != n:
+    if len(set(keys)) != n:
         raise NotExpansiveError("two vertices share an itinerary")
-    if len(tree.edges) != n - 1 or len(_walk(adj, 0)) != n:
+    table = tree._rooted
+    adj, order, parent, pos, end = table.adj, table.order, table.parent, table.pos, table.end
+    if len(tree.edges) != n - 1 or end[sing] != n:
         raise NotATreeError("vertex/edge data is not a tree")
 
-    sing = tree.singular_point
-    if its[sing] != PreSingular(()):
+    if keys[sing] != ((),):
         raise ClosureViolationError("singular point does not carry the itinerary *nu")
 
     dyn = tree.dynamics
-    for i, it in enumerate(its):
+    nu = P.kneading.seq
+    for i, key in enumerate(keys):
+        if len(key) == 2:
+            pre, per = key
+            image = (pre[1:], per) if pre else ((), per[1:] + per[:1])
+        else:
+            image = (key[0][1:],) if key[0] else (nu.preperiod, nu.period)
         d = dyn[i]
-        if not 0 <= d < n or its[d] != shift_itinerary(P, it):
-            raise ClosureViolationError(f"dynamics at vertex {it} is not the shift")
+        if not 0 <= d < n or keys[d] != image:
+            raise ClosureViolationError(f"dynamics at vertex {its[i]} is not the shift")
 
     # Endpoints lie on the orbit of the singular point; the singular value is one.
     orbit, i = set(), sing
@@ -553,7 +598,6 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         raise ClosureViolationError("the singular value vertex is not an endpoint")
 
     # Sectors = branches at the singular point = first-entry groups.
-    firsts = [it.first_symbol() for it in its]
     expected: dict[int, set[int]] = {}
     for i in range(n):
         if i != sing:
@@ -563,10 +607,10 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
     if nu_id not in got.get(0, set()):
         raise ClosureViolationError("the singular value vertex is not in sector 0")
-    # Each branch at the singular point lies in one sector, and the
-    # dynamics restricted to it is injective.
+    # Each branch at the singular point, the root, is a subtree; it lies
+    # in one sector, and the dynamics restricted to it is injective.
     for nb in adj[sing]:
-        comp = _walk(adj, nb, removed=sing)
+        comp = order[pos[nb] : end[nb]]
         branch_firsts = {firsts[i] for i in comp}
         if len(branch_firsts) != 1:
             raise ClosureViolationError(
@@ -579,20 +623,18 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
 
     # Cyclic order bookkeeping and preservation under the dynamics.
     for i in range(n):
-        order = tree.cyclic_order[i]
+        cyclic = tree.cyclic_order[i]
         if i == sing:
-            if order is not None:
+            if cyclic is not None:
                 raise ClosureViolationError("singular point must not carry a cyclic order")
             continue
-        if order is None or sorted(order) != adj[i]:
+        if cyclic is None or sorted(cyclic) != adj[i]:
             raise ClosureViolationError(f"cyclic order at vertex {its[i]} is inconsistent")
 
     for i in range(n):
         if i == sing or len(adj[i]) < 3:
             continue
         image = dyn[i]
-        # label[w]: the first step of the path from the image to w.
-        label = {w: nb for nb in adj[image] for w in _walk(adj, nb, removed=image)}
         branch_images = []
         for nb in tree.cyclic_order[i]:
             w = dyn[nb]
@@ -600,7 +642,14 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
                 raise ClosureViolationError(
                     f"neighbor {its[nb]} collapses onto the image of {its[i]}"
                 )
-            branch_images.append(label[w])
+            # The first step of the path from the image to w: the child of
+            # the image whose subtree holds w, else the image's parent.
+            if pos[image] < pos[w] < end[image]:
+                while parent[w] != image:
+                    w = parent[w]
+            else:
+                w = parent[image]
+            branch_images.append(w)
         if len(set(branch_images)) != len(branch_images):
             raise ClosureViolationError(f"dynamics folds branches at {its[i]}")
         if image == sing:

@@ -47,7 +47,7 @@ from .partition import (
     sector_of,
     shift_itinerary,
 )
-from .sequences import ExtAddress, _primitive_root, cyclic_between
+from .sequences import ExtAddress, _frozen, _primitive_root, cyclic_between
 
 __all__ = [
     "AddressTriod",
@@ -70,6 +70,7 @@ class Shape(Enum):
     PRESINGULAR_LINEAR = "presingular-linear"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class TriodShape:
     """Shape of a triod; ``middle`` is the 1-based member index for the
@@ -90,6 +91,7 @@ class TriodShape:
         return f"{self.shape.value}(middle={self.middle})"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Triod:
     """Ordered triple of distinct itineraries in the ambient partition."""
@@ -114,6 +116,7 @@ class Triod:
         return "[" + ", ".join(str(m) for m in self.members) + "]"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class AddressTriod:
     """Triple of external addresses in positive cyclic order whose

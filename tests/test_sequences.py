@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import pkgutil
 import random
 from itertools import product
 from math import gcd
@@ -5,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exptree
 from exptree.errors import EmptyPeriodError, NotDistinctError
 from exptree.sequences import (
     ExtAddress,
@@ -189,6 +193,56 @@ class TestCanonicalByConstruction:
             got = a.prepend(j)
             assert got == canonicalize((j,) + a.preperiod, a.period)
             assert canonicalize(got.preperiod, got.period) == got
+
+
+def frozen_slotted_classes():
+    """Every ``@dataclass(frozen=True, slots=True)`` class of the library,
+    found by importing each of its modules."""
+    found = []
+    for info in pkgutil.iter_modules(exptree.__path__):
+        module = importlib.import_module(f"exptree.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and obj.__module__ == module.__name__
+            and dataclasses.is_dataclass(obj)
+            and obj.__dataclass_params__.frozen
+            and "__slots__" in vars(obj)
+        ]
+    return found
+
+
+class TestFrozenValueObjects:
+    CLASSES = frozen_slotted_classes()
+
+    def test_introspection_finds_the_value_objects(self):
+        names = {cls.__name__ for cls in self.CLASSES}
+        assert {"ExtAddress", "Partition", "Plain", "PreSingular", "Vertex", "Triod"} <= names
+        assert len(names) >= 12
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_any_assignment_or_deletion_raises(self, cls):
+        # Built without __init__: the slots may stay empty, as the
+        # attempts must fail before any slot is touched.
+        obj = object.__new__(cls)
+        for name in (dataclasses.fields(cls)[0].name, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+    def test_a_built_address_keeps_its_fields(self):
+        a = addr([0], [1, 2])
+        for attempt in (
+            lambda: setattr(a, "extra", 1),
+            lambda: delattr(a, "period"),
+            lambda: setattr(a, "period", (3,)),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                attempt()
+        assert (a.preperiod, a.period) == ((0,), (1, 2))
+        assert dataclasses.replace(a, period=(3,)) == ExtAddress((0,), (3,))
 
 
 class TestCompare:

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exptree.analysis import _edge_rows
 from exptree.errors import (
     ClosureViolationError,
     GapAssignmentFailureError,
@@ -43,6 +44,7 @@ from exptree.treebuild import (
     vertex_set,
 )
 from exptree.triods import Triod, _TriodMap, middle_point
+from wide import wide_partitions
 
 
 def addr(pre, per):
@@ -1183,3 +1185,340 @@ class TestClosureViolations:
         msg = str(err.value)
         assert "(0) and 0(0,1) share sector 0" in msg
         assert "every third vertex outside sector 0" in msg
+
+
+# The check and the tree walks as they were before the tree kept one rooted
+# table: every walk a fresh depth-first search over a fresh adjacency, and
+# itineraries compared as objects.  The tests below pin the current check,
+# ``path`` and the entropy's edge rows to them.
+
+
+def reference_walk(adj, root, removed=None):
+    """The parent of every vertex reached from ``root`` without passing
+    through ``removed``, by depth-first search; ``root`` maps to ``None``."""
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt != removed and nxt not in parent:
+                parent[nxt] = cur
+                stack.append(nxt)
+    return parent
+
+
+def reference_kind(singular, on_orbit, degree):
+    if singular:
+        return VertexKind.SINGULAR
+    if on_orbit:
+        return VertexKind.BOTH if degree >= 3 else VertexKind.POST_SINGULAR
+    return VertexKind.BRANCH_EXTRA
+
+
+def reference_cyclic_subsequence(sub, full):
+    if len(sub) <= 2:
+        return True
+    pos = {x: i for i, x in enumerate(full)}
+    idx = [pos[x] for x in sub]
+    rot = idx.index(min(idx))
+    idx = idx[rot:] + idx[:rot]
+    return all(idx[i] < idx[i + 1] for i in range(len(idx) - 1))
+
+
+def reference_check(tree):
+    P = tree.partition
+    n = len(tree.vertices)
+    if [v.id for v in tree.vertices] != list(range(n)):
+        raise NotATreeError(f"vertex ids are not 0..{n - 1}")
+    if len(tree.dynamics) != n or len(tree.cyclic_order) != n:
+        raise NotATreeError(f"dynamics or cyclic orders do not cover {n} vertices")
+    for e in tree.edges:
+        if any(x not in range(n) for x in e):
+            raise NotATreeError(f"edge {list(e)} names no vertex")
+    if tree.singular_point not in range(n):
+        raise NotATreeError(f"singular point {tree.singular_point} names no vertex")
+    its = [v.itinerary for v in tree.vertices]
+    adj = tree.adjacency()
+
+    if len(set(its)) != n:
+        raise NotExpansiveError("two vertices share an itinerary")
+    if len(tree.edges) != n - 1 or len(reference_walk(adj, 0)) != n:
+        raise NotATreeError("vertex/edge data is not a tree")
+
+    sing = tree.singular_point
+    if its[sing] != PreSingular(()):
+        raise ClosureViolationError("singular point does not carry the itinerary *nu")
+
+    dyn = tree.dynamics
+    for i, it in enumerate(its):
+        d = dyn[i]
+        if not 0 <= d < n or its[d] != shift_itinerary(P, it):
+            raise ClosureViolationError(f"dynamics at vertex {it} is not the shift")
+
+    orbit, i = set(), sing
+    while i not in orbit:
+        orbit.add(i)
+        i = dyn[i]
+    nu_id = dyn[sing]
+    for i in range(n):
+        if len(adj[i]) == 1 and i not in orbit:
+            raise ClosureViolationError(f"endpoint {its[i]} is not on the singular orbit")
+    if len(adj[nu_id]) != 1:
+        raise ClosureViolationError("the singular value vertex is not an endpoint")
+
+    firsts = [it.first_symbol() for it in its]
+    expected = {}
+    for i in range(n):
+        if i != sing:
+            expected.setdefault(firsts[i], set()).add(i)
+    got = {k: set(v) for k, v in tree.sectors}
+    if got != expected:
+        raise ClosureViolationError("sector labels disagree with first itinerary entries")
+    if nu_id not in got.get(0, set()):
+        raise ClosureViolationError("the singular value vertex is not in sector 0")
+    for nb in adj[sing]:
+        comp = reference_walk(adj, nb, removed=sing)
+        branch_firsts = {firsts[i] for i in comp}
+        if len(branch_firsts) != 1:
+            raise ClosureViolationError(
+                f"branch at the singular point mixes sectors {sorted(branch_firsts)}"
+            )
+        if len({dyn[i] for i in comp}) != len(comp):
+            raise ClosureViolationError(
+                "dynamics folds a branch at the singular point onto itself"
+            )
+
+    for i in range(n):
+        order = tree.cyclic_order[i]
+        if i == sing:
+            if order is not None:
+                raise ClosureViolationError("singular point must not carry a cyclic order")
+            continue
+        if order is None or sorted(order) != adj[i]:
+            raise ClosureViolationError(f"cyclic order at vertex {its[i]} is inconsistent")
+
+    for i in range(n):
+        if i == sing or len(adj[i]) < 3:
+            continue
+        image = dyn[i]
+        label = {
+            w: nb for nb in adj[image] for w in reference_walk(adj, nb, removed=image)
+        }
+        branch_images = []
+        for nb in tree.cyclic_order[i]:
+            w = dyn[nb]
+            if w == image:
+                raise ClosureViolationError(
+                    f"neighbor {its[nb]} collapses onto the image of {its[i]}"
+                )
+            branch_images.append(label[w])
+        if len(set(branch_images)) != len(branch_images):
+            raise ClosureViolationError(f"dynamics folds branches at {its[i]}")
+        if image == sing:
+            branch_firsts = [firsts[w] for w in branch_images]
+            ok = reference_cyclic_subsequence(branch_firsts, sorted(set(branch_firsts)))
+        else:
+            ok = reference_cyclic_subsequence(branch_images, list(tree.cyclic_order[image]))
+        if not ok:
+            raise ClosureViolationError(
+                f"dynamics does not preserve the cyclic order at {its[i]}"
+            )
+
+    for i, v in enumerate(tree.vertices):
+        if v.kind != reference_kind(i == sing, i in orbit, len(adj[i])):
+            raise ClosureViolationError(f"vertex {its[i]} has the wrong kind {v.kind.value}")
+
+
+def reference_parents(tree):
+    """Parent pointers of a search forest, one root per component."""
+    adj = tree.adjacency()
+    parent = {}
+    for root in adj:
+        if root not in parent:
+            parent.update(reference_walk(adj, root))
+    return parent
+
+
+def reference_path(parents, a, b):
+    for x in (a, b):
+        if x not in parents:
+            raise NotATreeError(f"no vertex {x}")
+    up, down = [a], [b]
+    for chain in (up, down):
+        while (p := parents[chain[-1]]) is not None:
+            chain.append(p)
+    if up[-1] != down[-1]:
+        raise NotATreeError(f"no path between vertices {a} and {b}")
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    return up + down[-2::-1]
+
+
+def reference_rows(tree):
+    parents = reference_parents(tree)
+    index = {e: i for i, (a, b) in enumerate(tree.edges) for e in ((a, b), (b, a))}
+    paths = (
+        reference_path(parents, tree.dynamics[u], tree.dynamics[v]) for u, v in tree.edges
+    )
+    return [[index[e] for e in zip(p, p[1:])] for p in paths]
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def mutations(tree, rng, count=3):
+    """Trees that differ from ``tree`` in one field, ``count`` of each kind
+    where the tree allows, as ``(kind, tree)``; "edge+orders" moves an edge
+    and gives the three touched vertices their sorted neighbors as cyclic
+    orders, so that the check gets past its bookkeeping."""
+    replace = dataclasses.replace
+    n, sing = len(tree.vertices), tree.singular_point
+    pairs = rng.sample(list(combinations(range(n), 2)), min(count, n * (n - 1) // 2))
+    branched = [i for i, o in enumerate(tree.cyclic_order) if o and len(o) >= 2]
+    others = [i for i in range(n) if i != sing]
+    out = []
+    for i, j in pairs:
+        dyn = list(tree.dynamics)
+        dyn[i], dyn[j] = dyn[j], dyn[i]
+        out.append(("dynamics", replace(tree, dynamics=tuple(dyn))))
+        v = list(tree.vertices)
+        v[i] = replace(v[i], itinerary=v[j].itinerary)
+        out.append(("itinerary", replace(tree, vertices=tuple(v))))
+    for i in rng.sample(branched, min(count, len(branched))):
+        cyclic = list(tree.cyclic_order)
+        cyclic[i] = cyclic[i][::-1]
+        out.append(("reversed order", replace(tree, cyclic_order=tuple(cyclic))))
+    for _ in range(count if n > 2 else 0):
+        a, b = rng.choice(tree.edges)
+        keep = rng.choice((a, b))
+        c = rng.choice([x for x in range(n) if x not in (a, b)])
+        edges = tuple(sorted(set(tree.edges) - {(a, b)} | {(min(keep, c), max(keep, c))}))
+        moved = replace(tree, edges=edges)
+        out.append(("edge", moved))
+        cyclic = list(tree.cyclic_order)
+        adj = moved.adjacency()
+        for x in {a, b, c} - {sing}:
+            cyclic[x] = tuple(adj[x])
+        out.append(("edge+orders", replace(moved, cyclic_order=tuple(cyclic))))
+    for i in rng.sample(range(n), min(count, n)):
+        v = list(tree.vertices)
+        kind = rng.choice([k for k in VertexKind if k != v[i].kind])
+        v[i] = replace(v[i], kind=kind)
+        out.append(("kind", replace(tree, vertices=tuple(v))))
+    for i in rng.sample(others, min(count, len(others))):
+        sectors = dict(tree.sectors)
+        home = next(k for k, ids in sectors.items() if i in ids)
+        away = rng.choice([k for k in sectors if k != home] or [home + 1])
+        sectors[home] = tuple(x for x in sectors[home] if x != i)
+        sectors[away] = tuple(sorted(sectors.get(away, ()) + (i,)))
+        out.append(("sector", replace(tree, sectors=tuple(sorted(sectors.items())))))
+    for j in rng.sample(others, min(count, len(others))):
+        out.append(("singular point", replace(tree, singular_point=j)))
+    return out
+
+
+def check_agrees_with_reference(tree, rng, seen=None):
+    assert outcome(check_tree_invariants, tree) is None
+    for kind, mutant in mutations(tree, rng):
+        want = outcome(reference_check, mutant)
+        assert outcome(check_tree_invariants, mutant) == want, (str(tree), kind)
+        if seen is not None and want is not None:
+            seen.add(want[1])
+
+
+def paths_agree_with_reference(tree):
+    """``path`` for every pair of vertices and ids that name none, and the
+    entropy's edge rows, as the reference walks give them."""
+    parents = reference_parents(tree)
+    ids = [v.id for v in tree.vertices] + [-1, len(tree.vertices), 99]
+    for a in ids:
+        for b in ids:
+            got, want = outcome(tree.path, a, b), outcome(reference_path, parents, a, b)
+            assert got == want, (str(tree), a, b)
+
+
+class TestCheckAgainstReference:
+    """The check raises what the reference check raises, class and text,
+    on single-field mutations of built trees, and passes where it passes."""
+
+    # The reference's messages on the corpus, with itineraries and ids as "#".
+    MESSAGES = {
+        "vertex/edge data is not a tree",
+        "two vertices share an itinerary",
+        "singular point does not carry the itinerary #nu",
+        "dynamics at vertex # is not the shift",
+        "the singular value vertex is not an endpoint",
+        "sector labels disagree with first itinerary entries",
+        "branch at the singular point mixes sectors # #",
+        "cyclic order at vertex # is inconsistent",
+        "dynamics folds branches at #",
+        "dynamics does not preserve the cyclic order at #",
+        "vertex # has the wrong kind branch",
+    }
+
+    def test_goldens(self, tree_a, tree_b):
+        rng = random.Random(24)
+        for tree in (tree_a, tree_b):
+            for _ in range(10):
+                check_agrees_with_reference(tree, rng)
+
+    def test_acceptance_corpus(self, acceptance_corpus):
+        rng, seen = random.Random(2024), set()
+        for tree in acceptance_corpus.trees:
+            check_agrees_with_reference(tree, rng, seen)
+        seen = {re.sub(r"[-\d,()*\[\]]+", "#", m) for m in seen}
+        assert self.MESSAGES <= seen, self.MESSAGES - seen
+
+    @pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(wide_partitions(), st.randoms(use_true_random=False))
+    def test_wide_bases(self, P, rng):
+        tree = build_tree(P)
+        check_agrees_with_reference(tree, rng)
+        check_agrees_with_reference(tree_from_json(to_json(tree)), rng)
+
+
+class TestWalksAgainstReference:
+    """``path`` and the entropy's edge rows on the rooted table give what
+    the reference walks give, on trees and on forests."""
+
+    def trees(self, tree_a, tree_b, corpus):
+        return [tree_a, tree_b, *corpus.trees]
+
+    def test_build_hands_in_the_table_the_property_builds(
+        self, tree_a, tree_b, acceptance_corpus
+    ):
+        fields = ("adj", "order", "parent", "pos", "end")
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus):
+            built, fresh = tree._rooted, dataclasses.replace(tree)._rooted
+            assert built is not fresh
+            assert [getattr(built, f) for f in fields] == [getattr(fresh, f) for f in fields]
+
+    def test_edge_rows(self, tree_a, tree_b, acceptance_corpus):
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus):
+            assert _edge_rows(tree) == reference_rows(tree), str(tree)
+
+    def test_paths(self, tree_a, tree_b, acceptance_corpus):
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus)[:40]:
+            paths_agree_with_reference(tree)
+
+    def test_forests(self, tree_a, tree_b, acceptance_corpus):
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus)[:20]:
+            for e in tree.edges:
+                cut = dataclasses.replace(tree, edges=tuple(x for x in tree.edges if x != e))
+                paths_agree_with_reference(cut)
+                assert outcome(_edge_rows, cut) == outcome(reference_rows, cut)
+
+    @pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(wide_partitions())
+    def test_wide_bases(self, P):
+        tree = build_tree(P)
+        assert _edge_rows(tree) == reference_rows(tree)
+        paths_agree_with_reference(tree)
