@@ -302,6 +302,9 @@ def core_entropy(
     of :func:`spectral_radius_power`.  If that hits its iteration cap on a
     small enough matrix, :func:`spectral_radius_exact` on the same rows,
     made dense, decides.  A spectral radius at most 1 yields entropy 0.
+    The last bits depend on the interpreter, as CPython compensates
+    :func:`sum` of floats from 3.12 on: compare ``repr`` on one interpreter
+    only.  The 9 decimals that ``exptree entropy`` prints do not change.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")

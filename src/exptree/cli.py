@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import verify as verify_mod
 from .analysis import core_entropy, same_map
 from .errors import (
     ExptreeError,
@@ -120,6 +119,7 @@ def _run(args: argparse.Namespace) -> int:
         print("true" if result else "false")
         return 0 if result else 1
     if cmd == "verify":
+        from . import verify as verify_mod  # only this command loads the suites
         options = (args.max_preperiod, args.max_period, args.entry_range)
         # Checked on its own: a ValueError from inside the suites is a defect.
         try:

@@ -6,7 +6,7 @@ length (a multiple ``m * n`` of the itinerary's period ``n``).  Those
 of a periodic itinerary are the cycles of a finite automaton
 (:class:`_Positions`): the positions of an address among the shifts of
 the base ``s``, moved by the composed inverse branch of its period word
-(:func:`_periodic_search`).  A cycle has at most ``2(|pre_s| + |per_s|) +
+(:meth:`_Positions.cycles`).  A cycle has at most ``2(|pre_s| + |per_s|) +
 1`` positions, which bounds ``m``.  This is the pull-back machinery of
 Bruin and Schleicher's *Symbolic Dynamics of Quadratic Polynomials*,
 carried over to exponential addresses.
@@ -17,15 +17,15 @@ images under the inverse branch ``L_k`` of those of ``t`` other than the
 base.  Preperiodic itineraries are pulled back from their periodic part,
 pre-singular ones from the boundary sheets ``m.s``.  The public functions
 keep nothing between calls and compare addresses to pull them back.  The
-tree build instead keeps one automaton, on which a pullback is a table
-lookup on positions (:meth:`_Positions.pull`).
+tree build makes one call, :func:`_vertex_words`; this module alone holds
+its automaton, where a pullback is a lookup (:meth:`_Positions.pull`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptyRangeError,
@@ -41,7 +41,9 @@ from .partition import (
     PreSingular,
     inverse_branch,
 )
-from .sequences import ExtAddress, _frozen, _gap_of, _primitive_root, _word, canonicalize
+from .sequences import (
+    ExtAddress, _frozen, _gap_of, _primitive_root, _word, _word_length, canonicalize
+)
 from .triods import (
     AddressTriod,
     TriodShape,
@@ -100,11 +102,12 @@ def addresses_of_periodic(
     Each call runs one search on ``p``'s own period word.  Raises
     :class:`RealizationBoundExceededError` when the search needs a
     multiplier above ``m_max``; ``None`` means no cap (see
-    :func:`_periodic_search`).
+    :meth:`_Positions.cycles`).
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
-    return AddressSet(_sorted(_periodic_search(P, p.seq.period, m_max)), p)
+    found = _Positions(P).cycles(p.seq.period, m_max)
+    return AddressSet(_sorted(ExtAddress((), a.period) for a in found), p)
 
 
 def _sorted(family: Iterable[ExtAddress]) -> tuple[ExtAddress, ...]:
@@ -132,7 +135,7 @@ class _Realization(NamedTuple):
 
 class _Positions:
     """The position automaton of a partition's base ``s`` (see
-    :func:`_periodic_search`): the sorted shifts of ``s``, their keys
+    :meth:`cycles`): the sorted shifts of ``s``, their keys
     ``(W[i], pos o_{i+1})``, and per letter ``k`` the table of ``L_k`` on
     positions, ``q -> (e, q')``, filled as it is read.  One automaton
     serves every periodic search and pullback of a tree build.  The
@@ -180,9 +183,62 @@ class _Positions:
     def cycles(
         self, word: tuple[int, ...], m_max: int | None
     ) -> list[_Realization]:
-        """Every periodic address with itinerary period ``word``, each once,
-        at its own position: the points that the kept cycles of ``g`` spell
-        (see :func:`_periodic_search`)."""
+        """Every periodic address with itinerary period ``word``, each once, at
+        its own position: the periodic points of ``G = L_{p_1} o ... o
+        L_{p_n}`` (``L_k`` is :func:`inverse_branch`, which inverts the shift
+        on ``I_k``; a periodic point of ``G`` is no sector bound
+        ``(j0+k+1).s``), spelled by the kept cycles of ``g``.
+
+        Positions.  The ``L = |pre_s| + |per_s|`` shifts ``o_i = sigma^i s`` of
+        the base form ``O``.  They differ within ``L`` entries (see
+        :func:`~exptree.sequences.compare_lex`), so the slices ``W[i : i + L]``
+        of ``s``'s first ``2L`` entries order them.  An address is a point of
+        ``O`` or lies in one of the ``L + 1`` (nonempty) arcs around them:
+        ``N = 2L + 1`` positions, numbered upward, the points odd.
+
+        Every transition is well defined.  ``L_k(u) = e.u`` with ``e = j0+k+1``
+        if ``u <= s`` and ``j0+k`` otherwise, fixed by ``u``'s position.
+        ``e.u`` compares with ``o_i = W[i].o_{i+1}`` (``o_L`` is
+        ``o_{|pre_s|}``) as ``(e, u)`` with ``(W[i], o_{i+1})``, and ``u`` with
+        ``o_{i+1}`` as their positions do, so one bisection of ``(e, pos u)``
+        among the sorted keys ``(W[i], pos o_{i+1})`` places ``e.u``.  It meets
+        a key only if ``u`` is a point, so arcs go to arcs and points to
+        points.  The tables composed over ``word`` give a map ``g`` on
+        positions and the word ``W_q`` that ``G`` prepends at ``q``.
+
+        Every realizing address lies on a cycle, whose length is its
+        multiplier.  A realizing ``x`` of ``G``-period ``m`` visits ``pi_0,
+        pi_1 = g(pi_0), ...``, so ``G^j x = W_{pi_{j-1}} ... W_{pi_0}.x``.  If
+        the positions first close after ``j`` steps, ``x = G^{jm} x`` is that
+        word prepended ``m`` times to ``x``, so ``x = (W_{pi_{j-1}} ...
+        W_{pi_0})^infinity = G^j x``: ``j = m``, ``x`` is what its cycle spells
+        from ``pi_0``, and its period is ``m n``, as ``G`` is injective.
+
+        Conversely, the address ``x = V^infinity``, ``V = W_{pi_{m-1}} ...
+        W_{pi_0}``, that a cycle of length ``m`` spells from ``pi_0`` is a
+        periodic point of ``G`` if it has position ``pi_0``.  A point ``pi_0``
+        is one address, fixed by ``G^m``, so it is ``x``.  On an arc ``pi_0 =
+        (a, b)`` the iterates ``G^{jm} u`` of any ``u`` stay in it and converge
+        to ``x``, so ``x`` lies in the closed ``[a, b]``, at ``pi_0`` unless it
+        is ``a`` or ``b``, a point of ``O``.
+
+        Such an arc cycle is dropped, which lists each address once, at its own
+        position, and changes neither the set nor the multipliers.  Its limit
+        ``x`` realizes ``word``: for ``u`` at ``pi_0`` and ``t < r m n`` the
+        shift ``sigma^t G^{rm} u`` lies inside the sector of letter ``t mod n``
+        of ``word`` (no step meets ``s``, the one address ``L_k`` sends to a
+        sector bound, as arcs go to arcs) and agrees with ``sigma^t x`` on
+        ``r m n - t`` entries, so ``sigma^t x`` lies in the closed sector, and not
+        on its bounds, which are strictly preperiodic.  So ``x`` lies on its
+        own cycle, through its point position, of length its multiplier ``j``;
+        and ``j n``, the period of ``x = V^infinity``, divides ``|V| = m n``,
+        so ``j <= m``.  A periodic point of ``O`` is one whose period is a
+        rotation of ``per_s``.
+
+        No cycle is longer than ``N``, so ``m_max=None`` means no cap; an
+        explicit ``m_max`` raises :class:`RealizationBoundExceededError` when a
+        kept cycle is longer.
+        """
         N, n = self.size, len(word)
         g = list(range(N))
         for k in reversed(word):
@@ -218,11 +274,6 @@ class _Positions:
             ]
         return out
 
-    def sheets(self, ms: Iterable[int]) -> list[_Realization]:
-        """The boundary sheets ``m.s``, each located once."""
-        s, q = self.P.base, self.base_position
-        return [_Realization((m,) + s.preperiod, s.period, self.place(m, q)) for m in ms]
-
     def pull(self, k: int, family: Iterable[_Realization]) -> list[_Realization]:
         """:func:`_pullback` by one letter ``k``, as table lookups: the base,
         the one address at its position, is dropped."""
@@ -232,67 +283,6 @@ class _Positions:
                 e, q = row[a.position] or self.step(k, a.position)
                 out.append(_Realization((e,) + a.preperiod, a.period, q))
         return out
-
-
-def _periodic_search(
-    P: Partition, word: tuple[int, ...], m_max: int | None = None
-) -> tuple[ExtAddress, ...]:
-    """The periodic addresses whose itinerary has period ``word``: the
-    periodic points of ``G = L_{p_1} o ... o L_{p_n}`` (``L_k`` is
-    :func:`inverse_branch`, which inverts the shift on ``I_k``; a periodic
-    point of ``G`` is no sector bound ``(j0+k+1).s``).
-
-    Positions.  The ``L = |pre_s| + |per_s|`` shifts ``o_i = sigma^i s``
-    of the base form ``O``.  They differ within ``L`` entries (see
-    :func:`~exptree.sequences.compare_lex`), so the slices ``W[i : i + L]``
-    of ``s``'s first ``2L`` entries order them.  An address is a point of
-    ``O`` or lies in one of the ``L + 1`` (nonempty) arcs around them:
-    ``N = 2L + 1`` positions, numbered upward, the points odd.
-
-    Every transition is well defined.  ``L_k(u) = e.u`` with ``e =
-    j0+k+1`` if ``u <= s`` and ``j0+k`` otherwise, fixed by ``u``'s
-    position.  ``e.u`` compares with ``o_i = W[i].o_{i+1}`` (``o_L`` is
-    ``o_{|pre_s|}``) as ``(e, u)`` with ``(W[i], o_{i+1})``, and ``u`` with
-    ``o_{i+1}`` as their positions do, so one bisection of ``(e, pos u)``
-    among the sorted keys ``(W[i], pos o_{i+1})`` places ``e.u``.  It
-    meets a key only if ``u`` is a point, so arcs go to arcs and points
-    to points.  The tables composed over ``word`` give a map ``g`` on
-    positions and the word ``W_q`` that ``G`` prepends at ``q``.
-
-    Every realizing address lies on a cycle, whose length is its
-    multiplier.  A realizing ``x`` of ``G``-period ``m`` visits ``pi_0,
-    pi_1 = g(pi_0), ...``, so ``G^j x = W_{pi_{j-1}} ... W_{pi_0}.x``.  If
-    the positions first close after ``j`` steps, ``x = G^{jm} x`` is that
-    word prepended ``m`` times to ``x``, so ``x = (W_{pi_{j-1}} ...
-    W_{pi_0})^infinity = G^j x``: ``j = m``, ``x`` is what its cycle spells
-    from ``pi_0``, and its period is ``m n``, as ``G`` is injective.
-
-    Conversely, the address ``x = V^infinity``, ``V = W_{pi_{m-1}} ...
-    W_{pi_0}``, that a cycle of length ``m`` spells from ``pi_0`` is a
-    periodic point of ``G`` if it has position ``pi_0``.  A point ``pi_0``
-    is one address, fixed by ``G^m``, so it is ``x``.  On an arc ``pi_0 =
-    (a, b)`` the iterates ``G^{jm} u`` of any ``u`` stay in it and
-    converge to ``x``, so ``x`` lies in the closed ``[a, b]``, at ``pi_0``
-    unless it is ``a`` or ``b``, a point of ``O``.
-
-    Such an arc cycle is dropped, which lists each address once, at its
-    own position, and changes neither the set nor the multipliers.  Its
-    limit ``x`` realizes ``word``: for ``u`` at ``pi_0`` and ``t < r m n``
-    the shift ``sigma^t G^{rm} u`` lies inside the sector of letter ``t mod
-    n`` of ``word`` (no step meets ``s``, the one address ``L_k`` sends to
-    a sector bound, as arcs go to arcs) and agrees with ``sigma^t x`` on
-    ``r m n - t`` entries, so ``sigma^t x`` lies in the closed sector, and
-    not on its bounds, which are strictly preperiodic.  So ``x`` lies on
-    its own cycle, through its point position, of length its multiplier
-    ``j``; and ``j n``, the period of ``x = V^infinity``, divides ``|V| =
-    m n``, so ``j <= m``.  A periodic point of ``O`` is one whose period is
-    a rotation of ``per_s``.
-
-    No cycle is longer than ``N``, so ``m_max=None`` means no cap; an
-    explicit ``m_max`` raises :class:`RealizationBoundExceededError` when a
-    kept cycle is longer.  This is one use of :class:`_Positions`.
-    """
-    return tuple(ExtAddress((), a.period) for a in _Positions(P).cycles(word, m_max))
 
 
 def _pullback(
@@ -318,16 +308,6 @@ def _pullback(
     return out
 
 
-def _presingular_sheets(firsts: Iterable[int]) -> range:
-    """Sheets for the boundary pullbacks of a pre-singular itinerary,
-    given the first entries of what the pullbacks must separate: from one
-    below the least to one above the greatest, so the sheets reach past
-    both ends.  Where a range is too narrow, :func:`separating_addresses`
-    raises :class:`GapAssignmentFailureError`."""
-    firsts = list(firsts)
-    return range(min(firsts) - 1, max(firsts) + 2)
-
-
 def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
     """Sheets for the boundary pullbacks of a tree's pre-singular vertices:
     a vertex whose itinerary starts with ``k`` lies in sector ``I_k``,
@@ -341,6 +321,57 @@ def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
     sheets, so no branch address falls in a gap an outer sheet adds."""
     firsts = [P.offset_j0 + it.first_symbol() for it in its if it.first_symbol() != STAR]
     return range(min(firsts), max(firsts) + 2)
+
+
+def _vertex_words(
+    P: Partition,
+    its: Sequence[Itinerary],
+    dynamics: Sequence[int],
+    star: int,
+    m_max: int | None,
+) -> tuple[list[tuple[tuple[int, ...], ...]], Callable[[tuple[int, ...]], str]]:
+    """Every vertex's realizing addresses, as the sorted words of their
+    first entries at one length that orders them
+    (:func:`~exptree.sequences._word_length`), and a function that names
+    the address of a word, for error messages.  ``dynamics`` holds the ids
+    of the vertices' shifts and ``star`` the id of ``*nu``.
+
+    All are realized on one :class:`_Positions`: the least rotation of
+    each periodic cycle takes the automaton's cycles for its period word,
+    ``*nu`` the sheets ``m.s`` of :func:`_vertex_sheets`, each located
+    once, and every other vertex its image's family pulled back by its
+    first symbol, walking the dynamics to a cycle or to ``*nu``; an
+    address at the base's position is the base, and is dropped."""
+    automaton = _Positions(P)
+    s, q = P.base, automaton.base_position
+    fams: list[list[_Realization] | None] = [None] * len(its)
+    fams[star] = [
+        _Realization((m,) + s.preperiod, s.period, automaton.place(m, q))
+        for m in _vertex_sheets(P, its)
+    ]
+    # Periodic vertices first: a walk then closes each cycle at its least rotation.
+    periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
+    for v in sorted(range(len(its)), key=lambda v: not periodic[v]):
+        chain = []
+        while fams[v] is None and v not in chain:
+            chain.append(v)
+            v = dynamics[v]
+        if fams[v] is None:
+            fams[v] = automaton.cycles(its[v].seq.period, m_max)
+        for w in reversed(chain):
+            if fams[w] is None:
+                fams[w] = automaton.pull(its[w].first_symbol(), fams[dynamics[w]])
+
+    addrs = [a for f in fams for a in f]
+    L = _word_length(
+        max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
+    )
+
+    def name(word: tuple[int, ...]) -> str:
+        a = next(a for a in addrs if _word(a, L) == word)
+        return str(canonicalize(a.preperiod, a.period))
+
+    return [tuple(sorted(_word(a, L) for a in f)) for f in fams], name
 
 
 def addresses_of(
@@ -434,10 +465,11 @@ def separating_addresses(
     shape = _shape(T, b)
 
     if isinstance(b, PreSingular):
-        # Boundary pullbacks; take the sheet range from both the initial
-        # and the last-stage members so the gaps around each member are
-        # covered.
-        sheets = _presingular_sheets(x.entry(1) for x in A.members + stage.members)
+        # Boundary pullbacks, on sheets one past the first entries of the
+        # initial and the last-stage members at each end, so the gaps around
+        # each member are covered; too narrow a range fails the gap check.
+        firsts = [x.entry(1) for x in A.members + stage.members]
+        sheets = range(min(firsts) - 1, max(firsts) + 2)
         rays = addresses_of(P, P.kneading)
         addrs = _pullback(P, b.prefix, [a.prepend(m) for a in rays for m in sheets])
     else:

@@ -34,12 +34,12 @@ vertices' shifts are the dynamics, the sectors label the branches at
 nothing in between.  At every other vertex of degree at least three,
 pre-singular or not, the realizing external addresses of the vertex
 split the circle at infinity into gaps, one per branch, which yields the
-cyclic order of the branches.  All of
-them are realized on one position automaton per build: the periodic
-cycles from its cycles, one per cycle, ``*nu`` from the sheets, and
-every other vertex from its image's by table lookups.  They are bisected
-as tuples of their first entries, all of one length at which tuple order
-is the lexicographic order of the addresses.
+cyclic order of the branches.  The build makes one call,
+:func:`~exptree.realization._vertex_words`, for the addresses of every
+vertex; :mod:`~exptree.realization` alone holds the automaton that
+realizes them.  They come back as tuples of their first entries, all of
+one length at which tuple order is the lexicographic order of the
+addresses, and are bisected as such.
 
 Each tree keeps one rooted table (:class:`_Rooted`): the sorted
 adjacency, a depth-first preorder from the singular point, each vertex's
@@ -67,8 +67,8 @@ from .errors import (
 )
 from .partition import STAR, Itinerary, Partition, Plain, PreSingular, validate_base
 from .notation import parse_address, parse_itinerary
-from .realization import _Positions, _Realization, _vertex_sheets
-from .sequences import _frozen, _gap_of, _min_rotation, _word, _word_length, canonicalize
+from .realization import _vertex_words
+from .sequences import _frozen, _gap_of, _min_rotation, _word_length
 from .triods import _TriodMap
 
 __all__ = [
@@ -286,8 +286,8 @@ def _vertex_set(P: Partition) -> tuple:
     orbit_sectors = _sectors(orbit_ids, triods.firsts, star)
     vids.update(triods.middle(*tri) for tri in _star_tuples(orbit_sectors, star, 3))
     # Pre-singular vertices first (by prefix), then plain ones in
-    # lexicographic order, as words (:func:`_word`) of one length that
-    # orders them.
+    # lexicographic order, as words (:func:`~exptree.sequences._word`) of
+    # one length that orders them.
     plain = [keys[v] for v in vids if len(keys[v]) == 2]
     L = _word_length(
         max((len(pre) for pre, _ in plain), default=0), (len(per) for _, per in plain)
@@ -333,76 +333,23 @@ def _vertex_set(P: Partition) -> tuple:
     return its, middles, dynamics, sectors, sing, orbit
 
 
-def _vertex_families(
-    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
-) -> list[list[_Realization]]:
-    """The realizing addresses of every vertex, unsorted, all realized on
-    one position automaton of ``P`` (:class:`~exptree.realization._Positions`).
-    The first vertex of each periodic cycle (its least rotation) takes the
-    points of the automaton's cycles for its period word, and ``*nu`` the
-    sheets of :func:`_vertex_sheets`, each located once.  Every other
-    vertex takes its image's family pulled back by its first symbol, by
-    table lookups, walking along the dynamics to a cycle or to ``*nu``; an
-    address at the base's position is the base, and is dropped."""
-    automaton = _Positions(P)
-    sheets = _vertex_sheets(P, its)
-    star = its.index(PreSingular(()))
-    fams: list[list[_Realization] | None] = [None] * len(its)
-    # Periodic vertices first: a walk then closes each cycle at its least rotation.
-    periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
-    for v in sorted(range(len(its)), key=lambda v: not periodic[v]):
-        chain = []
-        while fams[v] is None and v not in chain and v != star:
-            chain.append(v)
-            v = dynamics[v]
-        if fams[v] is None:
-            if v == star:
-                fams[v] = automaton.sheets(sheets)
-            else:
-                fams[v] = automaton.cycles(its[v].seq.period, m_max)
-        for w in reversed(chain):
-            if fams[w] is None:
-                fams[w] = automaton.pull(its[w].first_symbol(), fams[dynamics[w]])
-    return fams
-
-
-def _family_words(
-    P: Partition, its: Sequence[Itinerary], dynamics: Sequence[int], m_max: int | None
-) -> tuple[list[tuple[tuple[int, ...], ...]], Callable[[tuple[int, ...]], str]]:
-    """Every vertex's realizing addresses (:func:`_vertex_families`) as the
-    sorted words of their first entries, at one length that orders them
-    (:func:`~exptree.sequences._word_length`), and a function that names
-    the address of a word, for error messages."""
-    fams = _vertex_families(P, its, dynamics, m_max)
-    addrs = [a for f in fams for a in f]
-    L = _word_length(
-        max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
-    )
-
-    def name(word: tuple[int, ...]) -> str:
-        a = next(a for a in addrs if _word(a, L) == word)
-        return str(canonicalize(a.preperiod, a.period))
-
-    return [tuple(sorted(_word(a, L) for a in f)) for f in fams], name
-
-
 def _cyclic_order_by_gaps(
     vid: int,
-    vit: Itinerary,
     branches: list[tuple[int, list[int]]],
     itineraries: Sequence[Itinerary],
-    addresses: Callable[[int], Sequence[Any]],
+    addresses: Sequence[Sequence[Any]],
     notes: list[str],
     name: Callable[[Any], str] = str,
 ) -> tuple[int, ...]:
-    """Order the branches at a vertex by the cyclic gaps of its realizing
-    addresses.  ``branches`` holds ``(neighbor id, branch vertex ids)``;
-    ``addresses`` maps a vertex id to keys of its realizing addresses:
-    the addresses themselves or any keys that order and tell them apart
-    the same way, and ``name`` gives a key's address in address notation.
-    A vertex's keys must strictly increase, so each key finds its gap by
-    bisection."""
-    anchors = addresses(vid)
+    """Order the branches at vertex ``vid`` by the cyclic gaps of its
+    realizing addresses.  ``branches`` holds ``(neighbor id, branch vertex
+    ids)``; ``addresses[i]`` holds keys of vertex ``i``'s realizing
+    addresses: the addresses themselves or any keys that order and tell
+    them apart the same way, and ``name`` gives a key's address in address
+    notation.  A vertex's keys must strictly increase, so each key finds
+    its gap by bisection."""
+    vit = itineraries[vid]
+    anchors = addresses[vid]
     if len(anchors) < len(branches):
         raise GapAssignmentFailureError(
             f"vertex {vit}: {len(anchors)} addresses for {len(branches)} branches"
@@ -414,7 +361,7 @@ def _cyclic_order_by_gaps(
     gap_of_branch: dict[int, int] = {}
     for nb, members in branches:
         for w in members:
-            for a in addresses(w):
+            for a in addresses[w]:
                 gap = _gap_of(anchors, a)
                 if gap is None:
                     raise GapAssignmentFailureError(
@@ -479,7 +426,7 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     name: Callable[[Any], str] = str
     notes: list[str] = []
     cyclic: list[tuple[int, ...] | None] = []
-    for i, it in enumerate(its):
+    for i in range(n):
         if i == sing:
             cyclic.append(None)
             continue
@@ -489,10 +436,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
             continue
         branches = [(nb, sorted(table.branch(i, nb))) for nb in nbrs]
         if not words:
-            words, name = _family_words(P, its, dynamics, m_max)
-        order = _cyclic_order_by_gaps(
-            i, it, branches, its, words.__getitem__, notes, name
-        )
+            words, name = _vertex_words(P, its, dynamics, sing, m_max)
+        order = _cyclic_order_by_gaps(i, branches, its, words, notes, name)
         cyclic.append(_min_rotation(order))
 
     tree = AbstractHubbardTree(

@@ -15,17 +15,23 @@ from exptree.sequences import canonicalize
 from exptree.treebuild import check_tree_invariants, tree_from_json
 
 
-def run_cli(*argv):
-    """``python -m exptree.cli`` in a fresh interpreter, stopped after 60 s."""
+def run_python(*argv):
+    """``python *argv`` in a fresh interpreter that imports this checkout's
+    exptree, stopped after 60 s."""
     path = [str(Path(exptree.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "exptree.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_cli(*argv):
+    """``python -m exptree.cli`` in a fresh interpreter, stopped after 60 s."""
+    return run_python("-m", "exptree.cli", *argv)
 
 
 class TestParsing:
@@ -97,6 +103,18 @@ class TestCommands:
         assert (done.returncode, done.stdout) == (0, "0(1)\n"), done.stderr
         done = run_cli("same-map", "0(1)", "0(2)")
         assert (done.returncode, done.stdout) == (1, "false\n"), done.stderr
+
+    def test_only_verify_loads_the_suites(self):
+        code = (
+            "import sys\n"
+            "from exptree.cli import main\n"
+            "assert main(['kneading', '0(1)']) == 0\n"
+            "assert 'exptree.verify' not in sys.modules, 'exptree.verify was imported'\n"
+            "assert main(['verify', '--count', '1']) == 0\n"
+            "assert 'exptree.verify' in sys.modules\n"
+        )
+        done = run_python("-c", code)
+        assert (done.returncode, done.stdout.splitlines()[0]) == (0, "0(1)"), done.stderr
 
     def test_tree_json(self, capsys):
         assert main(["tree", "0(1)", "--format", "json"]) == 0

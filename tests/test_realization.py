@@ -22,14 +22,18 @@ from exptree.partition import (
     validate_base,
 )
 from exptree.realization import (
-    _periodic_search,
     _stop_stage,
     addresses_of,
     addresses_of_periodic,
     separating_addresses,
 )
-from exptree.sequences import Ordering, canonicalize, compare_lex, cyclic_between
-from exptree import treebuild
+from exptree.sequences import (
+    ExtAddress,
+    Ordering,
+    canonicalize,
+    compare_lex,
+    cyclic_between,
+)
 from exptree.treebuild import build_tree
 from exptree import triods
 from exptree.triods import (
@@ -344,6 +348,10 @@ def bases_and_addresses(draw):
     return canonicalize(pre, per), canonicalize((), t)
 
 
+def _periodic_search(P, word):
+    return tuple(ExtAddress((), a.period) for a in realization._Positions(P).cycles(word, None))
+
+
 class TestPeriodicSearch:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(bases_and_addresses())
@@ -475,7 +483,6 @@ class TestRotationSharing:
                 return super().cycles(word, m_max)
 
         monkeypatch.setattr(realization, "_Positions", Counting)
-        monkeypatch.setattr(treebuild, "_Positions", Counting)
         tree = build_tree(P_b)
         assert len(automata) == 1
         periodic = [

@@ -20,7 +20,7 @@ from exptree.errors import (
     NotExpansiveError,
 )
 from exptree.notation import parse_address
-from exptree import treebuild
+from exptree import realization, treebuild
 from exptree.partition import Plain, PreSingular, shift_itinerary, validate_base
 from exptree.realization import _vertex_sheets, addresses_of
 from exptree.sequences import (
@@ -294,9 +294,7 @@ class TestGapBisection:
     branches = [(1, [1]), (2, [2]), (3, [3])]
 
     def order(self, own):
-        return _cyclic_order_by_gaps(
-            0, self.itineraries[0], self.branches, self.itineraries, own.__getitem__, []
-        )
+        return _cyclic_order_by_gaps(0, self.branches, self.itineraries, own, [])
 
     def test_gaps_wrap_around(self):
         # 0(1) lies in gap 0, (1,2) in gap 1; (3) above the last anchor
@@ -382,13 +380,13 @@ class TestGapBisection:
         # The build bisects words, but names a failing address in address
         # notation: here an address of the branch vertex (0), handed to
         # its neighbour (0,1) as well.
-        def corrupted(P, its, dynamics, m_max):
-            fams = vertex_families(P, its, dynamics, m_max)
-            fams[its.index(plain([], [0, 1]))] += fams[its.index(plain([], [0]))][:1]
-            return fams
+        def corrupted(P, its, dynamics, star, m_max):
+            words, name = vertex_words(P, its, dynamics, star, m_max)
+            words[its.index(plain([], [0, 1]))] += words[its.index(plain([], [0]))][:1]
+            return words, name
 
-        vertex_families = treebuild._vertex_families
-        monkeypatch.setattr(treebuild, "_vertex_families", corrupted)
+        vertex_words = treebuild._vertex_words
+        monkeypatch.setattr(treebuild, "_vertex_words", corrupted)
         with pytest.raises(GapAssignmentFailureError) as info:
             build_tree(P_b)
         named = re.fullmatch(
@@ -432,17 +430,17 @@ class TestVertexFamilies:
         handed = []
 
         def recording(*args):
-            handed.append(family_words(*args))
+            handed.append(vertex_words(*args))
             return handed[-1]
 
-        family_words = treebuild._family_words
+        vertex_words = treebuild._vertex_words
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(treebuild, "_family_words", recording)
+            mp.setattr(treebuild, "_vertex_words", recording)
             tree = build_tree(P)
         assert len(handed) == has_branch_vertex(tree)
         its = [v.itinerary for v in tree.vertices]
         if not handed:
-            handed.append(family_words(P, its, tree.dynamics, None))
+            handed.append(vertex_words(P, its, tree.dynamics, tree.singular_point, None))
         sheets = _vertex_sheets(P, its)
         fresh = [addresses_of(P, it, m_range=sheets).addresses for it in its]
         addrs = [a for f in fresh for a in f]
@@ -482,7 +480,7 @@ class TestVertexFamilies:
             own = _vertex_sheets(P, its)
             return range(own.start - 1, own.stop + 1)
 
-        monkeypatch.setattr(treebuild, "_vertex_sheets", wider)
+        monkeypatch.setattr(realization, "_vertex_sheets", wider)
         wide = build_tree(P)
         assert to_json(wide) == to_json(tree) and wide.notes == ()
         # A periodic branch vertex still notes its spare addresses.
@@ -1076,9 +1074,10 @@ class TestMultiplierBound:
             tree = build_tree(P)
         N = 2 * (len(s.preperiod) + len(s.period)) + 1
         its = [v.itinerary for v in tree.vertices]
-        families = treebuild._vertex_families(P, its, tree.dynamics, 4 * N)
-        for it, family in zip(its, families):
+        automaton = realization._Positions(P)
+        for it in its:
             if isinstance(it, Plain) and not it.seq.preperiod:
+                family = automaton.cycles(it.seq.period, 4 * N)
                 m = max(len(a.period) for a in family) // len(it.seq.period)
                 assert m <= N, f"{s}: {it} needs multiplier {m} > {N}"
 
