@@ -183,8 +183,10 @@ def spectral_radius_power(
     once the k-th roots satisfy ``hi - lo <= 1e-3 * tol * lo``, with the
     midpoint minus 1, within ``5e-4 * tol * (rho + 1)`` of the class radius.
     A class needing more than ``max_iter`` applications of ``B`` raises
-    :class:`ConvergenceFailureError`.
+    :class:`ConvergenceFailureError`; a ``tol`` not above 0 raises ``ValueError``.
     """
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tolerance must be positive")
     if any(len(row) != len(A) or any(a < 0 or a != int(a) for a in row) for row in A):
         raise ValueError("matrix must be square and its entries nonnegative integers")
     rows = [[j for j, a in enumerate(row) for _ in range(int(a))] for row in A]

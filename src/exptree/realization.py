@@ -97,17 +97,15 @@ class AddressSet:
 def addresses_of_periodic(
     P: Partition, p: Plain, m_max: int | None = None
 ) -> AddressSet:
-    """All periodic external addresses with itinerary ``p``.
-
-    Each call runs one search on ``p``'s own period word.  Raises
-    :class:`RealizationBoundExceededError` when the search needs a
-    multiplier above ``m_max``; ``None`` means no cap (see
-    :meth:`_Positions.cycles`).
+    """All periodic external addresses with itinerary ``p``: its
+    :func:`addresses_of`, one search on ``p``'s own period word and one
+    :class:`AddressSet`.  Raises :class:`RealizationBoundExceededError`
+    when the search needs a multiplier above ``m_max``; ``None`` means no
+    cap (see :meth:`_Positions.cycles`).
     """
     if not isinstance(p, Plain) or p.seq.preperiod:
         raise ValueError(f"itinerary {p} is not purely periodic")
-    found = _Positions(P).cycles(p.seq.period, m_max)
-    return AddressSet(_sorted(ExtAddress((), a.period) for a in found), p)
+    return addresses_of(P, p, m_max)
 
 
 def _sorted(family: Iterable[ExtAddress]) -> tuple[ExtAddress, ...]:
@@ -380,10 +378,11 @@ def addresses_of(
     m_max: int | None = None,
     m_range: Iterable[int] | None = None,
 ) -> AddressSet:
-    """External addresses realizing the itinerary ``t``.
+    """External addresses realizing the itinerary ``t``, by one
+    :func:`_pullback` into one :class:`AddressSet`.
 
-    A preperiodic ``t`` takes the :func:`_pullback` of the realizations of
-    its periodic part through its preperiod.  A pre-singular ``t`` has one
+    A plain ``t`` pulls the cycles of its period word back through its
+    preperiod, empty if ``t`` is periodic.  A pre-singular ``t`` has one
     realization per sheet ``m.s`` of the partition boundary, so the caller
     supplies a finite ``m_range``; the base is not periodic, so no pullback
     of a sheet is the base and none is dropped.
@@ -393,10 +392,8 @@ def addresses_of(
         if not family:
             raise EmptyRangeError("pre-singular realization requires a nonempty m range")
     else:
-        family = addresses_of_periodic(P, Plain(canonicalize((), t.seq.period)), m_max)
-        if not t.seq.preperiod:
-            return family
-        letters = t.seq.preperiod
+        found = _Positions(P).cycles(t.seq.period, m_max)
+        family, letters = [ExtAddress((), a.period) for a in found], t.seq.preperiod
     return AddressSet(_sorted(_pullback(P, letters, family)), t)
 
 

@@ -30,15 +30,15 @@ pass compares ids; a middle point not seen before is a closure
 violation.  An itinerary is built once per vertex, for the tree.  That
 pass yields the one vertex table the build reads: the ids of the
 vertices' shifts are the dynamics, the sectors label the branches at
-``*nu``, and the edges are the pairs inside one ``V_s + {*nu}`` with
-nothing in between.  At every other vertex of degree at least three,
-pre-singular or not, the realizing external addresses of the vertex
-split the circle at infinity into gaps, one per branch, which yields the
-cyclic order of the branches.  The build makes one call,
-:func:`~exptree.realization._vertex_words`, for the addresses of every
-vertex; :mod:`~exptree.realization` alone holds the automaton that
-realizes them.  They come back as tuples of their first entries, all of
-one length at which tuple order is the lexicographic order of the
+``*nu``, and the closure pass returns the edges: the pairs inside one
+``V_s + {*nu}`` with nothing in between.  At every other vertex of
+degree at least three, pre-singular or not, the realizing external
+addresses of the vertex split the circle at infinity into gaps, one per
+branch, which yields the cyclic order of the branches.  The build makes
+one call, :func:`~exptree.realization._vertex_words`, for the addresses
+of every vertex; :mod:`~exptree.realization` alone holds the automaton
+that realizes them.  They come back as tuples of their first entries,
+all of one length at which tuple order is the lexicographic order of the
 addresses, and are bisected as such.
 
 Each tree keeps one rooted table (:class:`_Rooted`): the sorted
@@ -229,8 +229,8 @@ def vertex_set(P: Partition) -> list[Itinerary]:
 
     Verifies closure under the shift and under taking triods of the full
     result; failures raise :class:`ClosureViolationError`.  Only the star
-    triples (see the module docstring) are walked: every other triple's
-    middle point is ``*nu`` or the middle point of a star triple.
+    triples (see the module docstring) are walked; the closure pass also
+    returns the edges that :func:`build_tree` takes.
     """
     return _vertex_set(P)[0]
 
@@ -257,10 +257,10 @@ def _star_tuples(
 
 def _vertex_set(P: Partition) -> tuple:
     """The vertex table of ``P``, all as indices into the sorted vertex list
-    ``its``: ``(its, middles, dynamics, sectors, sing, orbit)`` holds the
-    middle point of every star triple ``i < j < k``, the image of each
-    vertex under the shift, the sets ``V_s`` (:func:`_sectors`), the
-    singular point and the set of vertices on its forward orbit.
+    ``its``: ``(its, edges, dynamics, sectors, sing, orbit)`` holds the
+    edges (the sorted star pairs that no star triple separates), the image
+    of each vertex under the shift, the sets ``V_s`` (:func:`_sectors`),
+    the singular point and the set of vertices on its forward orbit.
 
     One triod map serves the orbit's star triples and the closure pass
     over the vertices' star triples, so the states solved for the orbit
@@ -273,7 +273,7 @@ def _vertex_set(P: Partition) -> tuple:
     as all its triples; a triple outside the star triples has middle
     point ``*nu`` or that of a star triple, so closure on the star
     triples is closure on all.  Checks closure under the shift and under
-    triods.
+    triods, and reads the edges off the closure pass's middle points.
     """
     triods = _TriodMap(P)
     keys, shift = triods.keys, triods._shift
@@ -312,11 +312,13 @@ def _vertex_set(P: Partition) -> tuple:
     firsts = [triods.firsts[v] for v in ids]
     sing = index[star]
     sectors = _sectors(range(len(its)), firsts, sing)
-    middles: dict[tuple[int, ...], int] = {}
+    # A member of a triple lies strictly between the other two exactly when
+    # it is the middle point; *nu separates sectors, star triples the rest.
+    edges = set(_star_tuples(sectors, sing, 2))
     for tri in _star_tuples(sectors, sing, 3):
         x, y, z = tri
         m = triods.middle(ids[x], ids[y], ids[z])
-        b = middles[tri] = index.get(m, -1)
+        b = index.get(m, -1)
         if b < 0:
             msg = (
                 f"vertex set not closed under triods: "
@@ -329,8 +331,10 @@ def _vertex_set(P: Partition) -> tuple:
                     f"holds with every third vertex outside sector {firsts[i]}"
                 )
             raise ClosureViolationError(msg)
+        if b in tri:
+            edges.discard(tuple(i for i in tri if i != b))
     orbit = {index[v] for v in orbit_ids}
-    return its, middles, dynamics, sectors, sing, orbit
+    return its, tuple(sorted(edges)), dynamics, sectors, sing, orbit
 
 
 def _cyclic_order_by_gaps(
@@ -396,21 +400,8 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``.
 
     ``m_max`` caps the realization multiplier; ``None`` means no cap."""
-    its, middles, dynamics, sectors, sing, orbit = _vertex_set(P)
+    its, edges, dynamics, sectors, sing, orbit = _vertex_set(P)
     n = len(its)
-
-    # A vertex lies strictly inside the arc between the other two members
-    # of a triple exactly when it is the triple's middle point.  The
-    # singular point separates any two vertices of different sectors;
-    # every other separation is carried by a star triple.
-    separated: set[tuple[int, ...]] = set()
-    for ids, b in middles.items():
-        if b in ids:
-            separated.add(tuple(i for i in ids if i != b))
-    edges = tuple(
-        sorted(p for p in _star_tuples(sectors, sing, 2) if p not in separated)
-    )
-
     adj = _adjacency(range(n), edges)
     table = _Rooted(adj, (sing,))
     if len(edges) != n - 1 or len(table.order) != n:

@@ -318,6 +318,31 @@ class TestEntropy:
         with pytest.raises(ValueError, match="positive"):
             core_entropy(tree_a, tol=float("nan"))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    def test_power_rejects_a_tolerance_that_is_not_positive(self, tol):
+        # A NaN or negative tolerance never meets the stop rule, so the
+        # iteration would run to its cap and report a convergence failure.
+        A = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            spectral_radius_power(A, tol=tol)
+
+    # Bases whose entropy lies within about 1e-12 of a ninth-decimal
+    # rounding boundary; the true values are the log of the largest real
+    # root of the characteristic polynomial, from sympy to 25 digits.
+    @pytest.mark.parametrize(
+        "base, h_true",
+        [
+            ("0,0(1,1,0,1,1,0,0,0,1,0,1,1,0,1,1,1)", 0.4591445914998866381668849),
+            (
+                "0(1,1,1,1,1,1,1,0,0,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0,1)",
+                0.6875569655000289349015502,
+            ),
+        ],
+    )
+    def test_entropy_near_a_rounding_boundary_is_within_its_bound(self, base, h_true):
+        tree = build_tree(validate_base(address(base)))
+        assert abs(core_entropy(tree) - h_true) < 1e-12
+
 
 class TestExactRadius:
     @pytest.mark.parametrize(

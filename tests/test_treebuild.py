@@ -1136,10 +1136,22 @@ class TestStarTriples:
                         f"{P.base}: {tri}"
                     )
 
-    def test_keys_are_the_star_triples(self, acceptance_corpus):
+    def test_keys_are_the_star_triples(self, acceptance_corpus, monkeypatch):
+        # The vertex set asks the triod map for the middle points of
+        # exactly the vertices' star triples.
+        real, asked = _TriodMap.middle, []
+
+        def middle(self, *ids):
+            asked.append([self.itinerary(i) for i in ids])
+            return real(self, *ids)
+
+        monkeypatch.setattr(_TriodMap, "middle", middle)
         for P in acceptance_corpus.partitions:
-            its, middles = _vertex_set(P)[:2]
-            assert set(middles) == _star_triple_set(its), P.base
+            asked.clear()
+            its = _vertex_set(P)[0]
+            index = {it: i for i, it in enumerate(its)}
+            got = {tuple(sorted(index[it] for it in tri)) for tri in asked}
+            assert got == _star_triple_set(its), P.base
 
     def test_edges_match_all_triples_on_corpus(self, acceptance_corpus):
         for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):

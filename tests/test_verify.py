@@ -62,6 +62,26 @@ class TestSuites:
             "entropy agreement",
         }
 
+    def test_acceptance_run(self):
+        # The run of ``exptree verify --count 25 --seed 2024``, with the
+        # number of checks each suite makes; a change that alters a count
+        # on purpose updates it here.
+        results = run_all(25, 2024)
+        assert [(r.name, r.failures) for r in results if r.failures] == []
+        assert [(r.name, r.cases) for r in results] == [
+            ("vertex-set closure", 1183),
+            ("tree axioms", 184),
+            ("unlinked address families", 100),
+            ("order preservation", 3465),
+            ("interval pullbacks", 1188),
+            ("interval splitting", 300),
+            ("triod semi-conjugacy", 720),
+            ("separating addresses", 450),
+            ("partition properties", 483),
+            ("classification", 127),
+            ("entropy agreement", 50),
+        ]
+
     def test_suites_count_cases(self):
         corpus = make_corpus(4, 9)
         res = suite_tree_axioms(corpus)
