@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import core_entropy, same_map
+from .analysis import _entropy_digits, same_map
 from .errors import (
     ExptreeError,
     InternalInvariantError,
@@ -149,7 +149,7 @@ def _run(args: argparse.Namespace) -> int:
                 print("check: ok", file=sys.stderr)
             print(text)
     elif cmd == "entropy":
-        print(f"{core_entropy(build_tree(P), tol=args.tol):.9f}")
+        print(_entropy_digits(build_tree(P), tol=args.tol)[2])
     elif cmd == "addresses-of":
         m_range = range(args.m_range[0], args.m_range[1] + 1) if args.m_range else None
         for a in addresses_of(P, parse_itinerary(args.itinerary), args.m_max, m_range):

@@ -604,25 +604,33 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
 
 
 def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:
-    """Serialize per the library's stable JSON schema."""
-    doc = {
-        "base": str(tree.partition.base),
-        "kneading": str(tree.partition.kneading),
-        "vertices": [
-            {"id": v.id, "itinerary": str(v.itinerary), "kind": v.kind.value}
-            for v in tree.vertices
-        ],
-        "edges": [[a, b] for a, b in tree.edges],
-        "dynamics": {str(i): img for i, img in enumerate(tree.dynamics)},
-        "singular_point": tree.singular_point,
-        "sectors": {str(k): list(ids) for k, ids in tree.sectors},
-        "cyclic_order": {
-            str(i): list(order)
-            for i, order in enumerate(tree.cyclic_order)
-            if order is not None
-        },
-    }
-    return json.dumps(doc, indent=indent)
+    """Serialize per the library's stable JSON schema.
+
+    The compact text is written directly: every value is an integer, one
+    of the kind names or an address or itinerary over ``-0-9,()*``, so
+    nothing needs escaping.  ``indent`` lays that text out as ``json`` does.
+    """
+    if indent is not None:
+        return json.dumps(json.loads(to_json(tree)), indent=indent)
+    P = tree.partition
+    vertices = ", ".join(
+        f'{{"id": {v.id}, "itinerary": "{v.itinerary}", "kind": "{v.kind.value}"}}'
+        for v in tree.vertices
+    )
+    edges = ", ".join(f"[{a}, {b}]" for a, b in tree.edges)
+    dynamics = ", ".join(f'"{i}": {img}' for i, img in enumerate(tree.dynamics))
+    sectors = ", ".join(f'"{k}": [{", ".join(map(str, ids))}]' for k, ids in tree.sectors)
+    orders = ", ".join(
+        f'"{i}": [{", ".join(map(str, order))}]'
+        for i, order in enumerate(tree.cyclic_order)
+        if order is not None
+    )
+    return (
+        f'{{"base": "{P.base}", "kneading": "{P.kneading}", "vertices": [{vertices}], '
+        f'"edges": [{edges}], "dynamics": {{{dynamics}}}, '
+        f'"singular_point": {tree.singular_point}, "sectors": {{{sectors}}}, '
+        f'"cyclic_order": {{{orders}}}}}'
+    )
 
 
 def _json_path(parent: str, key: str | int) -> str:

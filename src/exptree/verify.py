@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .analysis import (
+    _dense,
     _edge_rows,
     core_entropy,
     same_map,
@@ -567,7 +568,7 @@ def suite_entropy_agreement(corpus: Corpus, tol: float = 1e-9) -> SuiteResult:
     and the core entropy is the log of the exact radius."""
     res = SuiteResult("entropy agreement")
     for P, tree in zip(corpus.partitions, corpus.trees):
-        A = [[int(j in r) for j in range(len(tree.edges))] for r in _edge_rows(tree)]
+        A = _dense(_edge_rows(tree))
         if len(A) > 12:
             res.notes.append(f"{P.base}: matrix {len(A)}x{len(A)} not cross-checked")
             continue

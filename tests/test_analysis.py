@@ -10,6 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from exptree import analysis
 from exptree.analysis import (
+    _classes,
+    _entropy_digits,
+    _exceeds,
     core_entropy,
     expansivity_report,
     same_map,
@@ -362,7 +365,9 @@ class TestExactRadius:
         n = len(rows)
         assert spectral_radius_exact(np.array(rows, dtype=np.int64).reshape(n, n)) == want
 
-    @pytest.mark.parametrize("bad", [[[0.5]], [[-1]], [[1, 2]], [[1], [1, 1]]])
+    @pytest.mark.parametrize(
+        "bad", [[[0.5]], [[-1]], [[1, 2]], [[1], [1, 1]], [[float("inf")]], [[float("nan")]]]
+    )
     def test_takes_square_nonnegative_integer_matrices_only(self, bad):
         for radius in (spectral_radius_exact, spectral_radius_power):
             with pytest.raises(ValueError, match="square and its entries nonnegative integers"):
@@ -382,6 +387,106 @@ class TestExactRadius:
             assert abs(spectral_radius_exact(A) - sympy_spectral_radius(A)) < 1e-12
             checked += 1
         assert checked
+
+
+def reachable(rows, s):
+    seen, stack = {s}, [s]
+    while stack:
+        for w in rows[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+@st.composite
+def digraphs(draw):
+    """Rows of arcs on 0 to 12 vertices, with empty rows, self-loops and
+    repeated arcs; half of them also hold a cycle through every vertex,
+    which makes the graph strongly connected."""
+    n = draw(st.integers(0, 12))
+    arcs = st.lists(st.integers(0, max(n - 1, 0)), max_size=4) if n else st.just([])
+    rows = draw(st.lists(arcs, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row.insert(draw(st.integers(0, len(row))), (i + 1) % n)
+    return rows
+
+
+class TestClasses:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(digraphs())
+    def test_mutual_reachability(self, rows):
+        reach = [reachable(rows, i) for i in range(len(rows))]
+        want = {tuple(sorted(j for j in reach[i] if i in reach[j])) for i in range(len(rows))}
+        got = _classes(rows)
+        assert all(C == sorted(C) for C in got)
+        assert sorted(map(tuple, got)) == sorted(want)
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([], []),
+            ([[]], [[0]]),
+            ([[0, 0]], [[0]]),
+            ([[1], []], [[0], [1]]),
+            ([[1, 1], [0], []], [[0, 1], [2]]),
+            ([[1], [2], [0, 0, 1]], [[0, 1, 2]]),
+        ],
+    )
+    def test_hand_graphs(self, rows, want):
+        assert sorted(_classes(rows)) == want
+
+
+class TestCertifiedDigits:
+    # The bases of the rounding-boundary test and their true entropies.
+    NEAR = [
+        ("0,0(1,1,0,1,1,0,0,0,1,0,1,1,0,1,1,1)", 0.4591445914998866381668849),
+        ("0(1,1,1,1,1,1,1,0,0,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0,1)", 0.6875569655000289349015502),
+    ]
+
+    def test_digits_are_the_rounded_entropy_away_from_boundaries(
+        self, tree_a, tree_b, acceptance_corpus
+    ):
+        for tree in (tree_a, tree_b, *acceptance_corpus.trees):
+            h = core_entropy(tree)
+            lo, hi, text = _entropy_digits(tree)
+            assert lo <= h <= hi and hi - lo < 1e-11
+            assert text == f"{h:.9f}"
+
+    @pytest.mark.parametrize("base, h_true", NEAR)
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1.0, 1e3])
+    def test_digits_near_a_boundary(self, base, h_true, tol):
+        lo, hi, text = _entropy_digits(build_tree(validate_base(address(base))), tol)
+        places = len(text.partition(".")[2])
+        assert lo <= h_true <= hi
+        assert text == f"{h_true:.{places}f}"
+
+    @pytest.mark.parametrize(
+        "A, j, d, want",
+        [
+            ([[2]], 693147180, 9, True),  # log 2 = 0.6931471805599...
+            ([[2]], 693147181, 9, False),
+            ([[2]], 0, 0, True),
+            ([[2]], 1, 0, False),
+            ([[0]], 0, 9, False),
+            ([[1, 1], [0, 1]], 0, 9, False),  # radius 1
+        ],
+    )
+    def test_exceeds_on_hand_matrices(self, A, j, d, want):
+        assert _exceeds(A, j, d) is want
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_matrices())
+    def test_exceeds_agrees_with_sympy(self, A):
+        import sympy
+
+        rho = sympy_spectral_radius(A)
+        assume(rho > 1.0)
+        h = math.log(rho)
+        j = math.floor(h * 10**6 - 0.5)  # the boundary just below h
+        assume(abs(h * 10**6 - 0.5 - j) > 1e-6)
+        assert _exceeds(A.tolist(), j, 6) and not _exceeds(A.tolist(), j + 1, 6)
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:

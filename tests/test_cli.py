@@ -130,6 +130,12 @@ class TestCommands:
         assert "check: ok" in out.err
         json.loads(out.out)
 
+    def test_tree_indent(self, capsys):
+        assert main(["tree", "0(0,1)", "--indent", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out.startswith('{\n  "base": "0(0,1)",\n')
+
     def test_tree_dot(self, capsys):
         assert main(["tree", "0(0,1)", "--format", "dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
@@ -138,6 +144,28 @@ class TestCommands:
         assert main(["entropy", "0(1)"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "0.693147181"
+
+    @pytest.mark.parametrize(
+        "base, printed",
+        [
+            # True entropies 0.45914459149988663... and 0.68755696550002893...:
+            # each lies within 1e-12 of a rounding boundary of the ninth decimal.
+            ("0,0(1,1,0,1,1,0,0,0,1,0,1,1,0,1,1,1)", "0.459144591"),
+            ("0(1,1,1,1,1,1,1,0,0,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0,1)", "0.687556966"),
+        ],
+    )
+    def test_entropy_prints_decided_digits_near_a_rounding_boundary(
+        self, capsys, base, printed
+    ):
+        assert main(["entropy", base]) == 0
+        assert capsys.readouterr().out.strip() == printed
+
+    @pytest.mark.parametrize(
+        "tol, printed", [(1e-6, "0.459144591"), (1e-3, "0.4591446"), (1.0, "0.459"), (1e3, "0")]
+    )
+    def test_entropy_with_a_coarse_tolerance_prints_fewer_digits(self, capsys, tol, printed):
+        assert main(["entropy", "0,0(1,1,0,1,1,0,0,0,1,0,1,1,0,1,1,1)", "--tol", str(tol)]) == 0
+        assert capsys.readouterr().out.strip() == printed
 
     def test_addresses_of(self, capsys):
         assert main(["addresses-of", "--base", "0(0,1)", "(0)"]) == 0

@@ -524,7 +524,62 @@ class TestNonzeroLeadingEntry:
         assert to_json(back) == to_json(tree)
 
 
+def reference_json_doc(tree):
+    """The document that ``to_json`` writes, built as a dict."""
+    return {
+        "base": str(tree.partition.base),
+        "kneading": str(tree.partition.kneading),
+        "vertices": [
+            {"id": v.id, "itinerary": str(v.itinerary), "kind": v.kind.value}
+            for v in tree.vertices
+        ],
+        "edges": [[a, b] for a, b in tree.edges],
+        "dynamics": {str(i): img for i, img in enumerate(tree.dynamics)},
+        "singular_point": tree.singular_point,
+        "sectors": {str(k): list(ids) for k, ids in tree.sectors},
+        "cyclic_order": {
+            str(i): list(order)
+            for i, order in enumerate(tree.cyclic_order)
+            if order is not None
+        },
+    }
+
+
+def json_strings(doc):
+    """Every string value of a JSON document."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, dict):
+        for v in doc.values():
+            yield from json_strings(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from json_strings(v)
+
+
+def writes_as_json_dumps(tree):
+    """``to_json`` writes what ``json.dumps`` writes of the reference
+    document, compact and indented, and its strings need no escapes."""
+    doc = reference_json_doc(tree)
+    assert to_json(tree) == json.dumps(doc), str(tree)
+    for k in (0, 2):
+        assert to_json(tree, indent=k) == json.dumps(doc, indent=k), (str(tree), k)
+    kinds = {k.value for k in VertexKind}
+    for text in json_strings(doc):
+        assert re.fullmatch(r"[-0-9,()*]*", text) or text in kinds, text
+
+
 class TestSerialization:
+    def test_writes_what_json_dumps_writes(self, tree_a, tree_b, acceptance_corpus):
+        for tree in (tree_a, tree_b, *acceptance_corpus.trees):
+            writes_as_json_dumps(tree)
+
+    @pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(wide_partitions())
+    def test_writes_what_json_dumps_writes_on_wide_bases(self, P):
+        writes_as_json_dumps(build_tree(P))
+
     def test_json_schema_keys(self, tree_b):
         doc = json.loads(to_json(tree_b))
         assert set(doc) == {
@@ -1525,6 +1580,27 @@ class TestWalksAgainstReference:
                 cut = dataclasses.replace(tree, edges=tuple(x for x in tree.edges if x != e))
                 paths_agree_with_reference(cut)
                 assert outcome(_edge_rows, cut) == outcome(reference_rows, cut)
+
+    def test_repeated_edges(self, tree_a, tree_b, acceptance_corpus):
+        # Either orientation, before or after the edge it repeats: the row
+        # of a path through it names the copy listed last.
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus)[:20]:
+            for a, b in tree.edges:
+                for extra in ((a, b), (b, a)):
+                    for edges in (tree.edges + (extra,), (extra,) + tree.edges):
+                        doubled = dataclasses.replace(tree, edges=edges)
+                        assert _edge_rows(doubled) == reference_rows(doubled)
+
+    def test_edges_that_close_a_cycle(self, tree_a, tree_b, acceptance_corpus):
+        rng = random.Random(5)
+        for tree in self.trees(tree_a, tree_b, acceptance_corpus)[:20]:
+            listed = set(tree.edges)
+            pairs = [p for p in combinations(range(len(tree.vertices)), 2) if p not in listed]
+            for a, b in rng.sample(pairs, min(5, len(pairs))):
+                for extra in ((a, b), (b, a)):
+                    cyclic = dataclasses.replace(tree, edges=tree.edges + (extra,))
+                    paths_agree_with_reference(cyclic)
+                    assert _edge_rows(cyclic) == reference_rows(cyclic)
 
     @pytest.mark.filterwarnings("ignore::exptree.errors.NormalizationWarning")
     @settings(max_examples=25, deadline=None, derandomize=True)
