@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter, truediv
+from numbers import Integral
+from operator import itemgetter, mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -33,14 +34,8 @@ from .errors import (
     NotExpansiveError,
     PeriodicBaseError,
 )
-from .partition import (
-    Itinerary,
-    Plain,
-    itinerary,
-    itinerary_entry,
-    validate_base,
-)
-from .sequences import ExtAddress, _decision_length, _min_rotation
+from .partition import STAR, Plain, itinerary, validate_base
+from .sequences import ExtAddress, _min_rotation, _word_length
 from .treebuild import AbstractHubbardTree
 
 if TYPE_CHECKING:
@@ -103,37 +98,35 @@ class ExpansivityReport:
     max_depth: int
 
 
-def _sequence_params(it: Itinerary, nu_pre: int, nu_per: int) -> tuple[int, int]:
-    if isinstance(it, Plain):
-        return len(it.seq.preperiod), len(it.seq.period)
-    return len(it.prefix) + 1 + nu_pre, nu_per
-
-
 def expansivity_report(T: AbstractHubbardTree) -> ExpansivityReport:
-    """Separation depths for all marked-point pairs of the tree.
-
-    Raises :class:`NotExpansiveError` if some pair of vertices never
-    separates, which cannot happen for built trees but is checked for
-    externally supplied ones.
+    """Separation depths for all marked-point pairs of the tree: the first
+    place where their words of one length differ
+    (:func:`~exptree.sequences._word_length`); a pre-singular word is the
+    prefix, the star, then the kneading sequence.  Raises
+    :class:`NotExpansiveError` if some pair of vertices never separates,
+    which cannot happen for built trees but is checked for externally
+    supplied ones.
     """
-    P = T.partition
-    nu_pre = len(P.kneading.seq.preperiod)
-    nu_per = len(P.kneading.seq.period)
+    nu = T.partition.kneading.seq
+    its = [v.itinerary for v in T.vertices]
+    heads = [
+        (it.seq.preperiod, it.seq.period) if isinstance(it, Plain)
+        else (it.prefix + (STAR,) + nu.preperiod, nu.period)
+        for it in its
+    ]
+    L = _word_length(
+        max((len(pre) for pre, _ in heads), default=0), (len(per) for _, per in heads)
+    )
+    words = [(pre + per * (L // len(per) + 1))[:L] for pre, per in heads]
     depths: dict[tuple[int, int], int] = {}
-    for i in range(len(T.vertices)):
-        for j in range(i + 1, len(T.vertices)):
-            a = T.vertices[i].itinerary
-            b = T.vertices[j].itinerary
-            pa, qa = _sequence_params(a, nu_pre, nu_per)
-            pb, qb = _sequence_params(b, nu_pre, nu_per)
-            for n in range(_decision_length(max(pa, pb), qa, qb)):
-                if itinerary_entry(P, a, n + 1) != itinerary_entry(P, b, n + 1):
-                    depths[(i, j)] = n
-                    break
-            else:
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            n = next((n for n, (x, y) in enumerate(zip(a, words[j])) if x != y), None)
+            if n is None:
                 raise NotExpansiveError(
-                    f"vertices {a} and {b} have identical itineraries"
+                    f"vertices {its[i]} and {its[j]} have identical itineraries"
                 )
+            depths[(i, j)] = n
     return ExpansivityReport(depths, max(depths.values(), default=0))
 
 
@@ -213,6 +206,17 @@ def _integer_rows(A: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
     raise ValueError("matrix must be square and its entries nonnegative integers")
 
 
+_INDEX_BUDGET = 1 << 24  # the most indices spectral_radius_power expands
+
+
+def _check_stops(tol: float, max_iter: int) -> None:
+    """``ValueError`` unless ``tol > 0`` and ``max_iter`` is a positive integer."""
+    if not tol > 0:  # also rejects NaN
+        raise ValueError("tolerance must be positive")
+    if not (isinstance(max_iter, Integral) and max_iter > 0):
+        raise ValueError("max_iter must be a positive integer")
+
+
 def spectral_radius_power(
     A: np.ndarray | Sequence[Sequence[int]],
     tol: float = 1e-9,
@@ -231,11 +235,20 @@ def spectral_radius_power(
     once the k-th roots satisfy ``hi - lo <= 1e-3 * tol * lo``, with the
     midpoint minus 1, within ``5e-4 * tol * (rho + 1)`` of the class radius.
     A class needing more than ``max_iter`` applications of ``B`` raises
-    :class:`ConvergenceFailureError`; a ``tol`` not above 0 raises ``ValueError``.
+    :class:`ConvergenceFailureError`.  ``ValueError`` is raised for a ``tol``
+    not above 0, a ``max_iter`` that is not a positive integer, and entries so
+    large that ``A + I`` and ``(A + I)^2`` hold more than ``2^24`` indices (use
+    :func:`spectral_radius_exact` then).
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
-    rows = [[j for j, a in enumerate(row) for _ in range(a)] for row in _integer_rows(A)]
+    _check_stops(tol, max_iter)
+    A = _integer_rows(A)
+    lengths = [sum(row) + 1 for row in A]  # of the rows of A + I
+    size = sum(lengths) + sum(sum(map(mul, row, lengths)) + n for row, n in zip(A, lengths))
+    if size > _INDEX_BUDGET:
+        raise ValueError(
+            f"power iteration would expand {size} indices; use spectral_radius_exact"
+        )
+    rows = [[j for j, a in enumerate(row) for _ in range(a)] for row in A]
     return _radius(rows, tol, max_iter)[0]
 
 
@@ -395,9 +408,10 @@ def core_entropy(
     The last bits depend on the interpreter, as CPython compensates
     :func:`sum` of floats from 3.12 on: compare ``repr`` on one interpreter
     only.  The decimals that ``exptree entropy`` prints do not change.
+    A ``tol`` not above 0 or a ``max_iter`` that is not a positive integer
+    raises ``ValueError``.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
+    _check_stops(tol, max_iter)
     rho = _bracket(_edge_rows(T), tol, max_iter, exact_size_limit)[0]
     return math.log(rho) if rho > 1.0 else 0.0
 

@@ -114,7 +114,7 @@ class InternalInvariantError(ExptreeError):
 
 
 class ConvergenceFailureError(ExptreeError):
-    """Power iteration hit its step cap on a matrix too large for the exact radius."""
+    """Power iteration hit its step cap (``max_iter``) before its bracket closed."""
 
 
 class ParseError(ExptreeError):

@@ -21,7 +21,8 @@ from .sequences import ExtAddress, canonicalize
 
 __all__ = ["parse_address", "parse_itinerary"]
 
-_TOKEN = re.compile(r"-?\d+|[()*]|(?P<sep>[,\s]+)")
+# Digits are ASCII only: int() would also read other scripts' digits.
+_TOKEN = re.compile(r"-?[0-9]+|[()*]|(?P<sep>[,\s]+)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -51,7 +52,7 @@ def _parse_int_list(tokens: list[tuple[str, int]], i: int) -> tuple[list[int], i
 
 def parse_address(text: str) -> ExtAddress:
     """Parse the ADDRESS grammar; raises :class:`ParseError` with the
-    byte offset of the offending token."""
+    offset of the offending token, a character index into ``text``."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty address", 0)

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .partition import (
     STAR,
-    Boundary,
     Itinerary,
     Partition,
     Plain,
@@ -113,7 +112,7 @@ class Triod:
                 )
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(m) for m in self.members) + "]"
+        return _bracketed(self.members)
 
 
 @_frozen
@@ -136,14 +135,28 @@ class AddressTriod:
         to_itinerary_triod(self).validate()
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(m) for m in self.members) + "]"
+        return _bracketed(self.members)
+
+
+def _bracketed(members) -> str:
+    return "[" + ", ".join(map(str, members)) + "]"
+
+
+def _odd_one_out(a, b, c) -> int | None:
+    """The step rule of every triod map, on the members' first symbols
+    (or sectors): the index of the one that differs from the other two,
+    3 when all three agree, ``None`` when no two agree (the stop case)."""
+    if a == b:
+        return 3 if a == c else 2
+    if a == c:
+        return 1
+    return 0 if b == c else None
 
 
 def to_itinerary_triod(A: AddressTriod) -> Triod:
     """The associated triod of itineraries."""
-    t, u, v = A.members
     P = A.partition
-    return Triod((itinerary(P, t), itinerary(P, u), itinerary(P, v)), P)
+    return Triod(tuple(itinerary(P, x) for x in A.members), P)
 
 
 def triod_step(T: Triod) -> Triod | None:
@@ -154,33 +167,20 @@ def triod_step(T: Triod) -> Triod | None:
     kneading sequence.
     """
     P = T.partition
-    t, u, v = T.members
-    a, b, c = (t.first_symbol(), u.first_symbol(), v.first_symbol())
-    nu = P.kneading
-    sh = shift_itinerary
-    if a == b == c:
-        nxt = (sh(P, t), sh(P, u), sh(P, v))
-    elif a == b:
-        nxt = (sh(P, t), sh(P, u), nu)
-    elif a == c:
-        nxt = (sh(P, t), nu, sh(P, v))
-    elif b == c:
-        nxt = (nu, sh(P, u), sh(P, v))
-    else:
+    odd = _odd_one_out(*(m.first_symbol() for m in T.members))
+    if odd is None:
         return None
-    return Triod(nxt, P)
+    nu, sh = P.kneading, shift_itinerary
+    return Triod(tuple(nu if i == odd else sh(P, m) for i, m in enumerate(T.members)), P)
 
 
 def majority_vote(T: Triod) -> int:
     """The integer shared by at least two first symbols."""
-    t, u, v = T.members
-    a, b, c = (t.first_symbol(), u.first_symbol(), v.first_symbol())
-    if a == b or a == c:
-        vote = a
-    elif b == c:
-        vote = b
-    else:
+    firsts = [m.first_symbol() for m in T.members]
+    odd = _odd_one_out(*firsts)
+    if odd is None:
         raise IsStopCaseError(f"triod {T} is in the stop case")
+    vote = firsts[1 if odd == 0 else 0]
     if vote == STAR:
         raise InternalInvariantError(
             f"triod {T}: two members start with the star, but only *nu does"
@@ -308,7 +308,7 @@ class _TriodMap:
         return ok
 
     def _str(self, state: tuple[int, ...]) -> str:
-        return "[" + ", ".join(str(self.itinerary(i)) for i in state) + "]"
+        return _bracketed(map(self.itinerary, state))
 
     def middle(self, *members: int) -> int:
         """The id of the middle point of the triod with the three member ids.
@@ -328,18 +328,11 @@ class _TriodMap:
                 tail = self.key_id(((), _primitive_root(tuple(votes[seen[state] :]))))
                 break
             a, b, c = state
-            vote, fb, fc = firsts[a], firsts[b], firsts[c]
-            if vote == fb == fc:
-                nxt = (sh(a), sh(b), sh(c))
-            elif vote == fb:
-                nxt = (sh(a), sh(b), nu)
-            elif vote == fc:
-                nxt = (sh(a), nu, sh(c))
-            elif fb == fc:
-                vote, nxt = fb, (nu, sh(b), sh(c))
-            else:
+            odd = _odd_one_out(firsts[a], firsts[b], firsts[c])
+            if odd is None:
                 tail = memo[state] = self.key_id(((),))
                 break
+            vote = firsts[b if odd == 0 else a]
             if vote == STAR:
                 raise InternalInvariantError(
                     f"triod {self._str(state)}: two members start with the star, "
@@ -347,7 +340,9 @@ class _TriodMap:
                 )
             seen[state] = len(votes)
             votes.append(vote)
-            x, y, z = sorted(nxt)
+            x, y, z = sorted(
+                (nu if odd == 0 else sh(a), nu if odd == 1 else sh(b), nu if odd == 2 else sh(c))
+            )
             if x == y or y == z:
                 raise NotDistinctError(f"triod {self._str(state)} maps to equal members")
             state = (x, y, z)
@@ -370,7 +365,7 @@ def middle_point(T: Triod) -> Itinerary:
     :class:`_TriodMap`.
     """
     t, u, v = T.members
-    if len({t.first_symbol(), u.first_symbol(), v.first_symbol()}) == 3:
+    if _odd_one_out(t.first_symbol(), u.first_symbol(), v.first_symbol()) is None:
         return PreSingular(())
     m = _TriodMap(T.partition)
     return m.itinerary(m.middle(*map(m.id, T.members)))
@@ -397,25 +392,13 @@ def address_triod_step(A: AddressTriod) -> AddressTriod | None:
     """One step of the triod map on external addresses, or ``None`` for stop.
 
     Members sharing a partition sector are shifted; the member outside
-    the shared sector (or on the partition boundary) is replaced by the
-    base address.  Stop iff no two members share a sector.
+    the shared sector is replaced by the base address.  Stop iff no two
+    share a sector; a member on the partition boundary shares none.
     """
     P = A.partition
-    t, u, v = A.members
-    sectors = []
-    for x in (t, u, v):
-        res = sector_of(P, x)
-        sectors.append(None if isinstance(res, Boundary) else res.k)
-    a, b, c = sectors
-    s = P.base
-    if a is not None and a == b == c:
-        nxt = (t.shift(), u.shift(), v.shift())
-    elif a is not None and a == b:
-        nxt = (t.shift(), u.shift(), s)
-    elif a is not None and a == c:
-        nxt = (t.shift(), s, v.shift())
-    elif b is not None and b == c:
-        nxt = (s, u.shift(), v.shift())
-    else:
+    odd = _odd_one_out(*(sector_of(P, x) for x in A.members))
+    if odd is None:
         return None
-    return AddressTriod(nxt, P)
+    return AddressTriod(
+        tuple(P.base if i == odd else x.shift() for i, x in enumerate(A.members)), P
+    )

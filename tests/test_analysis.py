@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,13 @@ from exptree.analysis import (
     transition_matrix,
     tree_equivalent,
 )
-from exptree.errors import ConvergenceFailureError, NotExpansiveError, PeriodicBaseError
-from exptree.partition import Plain, PreSingular, validate_base
+from exptree.errors import (
+    ConvergenceFailureError,
+    NotATreeError,
+    NotExpansiveError,
+    PeriodicBaseError,
+)
+from exptree.partition import Plain, PreSingular, itinerary_entry, validate_base
 from exptree.realization import addresses_of
 from exptree.sequences import address, canonicalize
 from exptree.treebuild import build_tree
@@ -146,6 +152,25 @@ class TestExpansivity:
         pair = tuple(sorted((ids_b[plain([], [0])], ids_b[plain([0], [0, 1])])))
         assert rep_b.depths[pair] == 2
         assert all(i < j for i, j in rep_b.depths)
+
+    def test_depths_match_entry_by_entry(self, tree_a, tree_b, acceptance_corpus):
+        trees = [tree_a, tree_b, *acceptance_corpus.trees[:20]]
+        assert any(
+            isinstance(v.itinerary, PreSingular) and v.itinerary.prefix
+            for tree in trees
+            for v in tree.vertices
+        )
+        for tree in trees:
+            P, its = tree.partition, [v.itinerary for v in tree.vertices]
+            want = {}
+            for i, j in combinations(range(len(its)), 2):
+                n = 0
+                while itinerary_entry(P, its[i], n + 1) == itinerary_entry(P, its[j], n + 1):
+                    n += 1
+                want[i, j] = n
+            rep = expansivity_report(tree)
+            assert rep.depths == want
+            assert rep.max_depth == max(want.values())
 
     def test_not_expansive_detected(self, tree_a):
         clone = tree_a.__class__(
@@ -284,6 +309,24 @@ class TestEntropy:
         A = np.full((12, 12), 7, dtype=np.int64)
         assert spectral_radius_power(A) == pytest.approx(84.0, rel=1e-9)
 
+    def test_power_refuses_entries_beyond_its_index_budget(self):
+        # A + I and its square hold 3001 + 3001^2 indices, within 2^24.
+        assert spectral_radius_power([[3000]]) == pytest.approx(3000.0, rel=1e-9)
+        for A in ([[10**4]], [[2**70]]):
+            with pytest.raises(ValueError, match="spectral_radius_exact"):
+                spectral_radius_power(A)
+        assert spectral_radius_exact([[2**70]]) == 2.0**70
+
+    @pytest.mark.parametrize("max_iter", [0, -5, 1.5, 2.0, None])
+    def test_max_iter_must_be_a_positive_integer(self, tree_b, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            spectral_radius_power([[1, 1], [1, 0]], max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            core_entropy(tree_b, max_iter=max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        assert spectral_radius_power([[1, 1], [1, 1]], max_iter=np.int64(7)) == 2.0
+
     def test_iteration_cap_counts_steps_of_the_shift(self):
         # max_iter=1 allows one application of A + I and no squaring.
         assert spectral_radius_power(np.array([[1, 1], [1, 1]]), max_iter=1) == 2.0
@@ -301,6 +344,24 @@ class TestEntropy:
         A = transition_matrix(tree_b).matrix
         assert core_entropy(tree_b, max_iter=1) == math.log(spectral_radius_exact(A))
         assert calls == [A.shape]
+
+    def test_iteration_cap_raises_past_the_exact_size_limit(self, monkeypatch):
+        # One class of 13 edges: one application of A + I does not close it.
+        tree = build_tree(validate_base(address("0(0,1,0,1,0,1,2)")))
+        calls = []
+        monkeypatch.setattr(analysis, "spectral_radius_exact", calls.append)
+        with pytest.raises(ConvergenceFailureError, match="13-index class"):
+            core_entropy(tree, max_iter=1)
+        assert calls == []
+        monkeypatch.undo()
+        h = core_entropy(tree, max_iter=1, exact_size_limit=13)
+        assert h == pytest.approx(core_entropy(tree), abs=1e-9)
+
+    def test_rows_name_an_image_that_is_no_vertex(self, tree_a):
+        fields = {f: getattr(tree_a, f) for f in tree_a.__dataclass_fields__}
+        bad = tree_a.__class__(**{**fields, "dynamics": (7,) * len(tree_a.vertices)})
+        with pytest.raises(NotATreeError, match="no vertex 7"):
+            core_entropy(bad)
 
     def test_three_routes_agree(self, acceptance_corpus):
         for tree in acceptance_corpus.trees[:25]:
@@ -475,6 +536,21 @@ class TestCertifiedDigits:
     )
     def test_exceeds_on_hand_matrices(self, A, j, d, want):
         assert _exceeds(A, j, d) is want
+
+    @pytest.mark.parametrize("j, want", [(692, True), (693, False)])
+    def test_exceeds_doubles_its_precision_while_undecided(self, monkeypatch, j, want):
+        # log 2 = 0.6931...; the first round (s = 64) is made to decide nothing.
+        above, scales = analysis._above, []
+
+        def undecided_at_first(M, p):
+            scales.append(M[0][0].bit_length() - 2)  # M = [[2 << s]]
+            if len(scales) <= 2:
+                return len(scales) == 2  # below at p, above at q
+            return above(M, p)
+
+        monkeypatch.setattr(analysis, "_above", undecided_at_first)
+        assert _exceeds([[2]], j, 3) is want
+        assert scales[:3] == [64, 64, 128]
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(small_matrices())

@@ -60,6 +60,13 @@ class TestParsing:
     def test_every_whitespace_separates(self, sep):
         assert parse_address(f"0{sep}(1{sep}2)") == canonicalize([0], [1, 2])
 
+    @pytest.mark.parametrize("text, offset", [("\u0663(1)", 0), ("0(1,\uff12)", 4)])
+    def test_digits_are_ascii_only(self, text, offset):
+        # int() reads other scripts' digits, so "\u0663(1)" used to parse as 3(1).
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_address(text)
+        assert exc.value.offset == offset
+
     def test_numeral_beyond_int_limit(self):
         with pytest.raises(ParseError) as exc:
             parse_address("0(1," + "7" * 5000 + ")")
@@ -275,6 +282,13 @@ class TestCommands:
         assert done.returncode == 2
         assert done.stdout == ""
         assert "only 2 distinct bases" in done.stderr
+
+    def test_verify_with_too_few_bases_returns_2_in_process(self, capsys):
+        options = ["--entry-range", "1", "--max-preperiod", "1", "--max-period", "1"]
+        assert main(["verify", *options, "--count", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "only 2 distinct bases" in err
 
     def test_verify_deterministic(self, capsys):
         args = ["verify", "--count", "4", "--seed", "11"]

@@ -98,6 +98,11 @@ class TestPeriodic:
         for a in got:
             assert itinerary(P_a, a) == plain([], [7, -7])
 
+    @pytest.mark.parametrize("p", [plain([0], [1]), PreSingular(()), PreSingular((0,))])
+    def test_takes_purely_periodic_itineraries_only(self, P_b, p):
+        with pytest.raises(ValueError, match="not purely periodic"):
+            addresses_of_periodic(P_b, p)
+
     def test_fixed_point_characterization(self, P_b):
         for target in ([1], [0, 1], [0]):
             p = plain([], target)

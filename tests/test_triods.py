@@ -1,6 +1,6 @@
 import random
 import warnings
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +14,8 @@ from exptree.errors import (
 )
 from exptree.notation import parse_address
 from exptree.partition import (
+    STAR,
+    Boundary,
     Plain,
     PreSingular,
     is_in_S_nu,
@@ -28,6 +30,7 @@ from exptree.triods import (
     Shape,
     Triod,
     _TriodMap,
+    _odd_one_out,
     address_triod_step,
     classify,
     majority_vote,
@@ -88,6 +91,22 @@ def wide_triods(draw):
     members = (member(), member(), member())
     assume(len(set(members)) == 3)
     return Triod(members, P)
+
+
+class TestOddOneOut:
+    def test_against_a_majority_count(self):
+        # Integers and the star stand for first symbols, Boundary values for
+        # address members on the partition boundary.
+        symbols = (0, 1, STAR, Boundary(0), Boundary(1))
+        for triple in product(symbols, repeat=3):
+            agree = [sum(x == y for y in triple) for x in triple]
+            if min(agree) == 3:
+                want = 3
+            elif max(agree) == 2:
+                want = agree.index(1)
+            else:
+                want = None
+            assert _odd_one_out(*triple) == want, triple
 
 
 class TestStep:
@@ -278,6 +297,13 @@ class TestAddressTriod:
         A = AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b)
         out = address_triod_step(A)
         assert out.members == (addr([], [0, 1]), addr([], [1, 0]), P_b.base)
+
+    def test_boundary_members_share_no_sector(self, P_a):
+        # 0,0(1) and 1,0(1) shift onto the base 0(1): the partition boundary.
+        on_0, on_1 = addr([0, 0], [1]), addr([1, 0], [1])
+        A = AddressTriod((on_1, addr([], [1]), addr([1], [2])), P_a)
+        assert address_triod_step(A).members == (P_a.base, addr([], [1]), addr([], [2]))
+        assert address_triod_step(AddressTriod((on_0, on_1, addr([], [1])), P_a)) is None
 
     def test_not_formal_is_a_value_error(self, P_b):
         # 1,0(0,1) shifts onto the kneading sequence 0(0,1).
