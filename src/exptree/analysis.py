@@ -35,7 +35,7 @@ from .errors import (
     PeriodicBaseError,
 )
 from .partition import STAR, Plain, itinerary, validate_base
-from .sequences import ExtAddress, _min_rotation, _word_length
+from .sequences import ExtAddress, _min_rotation, _words
 from .treebuild import AbstractHubbardTree
 
 if TYPE_CHECKING:
@@ -100,24 +100,19 @@ class ExpansivityReport:
 
 def expansivity_report(T: AbstractHubbardTree) -> ExpansivityReport:
     """Separation depths for all marked-point pairs of the tree: the first
-    place where their words of one length differ
-    (:func:`~exptree.sequences._word_length`); a pre-singular word is the
-    prefix, the star, then the kneading sequence.  Raises
-    :class:`NotExpansiveError` if some pair of vertices never separates,
-    which cannot happen for built trees but is checked for externally
-    supplied ones.
+    place where their words (:func:`~exptree.sequences._words`) differ; a
+    pre-singular word is the prefix, the star, then the kneading sequence.
+    Raises :class:`NotExpansiveError` if some pair of vertices never
+    separates, which cannot happen for built trees but is checked for
+    externally supplied ones.
     """
     nu = T.partition.kneading.seq
     its = [v.itinerary for v in T.vertices]
-    heads = [
+    words = _words([
         (it.seq.preperiod, it.seq.period) if isinstance(it, Plain)
         else (it.prefix + (STAR,) + nu.preperiod, nu.period)
         for it in its
-    ]
-    L = _word_length(
-        max((len(pre) for pre, _ in heads), default=0), (len(per) for _, per in heads)
-    )
-    words = [(pre + per * (L // len(per) + 1))[:L] for pre, per in heads]
+    ])
     depths: dict[tuple[int, int], int] = {}
     for i, a in enumerate(words):
         for j in range(i + 1, len(words)):
@@ -197,11 +192,11 @@ def transition_matrix(T: AbstractHubbardTree) -> TransitionMatrix:
 
 def _integer_rows(A: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows of ``A`` as lists of ints; ``ValueError`` unless ``A`` is
-    square with nonnegative integer entries (not an infinity, not a NaN)."""
+    square rows of nonnegative integers (no NaN, infinity or non-number)."""
     try:
         if all(len(row) == len(A) and all(a >= 0 and a == int(a) for a in row) for row in A):
             return [[int(a) for a in row] for row in A]
-    except OverflowError:  # int() of an infinity; a NaN fails a >= 0
+    except (OverflowError, TypeError):
         pass
     raise ValueError("matrix must be square and its entries nonnegative integers")
 
@@ -210,10 +205,10 @@ _INDEX_BUDGET = 1 << 24  # the most indices spectral_radius_power expands
 
 
 def _check_stops(tol: float, max_iter: int) -> None:
-    """``ValueError`` unless ``tol > 0`` and ``max_iter`` is a positive integer."""
+    """``ValueError`` unless ``tol > 0`` and ``max_iter`` is a positive integer (no bool)."""
     if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
-    if not (isinstance(max_iter, Integral) and max_iter > 0):
+    if type(max_iter) is bool or not (isinstance(max_iter, Integral) and max_iter > 0):
         raise ValueError("max_iter must be a positive integer")
 
 
@@ -236,9 +231,11 @@ def spectral_radius_power(
     midpoint minus 1, within ``5e-4 * tol * (rho + 1)`` of the class radius.
     A class needing more than ``max_iter`` applications of ``B`` raises
     :class:`ConvergenceFailureError`.  ``ValueError`` is raised for a ``tol``
-    not above 0, a ``max_iter`` that is not a positive integer, and entries so
-    large that ``A + I`` and ``(A + I)^2`` hold more than ``2^24`` indices (use
-    :func:`spectral_radius_exact` then).
+    not above 0, a ``max_iter`` that is not a positive integer (or a ``bool``),
+    and entries so large that ``A + I`` and ``(A + I)^2`` hold over ``2^24``
+    indices.  That budget still allows about 390 MB of peak memory (``[[4000]]``,
+    16.0M indices, 383 MB on CPython 3.11): use :func:`spectral_radius_exact`
+    for large entries.
     """
     _check_stops(tol, max_iter)
     A = _integer_rows(A)

@@ -162,7 +162,8 @@ def _shift_words(
     of the module docstring."""
     p, q = len(t.period), len(s.period)
     d = _decision_length(max(len(t.preperiod) - 1, len(s.preperiod)), p, q)
-    return _word(t, len(t.preperiod) + p + d), _word(s, d), d
+    T = _word(t.preperiod, t.period, len(t.preperiod) + p + d)
+    return T, _word(s.preperiod, s.period, d), d
 
 
 def validate_base(s: ExtAddress) -> Partition:

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import islice
+from numbers import Integral
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptyRangeError,
@@ -34,7 +36,6 @@ from .errors import (
     RealizationBoundExceededError,
 )
 from .partition import (
-    STAR,
     Itinerary,
     Partition,
     Plain,
@@ -42,7 +43,7 @@ from .partition import (
     inverse_branch,
 )
 from .sequences import (
-    ExtAddress, _frozen, _gap_of, _primitive_root, _word, _word_length, canonicalize
+    ExtAddress, _frozen, _gap_of, _primitive_root, _word, _words, canonicalize
 )
 from .triods import (
     AddressTriod,
@@ -94,6 +95,12 @@ class AddressSet:
         return len(self.addresses)
 
 
+def _check_m_max(m_max: int | None) -> None:
+    """``ValueError`` unless ``m_max`` is ``None`` or an integer of at least 1."""
+    if m_max is not None and (type(m_max) is bool or not isinstance(m_max, Integral) or m_max < 1):
+        raise ValueError(f"m_max must be None or a positive integer, got {m_max!r}")
+
+
 def addresses_of_periodic(
     P: Partition, p: Plain, m_max: int | None = None
 ) -> AddressSet:
@@ -143,7 +150,7 @@ class _Positions:
     def __init__(self, P: Partition):
         s = P.base
         pre, L = len(s.preperiod), len(s.preperiod) + len(s.period)
-        W = _word(s, 2 * L)
+        W = _word(s.preperiod, s.period, 2 * L)
         pos = [0] * L
         for r, i in enumerate(sorted(range(L), key=lambda i: W[i : i + L])):
             pos[i] = 2 * r + 1
@@ -306,10 +313,10 @@ def _pullback(
     return out
 
 
-def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
-    """Sheets for the boundary pullbacks of a tree's pre-singular vertices:
-    a vertex whose itinerary starts with ``k`` lies in sector ``I_k``,
-    between the sheets ``j0 + k`` and ``j0 + k + 1``, and the range runs
+def _vertex_sheets(P: Partition, sectors: Sequence[tuple[int, Any]]) -> range:
+    """Sheets for the boundary pullbacks of a tree's pre-singular vertices,
+    from its sorted sectors (``tree.sectors``): the vertices of sector ``k``
+    lie between the sheets ``j0 + k`` and ``j0 + k + 1``, and the range runs
     from the least of these sheets to the greatest.
 
     No sheet beyond either end changes the tree.  At a branch vertex
@@ -317,22 +324,22 @@ def _vertex_sheets(P: Partition, its: Iterable[Itinerary]) -> range:
     addresses whose ``|w|``-fold shift lies in ``I_{m-j0}``, and those
     shifts of branch addresses lie in sectors of vertices or on the
     sheets, so no branch address falls in a gap an outer sheet adds."""
-    firsts = [P.offset_j0 + it.first_symbol() for it in its if it.first_symbol() != STAR]
-    return range(min(firsts), max(firsts) + 2)
+    return range(P.offset_j0 + sectors[0][0], P.offset_j0 + sectors[-1][0] + 2)
 
 
 def _vertex_words(
     P: Partition,
     its: Sequence[Itinerary],
     dynamics: Sequence[int],
+    sectors: Sequence[tuple[int, Any]],
     star: int,
     m_max: int | None,
 ) -> tuple[list[tuple[tuple[int, ...], ...]], Callable[[tuple[int, ...]], str]]:
-    """Every vertex's realizing addresses, as the sorted words of their
-    first entries at one length that orders them
-    (:func:`~exptree.sequences._word_length`), and a function that names
-    the address of a word, for error messages.  ``dynamics`` holds the ids
-    of the vertices' shifts and ``star`` the id of ``*nu``.
+    """Every vertex's realizing addresses, as their sorted words
+    (:func:`~exptree.sequences._words`), and a function that names the
+    address of a word, for error messages.  ``dynamics`` holds the ids of
+    the vertices' shifts, ``sectors`` the build's sectors and ``star`` the
+    id of ``*nu``.
 
     All are realized on one :class:`_Positions`: the least rotation of
     each periodic cycle takes the automaton's cycles for its period word,
@@ -345,7 +352,7 @@ def _vertex_words(
     fams: list[list[_Realization] | None] = [None] * len(its)
     fams[star] = [
         _Realization((m,) + s.preperiod, s.period, automaton.place(m, q))
-        for m in _vertex_sheets(P, its)
+        for m in _vertex_sheets(P, sectors)
     ]
     # Periodic vertices first: a walk then closes each cycle at its least rotation.
     periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
@@ -361,15 +368,14 @@ def _vertex_words(
                 fams[w] = automaton.pull(its[w].first_symbol(), fams[dynamics[w]])
 
     addrs = [a for f in fams for a in f]
-    L = _word_length(
-        max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
-    )
+    words = _words([(a.preperiod, a.period) for a in addrs])
 
     def name(word: tuple[int, ...]) -> str:
-        a = next(a for a in addrs if _word(a, L) == word)
+        a = addrs[words.index(word)]
         return str(canonicalize(a.preperiod, a.period))
 
-    return [tuple(sorted(_word(a, L) for a in f)) for f in fams], name
+    each = iter(words)
+    return [tuple(sorted(islice(each, len(f)))) for f in fams], name
 
 
 def addresses_of(
@@ -385,8 +391,10 @@ def addresses_of(
     preperiod, empty if ``t`` is periodic.  A pre-singular ``t`` has one
     realization per sheet ``m.s`` of the partition boundary, so the caller
     supplies a finite ``m_range``; the base is not periodic, so no pullback
-    of a sheet is the base and none is dropped.
+    of a sheet is the base and none is dropped.  ``m_max`` is ``None`` or
+    a positive integer (else ``ValueError``).
     """
+    _check_m_max(m_max)
     if isinstance(t, PreSingular):
         family, letters = [P.base.prepend(m) for m in m_range or ()], t.prefix
         if not family:
@@ -445,8 +453,10 @@ def separating_addresses(
     ``m.a`` for every address ``a`` of ``nu``, not only for ``a = s``.
     :func:`~exptree.triods.middle_point` and
     :func:`~exptree.triods.classify` still report ``w.nu``, so on these
-    triods ``exptree triod`` and ``exptree separate`` differ.
+    triods ``exptree triod`` and ``exptree separate`` differ.  ``m_max`` is
+    as for :func:`addresses_of`.
     """
+    _check_m_max(m_max)
     T = to_itinerary_triod(A)
     b = middle_point(T)
     if isinstance(b, PreSingular):

@@ -117,7 +117,7 @@ class ExtAddress:
 
     def entries(self, count: int) -> list[int]:
         """The first ``count`` entries as a list."""
-        return list(_word(self, count))
+        return list(_word(self.preperiod, self.period, count))
 
     def shift(self) -> "ExtAddress":
         """Drop the first entry (the left shift).
@@ -214,10 +214,17 @@ def address(text_or_pre, period=None) -> ExtAddress:
     return canonicalize(text_or_pre, period)
 
 
-def _word(a: ExtAddress, count: int) -> tuple[int, ...]:
-    """The first ``count`` entries of ``a`` as a tuple."""
-    pre, per = a.preperiod, a.period
+def _word(pre: tuple, per: tuple, count: int) -> tuple:
+    """The first ``count`` entries of ``pre . per^infinity`` as a tuple."""
     return (pre + per * (count // len(per) + 1))[:count]
+
+
+def _words(heads: Sequence[tuple[tuple, tuple]]) -> list[tuple]:
+    """The words (:func:`_word`) of the heads ``(pre, per)``, canonical or
+    not, at their :func:`_word_length`: they order as the sequences do, and
+    are equal exactly when the sequences are."""
+    L = _word_length(max([0] + [len(h[0]) for h in heads]), [len(h[1]) for h in heads])
+    return [_word(pre, per, L) for pre, per in heads]
 
 
 def _decision_length(pre: int, p: int, q: int) -> int:
@@ -228,7 +235,7 @@ def _decision_length(pre: int, p: int, q: int) -> int:
 
 
 def _word_length(pre: int, periods: Iterable[int]) -> int:
-    """A length at which the words (:func:`_word`) of addresses that are
+    """A length at which the words (:func:`_words`) of addresses that are
     periodic after at most ``pre`` entries, with periods among
     ``periods``, order as the addresses do and are equal only for equal
     addresses: the greatest decision length of two such addresses (see
@@ -253,7 +260,7 @@ def _compare(a: ExtAddress, b: ExtAddress) -> int:
         d = _decision_length(
             max(len(a.preperiod), len(b.preperiod)), len(a.period), len(b.period)
         )
-        x, y = _word(a, d), _word(b, d)
+        x, y = _word(a.preperiod, a.period, d), _word(b.preperiod, b.period, d)
     return (x > y) - (x < y)
 
 

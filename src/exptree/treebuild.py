@@ -37,9 +37,8 @@ addresses of the vertex split the circle at infinity into gaps, one per
 branch, which yields the cyclic order of the branches.  The build makes
 one call, :func:`~exptree.realization._vertex_words`, for the addresses
 of every vertex; :mod:`~exptree.realization` alone holds the automaton
-that realizes them.  They come back as tuples of their first entries,
-all of one length at which tuple order is the lexicographic order of the
-addresses, and are bisected as such.
+that realizes them.  They come back as words
+(:func:`~exptree.sequences._words`) and are bisected as such.
 
 Each tree keeps one rooted table (:class:`_Rooted`): the sorted
 adjacency, a depth-first preorder from the singular point, each vertex's
@@ -67,9 +66,9 @@ from .errors import (
 )
 from .partition import STAR, Itinerary, Partition, Plain, PreSingular, validate_base
 from .notation import parse_address, parse_itinerary
-from .realization import _vertex_words
-from .sequences import _frozen, _gap_of, _min_rotation, _word_length
-from .triods import _TriodMap
+from .realization import _check_m_max, _vertex_words
+from .sequences import _frozen, _gap_of, _min_rotation, _words
+from .triods import _TriodMap, _shift_key
 
 __all__ = [
     "AbstractHubbardTree",
@@ -286,21 +285,10 @@ def _vertex_set(P: Partition) -> tuple:
     orbit_sectors = _sectors(orbit_ids, triods.firsts, star)
     vids.update(triods.middle(*tri) for tri in _star_tuples(orbit_sectors, star, 3))
     # Pre-singular vertices first (by prefix), then plain ones in
-    # lexicographic order, as words (:func:`~exptree.sequences._word`) of
-    # one length that orders them.
-    plain = [keys[v] for v in vids if len(keys[v]) == 2]
-    L = _word_length(
-        max((len(pre) for pre, _ in plain), default=0), (len(per) for _, per in plain)
-    )
-
-    def order(v: int) -> tuple:
-        key = keys[v]
-        if len(key) == 1:
-            return (0, key[0])
-        pre, per = key
-        return (1, (pre + per * (L // len(per) + 1))[:L])
-
-    ids = sorted(vids, key=order)
+    # lexicographic order, as their words (:func:`~exptree.sequences._words`).
+    plain = [v for v in vids if len(keys[v]) == 2]
+    ids = sorted((v for v in vids if len(keys[v]) == 1), key=keys.__getitem__)
+    ids += [v for _, v in sorted(zip(_words([keys[v] for v in plain]), plain))]
     its = [triods.itinerary(v) for v in ids]
     index = {v: i for i, v in enumerate(ids)}
     for it, v in zip(its, ids):
@@ -399,7 +387,9 @@ def _cyclic_order_by_gaps(
 def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     """Construct the abstract exponential Hubbard tree over ``P``.
 
-    ``m_max`` caps the realization multiplier; ``None`` means no cap."""
+    ``m_max`` caps the realization multiplier; ``None`` means no cap, and
+    anything but ``None`` or a positive integer raises ``ValueError``."""
+    _check_m_max(m_max)
     its, edges, dynamics, sectors, sing, orbit = _vertex_set(P)
     n = len(its)
     adj = _adjacency(range(n), edges)
@@ -423,11 +413,11 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
             continue
         nbrs = adj[i]
         if len(nbrs) <= 2:
-            cyclic.append(_min_rotation(tuple(nbrs)))
+            cyclic.append(tuple(nbrs))  # sorted, so its least rotation
             continue
         branches = [(nb, sorted(table.branch(i, nb))) for nb in nbrs]
         if not words:
-            words, name = _vertex_words(P, its, dynamics, sing, m_max)
+            words, name = _vertex_words(P, its, dynamics, sectors, sing, m_max)
         order = _cyclic_order_by_gaps(i, branches, its, words, notes, name)
         cyclic.append(_min_rotation(order))
 
@@ -510,15 +500,10 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         raise ClosureViolationError("singular point does not carry the itinerary *nu")
 
     dyn = tree.dynamics
-    nu = P.kneading.seq
+    nu = (P.kneading.seq.preperiod, P.kneading.seq.period)
     for i, key in enumerate(keys):
-        if len(key) == 2:
-            pre, per = key
-            image = (pre[1:], per) if pre else ((), per[1:] + per[:1])
-        else:
-            image = (key[0][1:],) if key[0] else (nu.preperiod, nu.period)
         d = dyn[i]
-        if not 0 <= d < n or keys[d] != image:
+        if not 0 <= d < n or keys[d] != _shift_key(key, nu):
             raise ClosureViolationError(f"dynamics at vertex {its[i]} is not the shift")
 
     # Endpoints lie on the orbit of the singular point; the singular value is one.
@@ -534,12 +519,8 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         raise ClosureViolationError("the singular value vertex is not an endpoint")
 
     # Sectors = branches at the singular point = first-entry groups.
-    expected: dict[int, set[int]] = {}
-    for i in range(n):
-        if i != sing:
-            expected.setdefault(firsts[i], set()).add(i)
     got = {k: set(v) for k, v in tree.sectors}
-    if got != expected:
+    if got != {k: set(v) for k, v in _sectors(range(n), firsts, sing)}:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
     if nu_id not in got.get(0, set()):
         raise ClosureViolationError("the singular value vertex is not in sector 0")

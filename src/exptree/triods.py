@@ -153,6 +153,15 @@ def _odd_one_out(a, b, c) -> int | None:
     return 0 if b == c else None
 
 
+def _shift_key(key: tuple, nu: tuple) -> tuple:
+    """The key (see :class:`_TriodMap`) of the shift of the itinerary keyed
+    ``key``; ``nu``, the kneading sequence's key, is the shift of ``*nu``."""
+    if len(key) == 1:
+        return (key[0][1:],) if key[0] else nu
+    pre, per = key
+    return (pre[1:], per) if pre else ((), per[1:] + per[:1])
+
+
 def to_itinerary_triod(A: AddressTriod) -> Triod:
     """The associated triod of itineraries."""
     P = A.partition
@@ -257,14 +266,7 @@ class _TriodMap:
     def _shift(self, i: int) -> int:
         j = self.shifts.get(i)
         if j is None:
-            key = self.keys[i]
-            if len(key) == 2:
-                pre, per = key
-                j = self.key_id((pre[1:], per) if pre else ((), per[1:] + per[:1]))
-            elif key[0]:
-                j = self.key_id((key[0][1:],))
-            else:
-                j = self.nu
+            j = self.key_id(_shift_key(self.keys[i], self.keys[self.nu]))
             self.shifts[i] = j
             self.prepends[self.firsts[i], j] = i
         return j

@@ -202,7 +202,7 @@ def _vertex_address_triod(
     for i in ids:
         it = tree.vertices[i].itinerary
         if isinstance(it, PreSingular):
-            span = _vertex_sheets(P, (v.itinerary for v in tree.vertices))
+            span = _vertex_sheets(P, tree.sectors)
             addrs = addresses_of(P, it, m_range=span).addresses
         else:
             addrs = addresses_of(P, it).addresses

@@ -317,7 +317,7 @@ class TestEntropy:
                 spectral_radius_power(A)
         assert spectral_radius_exact([[2**70]]) == 2.0**70
 
-    @pytest.mark.parametrize("max_iter", [0, -5, 1.5, 2.0, None])
+    @pytest.mark.parametrize("max_iter", [0, -5, 1.5, 2.0, None, True, False])
     def test_max_iter_must_be_a_positive_integer(self, tree_b, max_iter):
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             spectral_radius_power([[1, 1], [1, 0]], max_iter=max_iter)
@@ -427,7 +427,10 @@ class TestExactRadius:
         assert spectral_radius_exact(np.array(rows, dtype=np.int64).reshape(n, n)) == want
 
     @pytest.mark.parametrize(
-        "bad", [[[0.5]], [[-1]], [[1, 2]], [[1], [1, 1]], [[float("inf")]], [[float("nan")]]]
+        "bad",
+        [[[0.5]], [[-1]], [[1, 2]], [[1], [1, 1]], [[float("inf")]], [[float("nan")]]]
+        # Not rows of real numbers: each once raised a bare TypeError.
+        + [[["1"]], [[None]], [[1 + 0j]], [[[1]]], 5, [[1, "a"], [0, 1]], np.array([["1"]])],
     )
     def test_takes_square_nonnegative_integer_matrices_only(self, bad):
         for radius in (spectral_radius_exact, spectral_radius_power):

@@ -81,7 +81,7 @@ def orders_from_every_ray_at_nu(P, rays):
     vertices checked."""
     tree = build_tree(P)
     its = [v.itinerary for v in tree.vertices]
-    star = [a.prepend(m) for a in rays for m in _vertex_sheets(P, its)]
+    star = [a.prepend(m) for a in rays for m in _vertex_sheets(P, tree.sectors)]
     addrs = [
         _sorted(_pullback(P, it.prefix, star))
         if isinstance(it, PreSingular)

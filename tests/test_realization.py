@@ -2,6 +2,7 @@ import random
 import warnings
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -528,6 +529,35 @@ class TestRotationSharing:
         with pytest.raises(RealizationBoundExceededError, match=r"needs m = 3$"):
             addresses_of_periodic(P_b, plain([], [0]), m_max=2)
         assert len(addresses_of_periodic(P_b, plain([], [0]), m_max=3)) == 3
+
+
+class TestMultiplierCap:
+    """``m_max`` is ``None`` or an integer of at least 1 wherever it enters;
+    anything else raises ``ValueError`` naming it, before any search."""
+
+    BAD = [0, -3, 1.5, 3.0, "3", True, False]
+
+    @pytest.mark.parametrize("m_max", BAD)
+    def test_rejected_everywhere(self, P_b, m_max):
+        A = AddressTriod((P_b.base, addr([], [0, 1]), addr([], [1, 0])), P_b)
+        calls = [
+            lambda: build_tree(P_b, m_max=m_max),
+            lambda: addresses_of(P_b, P_b.kneading, m_max=m_max),
+            lambda: addresses_of(P_b, PreSingular(()), m_max=m_max, m_range=range(2)),
+            lambda: addresses_of_periodic(P_b, plain([], [0]), m_max=m_max),
+            lambda: separating_addresses(P_b, A, m_max=m_max),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="m_max must be None or a positive integer"):
+                call()
+
+    def test_integers_pass(self, P_b):
+        tree = build_tree(P_b)
+        assert build_tree(P_b, m_max=3).edges == tree.edges
+        assert build_tree(P_b, m_max=np.int64(3)).edges == tree.edges
+        assert len(addresses_of_periodic(P_b, plain([], [0]), m_max=np.int64(3))) == 3
+        with pytest.raises(RealizationBoundExceededError, match=r"found for m <= 2; "):
+            build_tree(P_b, m_max=2)
 
 
 def _singular_preimage_triods(rng, P, count, tries=20_000):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exptree
+from exptree import sequences
 from exptree.errors import EmptyPeriodError, NotDistinctError
 from exptree.sequences import (
     ExtAddress,
     Ordering,
     _primitive_root,
+    _word,
     canonicalize,
     compare_lex,
     cyclic_between,
@@ -94,6 +96,43 @@ def _list_canonicalize(preperiod, period):
 def _words(max_len, min_len=0):
     for n in range(min_len, max_len + 1):
         yield from product((0, 1, 2), repeat=n)
+
+
+class TestWords:
+    """``sequences._words`` at its one length orders the heads'
+    sequences as ``compare_lex`` does, and its words are equal exactly
+    when the sequences are, over every head with preperiod <= 2, period
+    <= 3 and entries in {-1, 0, 1}, canonical or not."""
+
+    @staticmethod
+    def heads():
+        for r in range(3):
+            for n in range(1, 4):
+                for pre in product((-1, 0, 1), repeat=r):
+                    for per in product((-1, 0, 1), repeat=n):
+                        yield pre, per
+
+    def test_order_and_equality_match_compare_lex(self):
+        heads = list(self.heads())
+        addrs = [canonicalize(pre, per) for pre, per in heads]
+        words = sequences._words(heads)
+        assert len(heads) == 507 and {len(w) for w in words} == {2 + 2 + 3 - 1}
+        ordering = {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+        for i, (a, x) in enumerate(zip(addrs, words)):
+            for b, y in zip(addrs[i:], words[i:]):
+                assert ordering[(x > y) - (x < y)] == compare_lex(a, b), (a, b)
+                assert (x == y) == (a == b)
+
+    def test_word_pads_a_head_to_a_given_length(self):
+        for pre, per in self.heads():
+            a = canonicalize(pre, per)
+            for count in (0, 1, 7):
+                word = _word(pre, per, count)
+                assert word == tuple(a.entries(count))
+                assert word == tuple(a.entry(i) for i in range(1, count + 1))
+
+    def test_no_heads(self):
+        assert sequences._words([]) == []
 
 
 class TestCanonicalizeExhaustive:

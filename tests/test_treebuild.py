@@ -264,7 +264,7 @@ def gap_checks(P, tree):
     vertex against the anchors of every branch vertex; return the number
     of addresses compared."""
     its = [v.itinerary for v in tree.vertices]
-    sheets = _vertex_sheets(P, its)
+    sheets = _vertex_sheets(P, tree.sectors)
 
     def lookup(it):
         if isinstance(it, PreSingular):
@@ -380,8 +380,8 @@ class TestGapBisection:
         # The build bisects words, but names a failing address in address
         # notation: here an address of the branch vertex (0), handed to
         # its neighbour (0,1) as well.
-        def corrupted(P, its, dynamics, star, m_max):
-            words, name = vertex_words(P, its, dynamics, star, m_max)
+        def corrupted(P, its, *args):
+            words, name = vertex_words(P, its, *args)
             words[its.index(plain([], [0, 1]))] += words[its.index(plain([], [0]))][:1]
             return words, name
 
@@ -440,8 +440,10 @@ class TestVertexFamilies:
         assert len(handed) == has_branch_vertex(tree)
         its = [v.itinerary for v in tree.vertices]
         if not handed:
-            handed.append(vertex_words(P, its, tree.dynamics, tree.singular_point, None))
-        sheets = _vertex_sheets(P, its)
+            handed.append(
+                vertex_words(P, its, tree.dynamics, tree.sectors, tree.singular_point, None)
+            )
+        sheets = _vertex_sheets(P, tree.sectors)
         fresh = [addresses_of(P, it, m_range=sheets).addresses for it in its]
         addrs = [a for f in fresh for a in f]
         for words, _ in handed:
@@ -449,7 +451,9 @@ class TestVertexFamilies:
             assert L >= _word_length(
                 max(len(a.preperiod) for a in addrs), (len(a.period) for a in addrs)
             )
-            assert words == [tuple(_word(a, L) for a in f) for f in fresh], str(P.base)
+            assert words == [
+                tuple(_word(a.preperiod, a.period, L) for a in f) for f in fresh
+            ], str(P.base)
 
     def test_golden(self, P_a, P_b):
         self.check(P_a)
@@ -468,16 +472,23 @@ class TestVertexFamilies:
     def test_ladder(self, k):
         self.check(validate_base(addr([0], [1, 0] * k + [2])))
 
+    def test_sheets_span_the_first_symbols(self, acceptance_corpus):
+        # The sector labels are the first symbols of the vertices but *nu.
+        for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):
+            firsts = [P.offset_j0 + v.itinerary.first_symbol() for v in tree.vertices
+                      if v.id != tree.singular_point]
+            assert _vertex_sheets(P, tree.sectors) == range(min(firsts), max(firsts) + 2)
+
     def test_presingular_vertices_take_no_note(self, monkeypatch):
         # The branch vertex 0,* of 0(1,0,3) has a realizing address on
         # every sheet, so its count says nothing and is not noted; a sheet
         # beyond either end of the vertices' own does not change the tree.
         P = validate_base(addr([0], [1, 0, 3]))
         tree = build_tree(P)
-        assert _vertex_sheets(P, [v.itinerary for v in tree.vertices]) == range(0, 5)
+        assert _vertex_sheets(P, tree.sectors) == range(0, 5)
         assert tree.notes == ()
-        def wider(P, its):
-            own = _vertex_sheets(P, its)
+        def wider(P, sectors):
+            own = _vertex_sheets(P, sectors)
             return range(own.start - 1, own.stop + 1)
 
         monkeypatch.setattr(realization, "_vertex_sheets", wider)
@@ -1013,7 +1024,7 @@ class TestAddressWords:
         L = _word_length(
             max(len(x.preperiod) for x in addrs), (len(x.period) for x in addrs)
         )
-        words = [_word(x, L) for x in addrs]
+        words = [_word(x.preperiod, x.period, L) for x in addrs]
         for x, wx in zip(addrs, words):
             for y, wy in zip(addrs, words):
                 assert (wx > wy) - (wx < wy) == compare_lex(x, y).value, (x, y)
