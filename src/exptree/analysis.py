@@ -156,9 +156,8 @@ def _edge_rows(T: AbstractHubbardTree) -> list[list[int]]:
     dyn, rows = T.dynamics, []
     for u, v in T.edges:
         a, b = dyn[u], dyn[v]
-        for x in (a, b):
-            if x not in pos:
-                raise NotATreeError(f"no vertex {x}")
+        if a not in pos or b not in pos:
+            raise NotATreeError(f"no vertex {a if a not in pos else b}")
         row, x, at = [], a, pos[b]
         while not pos[x] <= at < end[x]:
             if (p := parent[x]) is None:
@@ -210,6 +209,16 @@ def _check_stops(tol: float, max_iter: int) -> None:
         raise ValueError("tolerance must be positive")
     if type(max_iter) is bool or not (isinstance(max_iter, Integral) and max_iter > 0):
         raise ValueError("max_iter must be a positive integer")
+
+
+def _check_size_limit(exact_size_limit: int) -> None:
+    """``ValueError`` unless ``exact_size_limit`` is a non-negative integer (no bool)."""
+    if type(exact_size_limit) is bool or not (
+        isinstance(exact_size_limit, Integral) and exact_size_limit >= 0
+    ):
+        raise ValueError(
+            f"exact_size_limit must be a non-negative integer, got {exact_size_limit!r}"
+        )
 
 
 def spectral_radius_power(
@@ -405,10 +414,12 @@ def core_entropy(
     The last bits depend on the interpreter, as CPython compensates
     :func:`sum` of floats from 3.12 on: compare ``repr`` on one interpreter
     only.  The decimals that ``exptree entropy`` prints do not change.
-    A ``tol`` not above 0 or a ``max_iter`` that is not a positive integer
-    raises ``ValueError``.
+    A ``tol`` not above 0, a ``max_iter`` that is not a positive integer
+    or an ``exact_size_limit`` that is not a non-negative integer (a
+    ``bool`` is neither) raises ``ValueError``.
     """
     _check_stops(tol, max_iter)
+    _check_size_limit(exact_size_limit)
     rho = _bracket(_edge_rows(T), tol, max_iter, exact_size_limit)[0]
     return math.log(rho) if rho > 1.0 else 0.0
 

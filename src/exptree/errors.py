@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .partition import Itinerary
     from .sequences import ExtAddress
 
 __all__ = [
@@ -90,7 +91,24 @@ class GapAssignmentFailureError(ExptreeError):
 
     This signals an internal inconsistency: the separation count is a
     theorem for correctly constructed inputs.
+
+    The tree build's gap stage says where it failed: ``vertex`` is the
+    itinerary of the vertex whose branches it orders, ``branch`` the id of
+    the neighbor through which the failing branch runs and ``address`` the
+    failing address in address notation, each ``None`` where it does not
+    apply or another caller raised the error.
     """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        vertex: Itinerary | None = None,
+        branch: int | None = None,
+        address: str | None = None,
+    ):
+        super().__init__(message)
+        self.vertex, self.branch, self.address = vertex, branch, address
 
 
 class ClosureViolationError(ExptreeError):

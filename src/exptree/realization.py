@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
     EmptyRangeError,
@@ -128,14 +127,12 @@ def _sorted(family: Iterable[ExtAddress]) -> tuple[ExtAddress, ...]:
     return tuple(sorted(family, key=lambda a: a.preperiod + a.period))
 
 
-class _Realization(NamedTuple):
-    """A realizing address as the tree build carries it: a preperiod and
-    a period word, not reduced to canonical form, and the address's
-    position in the automaton of :class:`_Positions`."""
-
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    position: int
+# A realizing address as the tree build carries it: ``(preperiod, period,
+# position)``, a preperiod and a period word, not reduced to canonical
+# form, and the address's position in the automaton of :class:`_Positions`.
+# A plain tuple, as the build makes one per address and a named tuple
+# costs a Python call to make.
+_Realization = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 class _Positions:
@@ -245,9 +242,9 @@ class _Positions:
         kept cycle is longer.
         """
         N, n = self.size, len(word)
+        rows = [self.row(k) for k in reversed(word)]  # innermost letter first
         g = list(range(N))
-        for k in reversed(word):
-            row = self.row(k)
+        for k, row in zip(reversed(word), rows):
             g = [(row[q] or self.step(k, q))[1] for q in g]
 
         out, walked = [], [-1] * N
@@ -259,12 +256,14 @@ class _Positions:
                 continue
             # Walk the cycle pi_0 = q, pi_1, ... once more for the letters
             # G prepends, innermost first: reversed, they spell
-            # V = W_{pi_{m-1}} ... W_{pi_0}.
+            # V = W_{pi_{m-1}} ... W_{pi_0}.  The composition above filled
+            # every row entry on the way: row j at the images of g's first j
+            # letters, which hold every position the walk reaches.
             cycle, letters, c = [], [], q
             while not cycle or c != q:
                 cycle.append(c)
-                for k in reversed(word):
-                    e, c = self.step(k, c)
+                for row in rows:
+                    e, c = row[c]
                     letters.append(e)
             V = tuple(reversed(letters))
             if q % 2 == 0 and _primitive_root(V) in self._base_periods:
@@ -274,7 +273,7 @@ class _Positions:
                 raise RealizationBoundExceededError(self.P.base, word, m_max, m)
             # G^j x = W_{pi_{j-1}} ... W_{pi_0}.x turns V right by j n entries.
             out += [
-                _Realization((), V[len(V) - j * n :] + V[: len(V) - j * n], c)
+                ((), V[len(V) - j * n :] + V[: len(V) - j * n], c)
                 for j, c in enumerate(cycle)
             ]
         return out
@@ -282,11 +281,11 @@ class _Positions:
     def pull(self, k: int, family: Iterable[_Realization]) -> list[_Realization]:
         """:func:`_pullback` by one letter ``k``, as table lookups: the base,
         the one address at its position, is dropped."""
-        row, out = self.row(k), []
-        for a in family:
-            if a.position != self.base_position:
-                e, q = row[a.position] or self.step(k, a.position)
-                out.append(_Realization((e,) + a.preperiod, a.period, q))
+        row, base, out = self.row(k), self.base_position, []
+        for pre, per, q in family:
+            if q != base:
+                e, p = row[q] or self.step(k, q)
+                out.append(((e,) + pre, per, p))
         return out
 
 
@@ -351,12 +350,14 @@ def _vertex_words(
     s, q = P.base, automaton.base_position
     fams: list[list[_Realization] | None] = [None] * len(its)
     fams[star] = [
-        _Realization((m,) + s.preperiod, s.period, automaton.place(m, q))
+        ((m,) + s.preperiod, s.period, automaton.place(m, q))
         for m in _vertex_sheets(P, sectors)
     ]
-    # Periodic vertices first: a walk then closes each cycle at its least rotation.
-    periodic = [isinstance(it, Plain) and not it.seq.preperiod for it in its]
-    for v in sorted(range(len(its)), key=lambda v: not periodic[v]):
+    # Periodic vertices first: a walk then closes each cycle at its least
+    # rotation.  The walks from them fill their families, so the pass over
+    # all vertices after them starts walks from the others only.
+    periodic = [v for v, it in enumerate(its) if isinstance(it, Plain) and not it.seq.preperiod]
+    for v in periodic + list(range(len(its))):
         chain = []
         while fams[v] is None and v not in chain:
             chain.append(v)
@@ -367,15 +368,18 @@ def _vertex_words(
             if fams[w] is None:
                 fams[w] = automaton.pull(its[w].first_symbol(), fams[dynamics[w]])
 
-    addrs = [a for f in fams for a in f]
-    words = _words([(a.preperiod, a.period) for a in addrs])
+    heads = [(pre, per) for f in fams for pre, per, _ in f]
+    words = _words(heads)
 
     def name(word: tuple[int, ...]) -> str:
-        a = addrs[words.index(word)]
-        return str(canonicalize(a.preperiod, a.period))
+        return str(canonicalize(*heads[words.index(word)]))
 
-    each = iter(words)
-    return [tuple(sorted(islice(each, len(f)))) for f in fams], name
+    out, i = [], 0
+    for f in fams:
+        j = i + len(f)
+        out.append(tuple(sorted(words[i:j])))
+        i = j
+    return out, name
 
 
 def addresses_of(
@@ -401,7 +405,7 @@ def addresses_of(
             raise EmptyRangeError("pre-singular realization requires a nonempty m range")
     else:
         found = _Positions(P).cycles(t.seq.period, m_max)
-        family, letters = [ExtAddress((), a.period) for a in found], t.seq.preperiod
+        family, letters = [ExtAddress((), per) for _, per, _ in found], t.seq.preperiod
     return AddressSet(_sorted(_pullback(P, letters, family)), t)
 
 

@@ -51,10 +51,12 @@ subtree slices, and hands it to the tree; :func:`check_tree_invariants`,
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
+from operator import lt
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
@@ -67,7 +69,7 @@ from .errors import (
 from .partition import STAR, Itinerary, Partition, Plain, PreSingular, validate_base
 from .notation import parse_address, parse_itinerary
 from .realization import _check_m_max, _vertex_words
-from .sequences import _frozen, _gap_of, _min_rotation, _words
+from .sequences import _frozen, _min_rotation, _words
 from .triods import _TriodMap, _shift_key
 
 __all__ = [
@@ -92,14 +94,27 @@ class VertexKind(Enum):
 
 
 @_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
+    """A vertex of the tree.  Built like
+    :class:`~exptree.sequences.ExtAddress`, by its slot descriptors."""
+
     id: int
     itinerary: Itinerary
     kind: VertexKind
 
+    def __init__(self, id: int, itinerary: Itinerary, kind: VertexKind) -> None:
+        _set_id(self, id)
+        _set_itinerary(self, itinerary)
+        _set_kind(self, kind)
+
     def __str__(self) -> str:
         return f"{self.id}:{self.itinerary}[{self.kind.value}]"
+
+
+_set_id = Vertex.id.__set__
+_set_itinerary = Vertex.itinerary.__set__
+_set_kind = Vertex.kind.__set__
 
 
 class _Rooted:
@@ -126,11 +141,11 @@ class _Rooted:
                         parent[nxt] = cur
                         stack.append(nxt)
         self.adj, self.order, self.parent = adj, order, parent
-        self.pos = {v: i for i, v in enumerate(order)}
-        self.end = end = {v: i for i, v in enumerate(order, 1)}
+        self.pos = dict(zip(order, range(len(order))))
+        self.end = end = dict(zip(order, range(1, len(order) + 1)))
         for v in reversed(order):
-            if (p := parent[v]) is not None:
-                end[p] = max(end[p], end[v])
+            if (p := parent[v]) is not None and end[p] < end[v]:
+                end[p] = end[v]
 
     def branch(self, v: int, nb: int) -> list[int]:
         """The vertices of a tree reached from its vertex ``v``'s neighbor
@@ -291,12 +306,13 @@ def _vertex_set(P: Partition) -> tuple:
     ids += [v for _, v in sorted(zip(_words([keys[v] for v in plain]), plain))]
     its = [triods.itinerary(v) for v in ids]
     index = {v: i for i, v in enumerate(ids)}
+    dynamics = []
     for it, v in zip(its, ids):
         if not triods.formal(v):
             raise ClosureViolationError(f"vertex {it} is not a formal point")
-        if shift(v) not in index:
+        if (d := index.get(shift(v))) is None:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
-    dynamics = [index[triods.shifts[v]] for v in ids]
+        dynamics.append(d)
     firsts = [triods.firsts[v] for v in ids]
     sing = index[star]
     sectors = _sectors(range(len(its)), firsts, sing)
@@ -305,9 +321,15 @@ def _vertex_set(P: Partition) -> tuple:
     edges = set(_star_tuples(sectors, sing, 2))
     for tri in _star_tuples(sectors, sing, 3):
         x, y, z = tri
-        m = triods.middle(ids[x], ids[y], ids[z])
-        b = index.get(m, -1)
-        if b < 0:
+        u, v, w = ids[x], ids[y], ids[z]
+        m = triods.middle(u, v, w)
+        if m == u:
+            edges.discard((y, z))
+        elif m == v:
+            edges.discard((x, z))
+        elif m == w:
+            edges.discard((x, y))
+        elif m not in index:
             msg = (
                 f"vertex set not closed under triods: "
                 f"b{tuple(its[i] for i in tri)} = {triods.itinerary(m)}"
@@ -319,8 +341,6 @@ def _vertex_set(P: Partition) -> tuple:
                     f"holds with every third vertex outside sector {firsts[i]}"
                 )
             raise ClosureViolationError(msg)
-        if b in tri:
-            edges.discard(tuple(i for i in tri if i != b))
     orbit = {index[v] for v in orbit_ids}
     return its, tuple(sorted(edges)), dynamics, sectors, sing, orbit
 
@@ -339,12 +359,16 @@ def _cyclic_order_by_gaps(
     addresses: the addresses themselves or any keys that order and tell
     them apart the same way, and ``name`` gives a key's address in address
     notation.  A vertex's keys must strictly increase, so each key finds
-    its gap by bisection."""
+    its gap by bisection, as :func:`~exptree.sequences._gap_of` does: gap
+    ``i`` lies between anchors ``i`` and ``i + 1``, and the last one wraps
+    around.  A failure carries the vertex's itinerary and, where it has
+    them, the branch's neighbor and the address."""
     vit = itineraries[vid]
     anchors = addresses[vid]
-    if len(anchors) < len(branches):
+    q = len(anchors)
+    if q < len(branches):
         raise GapAssignmentFailureError(
-            f"vertex {vit}: {len(anchors)} addresses for {len(branches)} branches"
+            f"vertex {vit}: {q} addresses for {len(branches)} branches", vertex=vit
         )
     if any(b <= a for a, b in zip(anchors, anchors[1:])):
         raise InternalInvariantError(
@@ -352,36 +376,39 @@ def _cyclic_order_by_gaps(
         )
     gap_of_branch: dict[int, int] = {}
     for nb, members in branches:
+        first = gap_of_branch.get(nb)
         for w in members:
             for a in addresses[w]:
-                gap = _gap_of(anchors, a)
-                if gap is None:
+                j = bisect_left(anchors, a)
+                if j < q and anchors[j] == a:
                     raise GapAssignmentFailureError(
                         f"address {name(a)} of branch vertex {itineraries[w]} "
-                        f"collides with an anchor address of {vit}"
+                        f"collides with an anchor address of {vit}",
+                        vertex=vit, branch=nb, address=name(a),
                     )
-                first = gap_of_branch.setdefault(nb, gap)
-                if gap != first:
+                gap = (j - 1) % q
+                if first is None:
+                    first = gap
+                elif gap != first:
                     raise GapAssignmentFailureError(
                         f"branch through {nb} at vertex {vit} spans gaps "
                         f"{sorted((first, gap))}: address {name(a)} of branch "
-                        f"vertex {itineraries[w]} lies in gap {gap}"
+                        f"vertex {itineraries[w]} lies in gap {gap}",
+                        vertex=vit, branch=nb, address=name(a),
                     )
-        if nb not in gap_of_branch:
+        if first is None:
             raise GapAssignmentFailureError(
-                f"branch through {nb} at vertex {vit} has no realizing address"
+                f"branch through {nb} at vertex {vit} has no realizing address",
+                vertex=vit, branch=nb,
             )
+        gap_of_branch[nb] = first
     if len(set(gap_of_branch.values())) != len(branches):
-        raise GapAssignmentFailureError(f"two branches at {vit} share a gap")
+        raise GapAssignmentFailureError(f"two branches at {vit} share a gap", vertex=vit)
     # A pre-singular vertex has an address on every sheet, so its count
     # says nothing about the vertex.
-    if len(anchors) > len(branches) and not isinstance(vit, PreSingular):
-        notes.append(
-            f"vertex {vit}: {len(anchors)} realizing addresses for "
-            f"{len(branches)} branches"
-        )
-    ordered = sorted(gap_of_branch, key=gap_of_branch.__getitem__)
-    return tuple(ordered)
+    if q > len(branches) and not isinstance(vit, PreSingular):
+        notes.append(f"vertex {vit}: {q} realizing addresses for {len(branches)} branches")
+    return tuple(sorted(gap_of_branch, key=gap_of_branch.__getitem__))
 
 
 def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
@@ -392,38 +419,36 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     _check_m_max(m_max)
     its, edges, dynamics, sectors, sing, orbit = _vertex_set(P)
     n = len(its)
-    adj = _adjacency(range(n), edges)
+    # The edges are sorted pairs a < b, so every list comes out sorted.
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     table = _Rooted(adj, (sing,))
     if len(edges) != n - 1 or len(table.order) != n:
         raise NotATreeError(
             f"betweenness produced {len(edges)} edges on {n} vertices"
         )
 
-    kinds = [_kind(i == sing, i in orbit, len(adj[i])) for i in range(n)]
-
-    # Cyclic orders, from the realizing addresses of every vertex as words,
-    # derived when the first branch vertex needs them and sorted as tuples.
-    words: list[tuple[tuple[int, ...], ...]] = []
-    name: Callable[[Any], str] = str
+    # Cyclic orders: the sorted neighbors, their least rotation, except at
+    # the singular point and at the other vertices of degree 3 or more.
+    # There the realizing addresses of every vertex, as words, derived when
+    # the first such vertex needs them, order the branches.
+    cyclic: list[tuple[int, ...] | None] = [tuple(nbrs) for nbrs in adj.values()]
+    cyclic[sing] = None
     notes: list[str] = []
-    cyclic: list[tuple[int, ...] | None] = []
-    for i in range(n):
-        if i == sing:
-            cyclic.append(None)
+    words = None
+    for i, nbrs in enumerate(adj.values()):
+        if len(nbrs) < 3 or i == sing:
             continue
-        nbrs = adj[i]
-        if len(nbrs) <= 2:
-            cyclic.append(tuple(nbrs))  # sorted, so its least rotation
-            continue
-        branches = [(nb, sorted(table.branch(i, nb))) for nb in nbrs]
-        if not words:
+        if words is None:
             words, name = _vertex_words(P, its, dynamics, sectors, sing, m_max)
-        order = _cyclic_order_by_gaps(i, branches, its, words, notes, name)
-        cyclic.append(_min_rotation(order))
+        branches = [(nb, sorted(table.branch(i, nb))) for nb in nbrs]
+        cyclic[i] = _min_rotation(_cyclic_order_by_gaps(i, branches, its, words, notes, name))
 
     tree = AbstractHubbardTree(
         partition=P,
-        vertices=tuple(Vertex(i, it, k) for (i, it), k in zip(enumerate(its), kinds)),
+        vertices=tuple(map(Vertex, range(n), its, _kinds(sing, orbit, adj))),
         edges=edges,
         dynamics=tuple(dynamics),
         singular_point=sing,
@@ -437,14 +462,15 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
     return tree
 
 
-def _kind(singular: bool, on_orbit: bool, degree: int) -> VertexKind:
-    """Kind of a vertex: the singular point, other points of the singular
-    orbit (``BOTH`` from degree 3 on), or an extra branch point."""
-    if singular:
-        return VertexKind.SINGULAR
-    if on_orbit:
-        return VertexKind.BOTH if degree >= 3 else VertexKind.POST_SINGULAR
-    return VertexKind.BRANCH_EXTRA
+def _kinds(sing: int, orbit: set[int], adj: dict[int, list[int]]) -> list[VertexKind]:
+    """The kind of every vertex of the tree with adjacency ``adj`` on ids
+    ``0..n-1``: the singular point, other points of the singular orbit
+    (``BOTH`` from degree 3 on), or an extra branch point."""
+    kinds = [VertexKind.BRANCH_EXTRA] * len(adj)
+    for i in orbit:
+        kinds[i] = VertexKind.BOTH if len(adj[i]) >= 3 else VertexKind.POST_SINGULAR
+    kinds[sing] = VertexKind.SINGULAR
+    return kinds
 
 
 def _cyclic_subsequence(sub: list, full: list) -> bool:
@@ -455,7 +481,7 @@ def _cyclic_subsequence(sub: list, full: list) -> bool:
     idx = [pos[x] for x in sub]
     rot = idx.index(min(idx))
     idx = idx[rot:] + idx[:rot]
-    return all(idx[i] < idx[i + 1] for i in range(len(idx) - 1))
+    return all(map(lt, idx, idx[1:]))
 
 
 def check_tree_invariants(tree: AbstractHubbardTree) -> None:
@@ -469,10 +495,11 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     tree's rooted table.
     """
     P = tree.partition
-    n = len(tree.vertices)
-    if [v.id for v in tree.vertices] != list(range(n)):
+    vertices, dyn, cyclic = tree.vertices, tree.dynamics, tree.cyclic_order
+    n = len(vertices)
+    if [v.id for v in vertices] != list(range(n)):
         raise NotATreeError(f"vertex ids are not 0..{n - 1}")
-    if len(tree.dynamics) != n or len(tree.cyclic_order) != n:
+    if len(dyn) != n or len(cyclic) != n:
         raise NotATreeError(f"dynamics or cyclic orders do not cover {n} vertices")
     ids = set(range(n))
     for e in tree.edges:
@@ -481,7 +508,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     sing = tree.singular_point
     if sing not in range(n):
         raise NotATreeError(f"singular point {sing} names no vertex")
-    its = [v.itinerary for v in tree.vertices]
+    its = [v.itinerary for v in vertices]
     keys = [
         (it.seq.preperiod, it.seq.period) if isinstance(it, Plain) else (it.prefix,)
         for it in its
@@ -491,6 +518,7 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
 
     if len(set(keys)) != n:
         raise NotExpansiveError("two vertices share an itinerary")
+    # adj is keyed by the vertex ids 0..n-1 in order, so its values line up with its.
     table = tree._rooted
     adj, order, parent, pos, end = table.adj, table.order, table.parent, table.pos, table.end
     if len(tree.edges) != n - 1 or end[sing] != n:
@@ -499,10 +527,8 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     if keys[sing] != ((),):
         raise ClosureViolationError("singular point does not carry the itinerary *nu")
 
-    dyn = tree.dynamics
     nu = (P.kneading.seq.preperiod, P.kneading.seq.period)
-    for i, key in enumerate(keys):
-        d = dyn[i]
+    for i, (key, d) in enumerate(zip(keys, dyn)):
         if not 0 <= d < n or keys[d] != _shift_key(key, nu):
             raise ClosureViolationError(f"dynamics at vertex {its[i]} is not the shift")
 
@@ -512,48 +538,53 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         orbit.add(i)
         i = dyn[i]
     nu_id = dyn[sing]
-    for i in range(n):
-        if len(adj[i]) == 1 and i not in orbit:
+    for i, nbrs in enumerate(adj.values()):
+        if len(nbrs) == 1 and i not in orbit:
             raise ClosureViolationError(f"endpoint {its[i]} is not on the singular orbit")
     if len(adj[nu_id]) != 1:
         raise ClosureViolationError("the singular value vertex is not an endpoint")
 
     # Sectors = branches at the singular point = first-entry groups.
     got = {k: set(v) for k, v in tree.sectors}
-    if got != {k: set(v) for k, v in _sectors(range(n), firsts, sing)}:
+    want: dict[Any, set[int]] = {}
+    for i, s in enumerate(firsts):
+        if i != sing:
+            if s in want:
+                want[s].add(i)
+            else:
+                want[s] = {i}
+    if got != want:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
-    if nu_id not in got.get(0, set()):
+    if nu_id not in got.get(0, ()):
         raise ClosureViolationError("the singular value vertex is not in sector 0")
     # Each branch at the singular point, the root, is a subtree; it lies
     # in one sector, and the dynamics restricted to it is injective.
     for nb in adj[sing]:
         comp = order[pos[nb] : end[nb]]
-        branch_firsts = {firsts[i] for i in comp}
+        branch_firsts = set(map(firsts.__getitem__, comp))
         if len(branch_firsts) != 1:
             raise ClosureViolationError(
                 f"branch at the singular point mixes sectors {sorted(branch_firsts)}"
             )
-        if len({dyn[i] for i in comp}) != len(comp):
+        if len(set(map(dyn.__getitem__, comp))) != len(comp):
             raise ClosureViolationError(
                 "dynamics folds a branch at the singular point onto itself"
             )
 
     # Cyclic order bookkeeping and preservation under the dynamics.
-    for i in range(n):
-        cyclic = tree.cyclic_order[i]
+    for i, (c, nbrs) in enumerate(zip(cyclic, adj.values())):
         if i == sing:
-            if cyclic is not None:
+            if c is not None:
                 raise ClosureViolationError("singular point must not carry a cyclic order")
-            continue
-        if cyclic is None or sorted(cyclic) != adj[i]:
+        elif c is None or sorted(c) != nbrs:
             raise ClosureViolationError(f"cyclic order at vertex {its[i]} is inconsistent")
 
-    for i in range(n):
-        if i == sing or len(adj[i]) < 3:
+    for i, nbrs in enumerate(adj.values()):
+        if len(nbrs) < 3 or i == sing:
             continue
         image = dyn[i]
         branch_images = []
-        for nb in tree.cyclic_order[i]:
+        for nb in cyclic[i]:
             w = dyn[nb]
             if w == image:
                 raise ClosureViolationError(
@@ -573,15 +604,17 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
             branch_firsts = [firsts[w] for w in branch_images]
             ok = _cyclic_subsequence(branch_firsts, sorted(set(branch_firsts)))
         else:
-            ok = _cyclic_subsequence(branch_images, list(tree.cyclic_order[image]))
+            ok = _cyclic_subsequence(branch_images, list(cyclic[image]))
         if not ok:
             raise ClosureViolationError(
                 f"dynamics does not preserve the cyclic order at {its[i]}"
             )
 
-    for i, v in enumerate(tree.vertices):
-        if v.kind != _kind(i == sing, i in orbit, len(adj[i])):
-            raise ClosureViolationError(f"vertex {its[i]} has the wrong kind {v.kind.value}")
+    for v, kind in zip(vertices, _kinds(sing, orbit, adj)):
+        if v.kind != kind:
+            raise ClosureViolationError(
+                f"vertex {v.itinerary} has the wrong kind {v.kind.value}"
+            )
 
 
 def to_json(tree: AbstractHubbardTree, indent: int | None = None) -> str:

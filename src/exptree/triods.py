@@ -320,8 +320,11 @@ class _TriodMap:
         or a state is memoized; then it walks back, prepending one vote
         per state, and memoizes every state on the way.
         """
-        memo, firsts, sh, nu = self.memo, self.firsts, self._shift, self.nu
+        memo = self.memo
         state = tuple(sorted(members))
+        if (tail := memo.get(state)) is not None:
+            return tail
+        firsts, sh, nu = self.firsts, self._shift, self.nu
         # state -> votes cast before it; the dict keeps the walk's order
         seen: dict[tuple[int, ...], int] = {}
         votes: list[int] = []

@@ -324,6 +324,20 @@ class TestEntropy:
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             core_entropy(tree_b, max_iter=max_iter)
 
+    @pytest.mark.parametrize("limit", ["x", None, -5, 1.5, True])
+    def test_exact_size_limit_must_be_a_non_negative_integer(self, tree_b, limit):
+        # max_iter=1 leaves the bracket open on 0(0,1), so the limit is read.
+        with pytest.raises(
+            ValueError, match="exact_size_limit must be a non-negative integer"
+        ):
+            core_entropy(tree_b, max_iter=1, exact_size_limit=limit)
+
+    def test_exact_size_limit_takes_zero_and_numpy_integers(self, tree_b):
+        with pytest.raises(ConvergenceFailureError):
+            core_entropy(tree_b, max_iter=1, exact_size_limit=0)
+        got = core_entropy(tree_b, max_iter=1, exact_size_limit=np.int64(12))
+        assert got == core_entropy(tree_b, max_iter=1)
+
     def test_max_iter_may_be_a_numpy_integer(self):
         assert spectral_radius_power([[1, 1], [1, 1]], max_iter=np.int64(7)) == 2.0
 

@@ -25,7 +25,7 @@ from exptree.partition import (
 )
 from exptree.realization import addresses_of
 from exptree.sequences import ExtAddress, canonicalize, cyclic_between
-from exptree.treebuild import omega_plus
+from exptree.treebuild import Vertex, VertexKind, omega_plus
 
 from fine_wilf import extremal_tails
 from oracles import base_offset, itinerary_entries, sector_index, seq_compare, shift_raw
@@ -324,17 +324,23 @@ def _value_objects():
             (P.base, P.offset_j0, P.kneading),
             (Q.base, Q.offset_j0, Q.kneading),
         ),
+        (
+            Vertex,
+            (0, PreSingular(()), VertexKind.SINGULAR),
+            (2, P.kneading, VertexKind.POST_SINGULAR),
+        ),
     ]
 
 
 @pytest.mark.parametrize(
     "cls, args, other",
     _value_objects(),
-    ids=["ExtAddress", "Plain", "PreSingular", "Partition"],
+    ids=["ExtAddress", "Plain", "PreSingular", "Partition", "Vertex"],
 )
 class TestValueObjects:
     """The hand-written ``__init__`` of the frozen slotted value objects
-    keeps what the generated one gives."""
+    (and of the tree's :class:`~exptree.treebuild.Vertex`) keeps what the
+    generated one gives."""
 
     def test_positional_and_keyword_construction(self, cls, args, other):
         names = [f.name for f in dataclasses.fields(cls)]
@@ -365,10 +371,11 @@ class TestValueObjects:
     def test_frozen(self, cls, args, other):
         x = cls(*args)
         name = dataclasses.fields(cls)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(x, name, other[0])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(x, name)
+        for attr in (name, "not_a_field"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, attr, other[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, attr)
         assert getattr(x, name) == args[0]
 
     def test_eq_hash_repr_match_a_generated_twin(self, cls, args, other):

@@ -355,7 +355,7 @@ def bases_and_addresses(draw):
 
 
 def _periodic_search(P, word):
-    return tuple(ExtAddress((), a.period) for a in realization._Positions(P).cycles(word, None))
+    return tuple(ExtAddress((), per) for _, per, _ in realization._Positions(P).cycles(word, None))
 
 
 class TestPeriodicSearch:
@@ -425,9 +425,9 @@ class TestDropRule:
         s = P.base
         word = itinerary(P, canonicalize((), s.period)).seq.period
         found = realization._Positions(P).cycles(word, None)
-        addrs = [canonicalize(a.preperiod, a.period) for a in found]
+        addrs = [canonicalize(pre, per) for pre, per, _ in found]
         assert len(set(addrs)) == len(addrs)
-        assert [a.position for a in found] == [own_position(s, x) for x in addrs]
+        assert [q for _, _, q in found] == [own_position(s, x) for x in addrs]
         assert canonicalize((), s.period) in addrs
         assert set(addrs) == two_sided_search(P, word)
 

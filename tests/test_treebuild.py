@@ -24,6 +24,7 @@ from exptree import realization, treebuild
 from exptree.partition import Plain, PreSingular, shift_itinerary, validate_base
 from exptree.realization import _vertex_sheets, addresses_of
 from exptree.sequences import (
+    _gap_of,
     _word,
     _word_length,
     canonicalize,
@@ -33,7 +34,6 @@ from exptree.sequences import (
 from exptree.treebuild import (
     VertexKind,
     _cyclic_order_by_gaps,
-    _gap_of,
     _vertex_set,
     build_tree,
     check_tree_invariants,
@@ -60,6 +60,7 @@ def raises_exactly(error, message, fn, *args):
     with pytest.raises(error) as info:
         fn(*args)
     assert (type(info.value), str(info.value)) == (error, message)
+    return info.value
 
 
 class TestVertexSet:
@@ -288,6 +289,11 @@ def gap_checks(P, tree):
     return checked
 
 
+def context(err):
+    """The context a gap-stage failure carries."""
+    return err.vertex, err.branch, err.address
+
+
 class TestGapBisection:
     anchors = (addr([], [0]), addr([], [1]), addr([], [2]))
     itineraries = {i: plain([], [i]) for i in range(4)}
@@ -315,8 +321,9 @@ class TestGapBisection:
             2: (self.anchors[1],),
             3: (addr([], [3]),),
         }
-        with pytest.raises(GapAssignmentFailureError, match="collides with an anchor"):
+        with pytest.raises(GapAssignmentFailureError, match="collides with an anchor") as info:
             self.order(own)
+        assert context(info.value) == (plain([], [0]), 2, "(1)")
 
     def test_unsorted_anchors_raise(self):
         own = {
@@ -330,12 +337,13 @@ class TestGapBisection:
 
     def test_too_few_anchors_raise(self):
         own = {0: self.anchors[:2], 1: (), 2: (), 3: ()}
-        raises_exactly(
+        err = raises_exactly(
             GapAssignmentFailureError,
             "vertex (0): 2 addresses for 3 branches",
             self.order,
             own,
         )
+        assert context(err) == (plain([], [0]), None, None)
 
     def test_branch_spanning_gaps_raises(self):
         own = {
@@ -344,22 +352,24 @@ class TestGapBisection:
             2: (addr([], [1, 2]),),
             3: (addr([], [3]),),
         }
-        raises_exactly(
+        err = raises_exactly(
             GapAssignmentFailureError,
             "branch through 1 at vertex (0) spans gaps [0, 1]: "
             "address (1,2) of branch vertex (1) lies in gap 1",
             self.order,
             own,
         )
+        assert context(err) == (plain([], [0]), 1, "(1,2)")
 
     def test_branch_without_address_raises(self):
         own = {0: self.anchors, 1: (), 2: (addr([], [1, 2]),), 3: (addr([], [3]),)}
-        raises_exactly(
+        err = raises_exactly(
             GapAssignmentFailureError,
             "branch through 1 at vertex (0) has no realizing address",
             self.order,
             own,
         )
+        assert context(err) == (plain([], [0]), 1, None)
 
     def test_branches_sharing_a_gap_raise(self):
         # 0(1) and 0(2) both lie between (0) and (1).
@@ -369,12 +379,13 @@ class TestGapBisection:
             2: (addr([0], [2]),),
             3: (addr([], [3]),),
         }
-        raises_exactly(
+        err = raises_exactly(
             GapAssignmentFailureError,
             "two branches at (0) share a gap",
             self.order,
             own,
         )
+        assert context(err) == (plain([], [0]), None, None)
 
     def test_build_names_a_colliding_address(self, P_b, monkeypatch):
         # The build bisects words, but names a failing address in address
@@ -396,6 +407,8 @@ class TestGapBisection:
         )
         assert named, str(info.value)
         assert parse_address(named[1]) in addresses_of(P_b, plain([], [0])).addresses
+        # The branch through (0,1) at (0): vertex ids 1 and 3 on 0(0,1).
+        assert context(info.value) == (plain([], [0]), 3, named[1])
 
     def test_golden_gaps_match_the_scan(self, P_a, P_b, tree_a, tree_b):
         assert gap_checks(P_a, tree_a) + gap_checks(P_b, tree_b) > 0
@@ -1144,7 +1157,7 @@ class TestMultiplierBound:
         for it in its:
             if isinstance(it, Plain) and not it.seq.preperiod:
                 family = automaton.cycles(it.seq.period, 4 * N)
-                m = max(len(a.period) for a in family) // len(it.seq.period)
+                m = max(len(per) for _, per, _ in family) // len(it.seq.period)
                 assert m <= N, f"{s}: {it} needs multiplier {m} > {N}"
 
     @pytest.mark.parametrize("k", range(2, 13))
