@@ -312,18 +312,23 @@ def _pullback(
     return out
 
 
-def _vertex_sheets(P: Partition, sectors: Sequence[tuple[int, Any]]) -> range:
+def _vertex_sheets(P: Partition, sectors: Sequence[tuple[int, Any]]) -> list[int]:
     """Sheets for the boundary pullbacks of a tree's pre-singular vertices,
-    from its sorted sectors (``tree.sectors``): the vertices of sector ``k``
-    lie between the sheets ``j0 + k`` and ``j0 + k + 1``, and the range runs
-    from the least of these sheets to the greatest.
+    from its sorted sectors (``tree.sectors``): the sheets ``j0 + k`` and
+    ``j0 + k + 1`` between which the vertices of each sector ``k`` lie,
+    sorted.  Their number is at most twice the number of sectors, whatever
+    the size of the entries.
 
-    No sheet beyond either end changes the tree.  At a branch vertex
-    ``w*nu`` the pullbacks of ``m.s`` and ``(m+1).s`` along ``w`` bound the
-    addresses whose ``|w|``-fold shift lies in ``I_{m-j0}``, and those
-    shifts of branch addresses lie in sectors of vertices or on the
-    sheets, so no branch address falls in a gap an outer sheet adds."""
-    return range(P.offset_j0 + sectors[0][0], P.offset_j0 + sectors[-1][0] + 2)
+    No other sheet changes the tree.  At a branch vertex ``w*nu`` the
+    pullbacks of ``m.s`` and ``(m+1).s`` along ``w`` bound the addresses
+    whose ``|w|``-fold shift lies in ``I_{m-j0}``, and those shifts of
+    branch addresses lie in sectors of vertices or on the sheets that
+    bound them.  A sheet ``m`` left out, beyond either end or inside with
+    neither sector ``m - j0 - 1`` nor sector ``m - j0`` occupied, only
+    bounds gaps that no branch address falls in, so leaving it out merges
+    empty gaps and keeps the order of the branches."""
+    j0 = P.offset_j0
+    return sorted({j0 + k + d for k, _ in sectors for d in (0, 1)})
 
 
 def _vertex_words(

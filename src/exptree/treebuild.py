@@ -2,9 +2,9 @@
 
 The vertex set consists of the forward orbit of the singular point
 ``*nu`` under the shift together with the middle points of all triods of
-orbit members.  Betweenness of vertices is decided by the triod
-algorithm (``w`` lies on the arc ``[u, v]`` iff the middle point of
-``[u, w, v]`` is ``w``).
+orbit members: the branch points of the tree the orbit spans.
+Betweenness of vertices is decided by the triod algorithm (``w`` lies on
+the arc ``[u, v]`` iff the middle point of ``[u, w, v]`` is ``w``).
 
 One step of the triod map never reads the odd member out: it shifts the
 two members that share a first symbol ``s`` and replaces the third by
@@ -13,30 +13,60 @@ so a triple with exactly two members in sector ``s`` has the middle
 point of those two with ``*nu``; a triple with three different first
 symbols stops at once, with middle point ``*nu``.  Every middle point
 is therefore ``*nu`` or the middle point of a star triple: a triple
-inside ``V_s + {*nu}`` for one sector ``s``.  Hence the star triples of
-the orbit give the whole vertex set, closure on the vertices' star
-triples is closure on all their triples, and betweenness is read from
-the star triples' middle points plus one rule: ``*nu`` separates any
-two vertices of different sectors.  No vertex of another sector lies
-between ``*nu`` or a vertex of sector ``s`` and a vertex of sector
-``s``: that triple stops at ``*nu`` or has the middle point of a star
-triple of sector ``s``, which starts with ``s``.
+inside ``V_s + {*nu}`` for one sector ``s``, the block of ``s``.
 
-One triod map per build walks the star triples of the orbit and then
-those of the vertex set.  It works on integer ids of canonical keys, so
-the orbit is read off its shift table, the vertices are sorted by words
-of their keys, membership in ``S_nu`` is decided on ids and the closure
-pass compares ids; a middle point not seen before is a closure
-violation.  An itinerary is built once per vertex, for the tree.  That
-pass yields the one vertex table the build reads: the ids of the
-vertices' shifts are the dynamics, the sectors label the branches at
-``*nu``, and the closure pass returns the edges: the pairs inside one
-``V_s + {*nu}`` with nothing in between.  At every other vertex of
-degree at least three, pre-singular or not, the realizing external
-addresses of the vertex split the circle at infinity into gaps, one per
-branch, which yields the cyclic order of the branches.  The build makes
-one call, :func:`~exptree.realization._vertex_words`, for the addresses
-of every vertex; :mod:`~exptree.realization` alone holds the automaton
+The build inserts the orbit points one by one into a tree rooted at
+``*nu``, as in the construction of Bruin, Kaffl and Schleicher
+(*Existence of quadratic Hubbard trees*, Fund. Math. 2009).  A point
+``z`` walks down from ``*nu``: at a vertex ``v`` each child ``c`` (at
+``*nu`` only those of ``z``'s sector) is tried with ``b = middle(v, c,
+z)``; ``z`` passes ``c`` by when ``b`` is ``v``, descends to ``c`` when
+``b`` is ``c``, and otherwise ``b`` splits the edge ``v-c`` and ``z``
+hangs at ``b``; a point no child takes hangs at ``v``.  Every triple
+asked is a star triple, and the edges are the pairs of a parent and a
+child.  One triod map per build answers them on integer ids of
+canonical keys, so the orbit is read off its shift table, the vertices
+are sorted by words of their keys and membership in ``S_nu`` is decided
+on ids.
+
+Insertion trusts that the middle points are the medians of the tree it
+grows.  :func:`check_tree_invariants` certifies that with checks on
+each vertex and its neighbors, and no pass over triples: the dynamics is
+the shift, the sectors are the branches at ``*nu``, ``nu`` is an
+endpoint, every vertex off the orbit has degree at least three, and the
+dynamics is locally injective at every vertex, within its block (at
+``*nu`` once per sector): no neighbor's image is the vertex's image, and
+the first steps from the image towards the neighbors' images are
+distinct.  Then:
+
+1. a locally injective map of a tree is injective, so ``sigma`` maps the
+   subtree of each block homeomorphically onto its image;
+2. so the tree's median commutes with ``sigma`` on triples of one block,
+   and ``*nu``, which separates the sectors, is the median of any triple
+   that spans three of them, or of two members of one sector with
+   ``*nu`` when the third lies in another;
+3. so the median of any triple follows the triod map's steps: its first
+   symbol is the majority vote and its shift the median of the next
+   state, and its itinerary is the map's vote word, the stop case and the
+   cycles of states included;
+4. so the tree's medians are the middle points, and ``V``, which holds
+   the median of any three of its vertices, is closed under triods; a
+   vertex off the orbit is a branch point, the median of three orbit
+   points, so ``V`` holds nothing else.
+
+:func:`~exptree.verify.suite_vertex_closure`, which runs every triple of
+vertices through :func:`~exptree.triods.middle_point`, stays the
+independent oracle of this argument.
+
+An itinerary is built once per vertex, for the tree.  The insertion
+yields the one vertex table the build reads: the ids of the vertices'
+shifts are the dynamics, the sectors label the branches at ``*nu``, and
+the parent-child pairs are the edges.  At every other vertex of degree
+at least three, pre-singular or not, the realizing external addresses
+of the vertex split the circle at infinity into gaps, one per branch,
+which yields the cyclic order of the branches.  The build makes one
+call, :func:`~exptree.realization._vertex_words`, for the addresses of
+every vertex; :mod:`~exptree.realization` alone holds the automaton
 that realizes them.  They come back as words
 (:func:`~exptree.sequences._words`) and are bisected as such.
 
@@ -55,7 +85,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from operator import lt
 from typing import Any, Callable, Iterable, Sequence
 
@@ -241,68 +270,62 @@ def vertex_set(P: Partition) -> list[Itinerary]:
     """The formal vertex set: the singular orbit plus all middle points
     of its triods, sorted deterministically (pre-singular first).
 
-    Verifies closure under the shift and under taking triods of the full
-    result; failures raise :class:`ClosureViolationError`.  Only the star
-    triples (see the module docstring) are walked; the closure pass also
-    returns the edges that :func:`build_tree` takes.
+    The orbit is inserted into a tree one point at a time (see the module
+    docstring); a vertex off ``S_nu`` or a shift outside the result raises
+    :class:`ClosureViolationError`.  Closure under triods is what
+    :func:`build_tree` certifies when it checks the tree.
     """
     return _vertex_set(P)[0]
-
-
-def _sectors(
-    ids: Iterable[int], firsts: Sequence[Any], star: int
-) -> tuple[tuple[Any, tuple[int, ...]], ...]:
-    """The sets ``V_s`` by sector ``s``: ``V_s`` holds the ``ids`` other
-    than ``star`` whose first symbol ``firsts[i]`` is ``s``."""
-    groups: dict[Any, list[int]] = {}
-    for i in ids:
-        if i != star:
-            groups.setdefault(firsts[i], []).append(i)
-    return tuple(sorted((s, tuple(g)) for s, g in groups.items()))
-
-
-def _star_tuples(
-    sectors: Iterable[tuple[Any, tuple[int, ...]]], star: int, r: int
-) -> Iterable[tuple[int, ...]]:
-    """Every sorted ``r``-tuple inside ``V_s + {star}`` for one sector ``s``."""
-    for _, members in sectors:
-        yield from combinations(sorted(members + (star,)), r)
 
 
 def _vertex_set(P: Partition) -> tuple:
     """The vertex table of ``P``, all as indices into the sorted vertex list
     ``its``: ``(its, edges, dynamics, sectors, sing, orbit)`` holds the
-    edges (the sorted star pairs that no star triple separates), the image
-    of each vertex under the shift, the sets ``V_s`` (:func:`_sectors`),
-    the singular point and the set of vertices on its forward orbit.
+    sorted edges, the image of each vertex under the shift, the pairs
+    ``(s, V_s)`` of each sector ``s`` and its vertices, sorted, the
+    singular point and the set of vertices on its forward orbit.
 
-    One triod map serves the orbit's star triples and the closure pass
-    over the vertices' star triples, so the states solved for the orbit
-    are looked up, not solved again.  It walks the orbit through its
-    shift table, the vertices are sorted by words of their keys, and a
-    plain vertex is a formal point unless its shift ids reach the id of
-    ``nu`` (:meth:`~exptree.triods._TriodMap.formal`); the vertices are
-    checked in their sorted order, so the first violation raises.  The
-    orbit holds ``*nu``, so its star triples have the same middle points
-    as all its triples; a triple outside the star triples has middle
-    point ``*nu`` or that of a star triple, so closure on the star
-    triples is closure on all.  Checks closure under the shift and under
-    triods, and reads the edges off the closure pass's middle points.
+    One triod map inserts the orbit into a tree rooted at ``*nu`` (see
+    the module docstring), walking it through its shift table; an orbit
+    point that a split already made a vertex is skipped, and ``b == z``
+    splits an edge with ``z`` itself.  The vertices are sorted by words
+    of their keys, and a plain vertex is a formal point unless its shift
+    ids reach the id of ``nu`` (:meth:`~exptree.triods._TriodMap.formal`);
+    the vertices are checked in their sorted order, so the first
+    violation raises.  Closure under triods is certified by
+    :func:`check_tree_invariants`.
     """
     triods = _TriodMap(P)
-    keys, shift = triods.keys, triods._shift
+    keys, shift, firsts, middle = triods.keys, triods._shift, triods.firsts, triods.middle
     # The orbit *nu, nu, sigma nu, ... through the shift table.
     orbit_ids = [triods.key_id(((),)), triods.nu]
     while (v := shift(orbit_ids[-1])) not in orbit_ids:
         orbit_ids.append(v)
     star = orbit_ids[0]
-    vids = set(orbit_ids)
-    orbit_sectors = _sectors(orbit_ids, triods.firsts, star)
-    vids.update(triods.middle(*tri) for tri in _star_tuples(orbit_sectors, star, 3))
+    children: dict[int, list[int]] = {star: []}
+    for z in orbit_ids[1:]:
+        if z in children:
+            continue
+        v, kids, i = star, children[star], 0
+        while i < len(kids):
+            c = kids[i]
+            # *nu separates the sectors.
+            b = v if v == star and firsts[c] != firsts[z] else middle(v, c, z)
+            if b == v:
+                i += 1
+            elif b == c:
+                v, kids, i = c, children[c], 0
+            else:  # b splits the edge v-c; z hangs at b unless it is b
+                kids[i] = b
+                kids = children[b] = [c]
+                break
+        if z not in children:
+            kids.append(z)
+            children[z] = []
     # Pre-singular vertices first (by prefix), then plain ones in
     # lexicographic order, as their words (:func:`~exptree.sequences._words`).
-    plain = [v for v in vids if len(keys[v]) == 2]
-    ids = sorted((v for v in vids if len(keys[v]) == 1), key=keys.__getitem__)
+    plain = [v for v in children if len(keys[v]) == 2]
+    ids = sorted((v for v in children if len(keys[v]) == 1), key=keys.__getitem__)
     ids += [v for _, v in sorted(zip(_words([keys[v] for v in plain]), plain))]
     its = [triods.itinerary(v) for v in ids]
     index = {v: i for i, v in enumerate(ids)}
@@ -313,36 +336,17 @@ def _vertex_set(P: Partition) -> tuple:
         if (d := index.get(shift(v))) is None:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
         dynamics.append(d)
-    firsts = [triods.firsts[v] for v in ids]
     sing = index[star]
-    sectors = _sectors(range(len(its)), firsts, sing)
-    # A member of a triple lies strictly between the other two exactly when
-    # it is the middle point; *nu separates sectors, star triples the rest.
-    edges = set(_star_tuples(sectors, sing, 2))
-    for tri in _star_tuples(sectors, sing, 3):
-        x, y, z = tri
-        u, v, w = ids[x], ids[y], ids[z]
-        m = triods.middle(u, v, w)
-        if m == u:
-            edges.discard((y, z))
-        elif m == v:
-            edges.discard((x, z))
-        elif m == w:
-            edges.discard((x, y))
-        elif m not in index:
-            msg = (
-                f"vertex set not closed under triods: "
-                f"b{tuple(its[i] for i in tri)} = {triods.itinerary(m)}"
-            )
-            if sing in tri:
-                i, j = (x for x in tri if x != sing)
-                msg += (
-                    f"; {its[i]} and {its[j]} share sector {firsts[i]}, so this "
-                    f"holds with every third vertex outside sector {firsts[i]}"
-                )
-            raise ClosureViolationError(msg)
+    groups: dict[Any, list[int]] = {}
+    for i, v in enumerate(ids):
+        if i != sing:
+            groups.setdefault(firsts[v], []).append(i)
+    sectors = tuple(sorted((s, tuple(g)) for s, g in groups.items()))
+    edges = sorted(
+        tuple(sorted((index[v], index[c]))) for v, kids in children.items() for c in kids
+    )
     orbit = {index[v] for v in orbit_ids}
-    return its, tuple(sorted(edges)), dynamics, sectors, sing, orbit
+    return its, tuple(edges), dynamics, sectors, sing, orbit
 
 
 def _cyclic_order_by_gaps(
@@ -490,9 +494,12 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
     Raises :class:`NotATreeError`, :class:`NotExpansiveError` or
     :class:`ClosureViolationError` accordingly; a vertex whose kind
     disagrees with its place on the singular orbit and its degree is a
-    closure violation.  Itineraries are compared by their keys
-    ``(preperiod, period)`` and ``(prefix,)``, and the walks read the
-    tree's rooted table.
+    closure violation.  The last checks, local injectivity at vertices of
+    degree 2 and at ``*nu`` and the degree of vertices off the orbit,
+    complete the certificate of closure of the module docstring, and come
+    last so that every other fault raises as it would without them.
+    Itineraries are compared by their keys ``(preperiod, period)`` and
+    ``(prefix,)``, and the walks read the tree's rooted table.
     """
     P = tree.partition
     vertices, dyn, cyclic = tree.vertices, tree.dynamics, tree.cyclic_order
@@ -579,27 +586,33 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         elif c is None or sorted(c) != nbrs:
             raise ClosureViolationError(f"cyclic order at vertex {its[i]} is inconsistent")
 
-    for i, nbrs in enumerate(adj.values()):
-        if len(nbrs) < 3 or i == sing:
-            continue
-        image = dyn[i]
-        branch_images = []
-        for nb in cyclic[i]:
+    def first_steps(i: int, nbrs: Iterable[int]) -> list[int]:
+        """The first step of the path from the image of vertex ``i`` to
+        the image of each neighbor in ``nbrs``: the child of the image
+        whose subtree holds it, else the image's parent.  A neighbor that
+        shares ``i``'s image, or two that share a first step, raise."""
+        image, steps = dyn[i], []
+        for nb in nbrs:
             w = dyn[nb]
             if w == image:
                 raise ClosureViolationError(
                     f"neighbor {its[nb]} collapses onto the image of {its[i]}"
                 )
-            # The first step of the path from the image to w: the child of
-            # the image whose subtree holds w, else the image's parent.
             if pos[image] < pos[w] < end[image]:
                 while parent[w] != image:
                     w = parent[w]
             else:
                 w = parent[image]
-            branch_images.append(w)
-        if len(set(branch_images)) != len(branch_images):
+            steps.append(w)
+        if len(set(steps)) != len(steps):
             raise ClosureViolationError(f"dynamics folds branches at {its[i]}")
+        return steps
+
+    for i, nbrs in enumerate(adj.values()):
+        if len(nbrs) < 3 or i == sing:
+            continue
+        image = dyn[i]
+        branch_images = first_steps(i, cyclic[i])
         if image == sing:
             branch_firsts = [firsts[w] for w in branch_images]
             ok = _cyclic_subsequence(branch_firsts, sorted(set(branch_firsts)))
@@ -614,6 +627,21 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
         if v.kind != kind:
             raise ClosureViolationError(
                 f"vertex {v.itinerary} has the wrong kind {v.kind.value}"
+            )
+
+    # The certificate of closure (module docstring): the dynamics is also
+    # locally injective at vertices of degree 2 and at *nu within each
+    # sector, and every vertex off the singular orbit is a branch point.
+    for i, nbrs in enumerate(adj.values()):
+        if i == sing:
+            for s in sorted(got):
+                first_steps(i, [nb for nb in nbrs if firsts[nb] == s])
+        elif len(nbrs) == 2:
+            first_steps(i, nbrs)
+    for i, nbrs in enumerate(adj.values()):
+        if len(nbrs) < 3 and i not in orbit:
+            raise ClosureViolationError(
+                f"vertex {its[i]} off the singular orbit has degree {len(nbrs)}"
             )
 
 

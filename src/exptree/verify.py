@@ -216,7 +216,11 @@ def _vertex_address_triod(
 
 
 def suite_vertex_closure(corpus: Corpus) -> SuiteResult:
-    """Vertex sets are shift invariant and closed under taking triods."""
+    """Vertex sets are shift invariant and closed under taking triods.
+
+    Every triple of vertices goes through :func:`middle_point`, so this
+    suite checks the build's insertion and its certificate of closure
+    (see :mod:`~exptree.treebuild`) independently of both."""
     res = SuiteResult("vertex-set closure")
     for P, tree in zip(corpus.partitions, corpus.trees):
         verts = {v.itinerary for v in tree.vertices}

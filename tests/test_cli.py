@@ -147,6 +147,14 @@ class TestCommands:
         assert main(["tree", "0(0,1)", "--format", "dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    @pytest.mark.parametrize("base", ["0(0,1000000000)", "0(1000000000,0,2)"])
+    def test_large_entries(self, base, capsys):
+        # The build's work does not grow with the size of an entry.
+        assert main(["tree", base]) == 0
+        assert json.loads(capsys.readouterr().out)["base"] == base
+        assert main(["entropy", base]) == 0
+        float(capsys.readouterr().out)
+
     def test_entropy_format(self, capsys):
         assert main(["entropy", "0(1)"]) == 0
         out = capsys.readouterr().out.strip()

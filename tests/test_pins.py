@@ -21,7 +21,7 @@ from exptree.treebuild import build_tree, to_json
 LADDER_WORDS = [(1, 0), (1, 0, 0), (0, 1), (1, -1)]
 
 OUTPUT_DIGEST = "61ec28467c70860a9e84dfc8039331016411fb06e226c103c63c72c9bafdbdd0"
-TRIOD_STATES = 1162  # the sizes of the vertex sets' triod memos, summed
+TRIOD_STATES = 331  # the sizes of the vertex sets' triod memos, summed
 TABLE_ENTRIES = 1603  # the filled entries of the builds' automaton tables, summed
 
 

@@ -486,11 +486,14 @@ class TestVertexFamilies:
         self.check(validate_base(addr([0], [1, 0] * k + [2])))
 
     def test_sheets_span_the_first_symbols(self, acceptance_corpus):
-        # The sector labels are the first symbols of the vertices but *nu.
+        # The sector labels are the first symbols of the vertices but *nu;
+        # each takes the two sheets that bound its sector.
         for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):
             firsts = [P.offset_j0 + v.itinerary.first_symbol() for v in tree.vertices
                       if v.id != tree.singular_point]
-            assert _vertex_sheets(P, tree.sectors) == range(min(firsts), max(firsts) + 2)
+            sheets = _vertex_sheets(P, tree.sectors)
+            assert sheets == sorted({f + d for f in firsts for d in (0, 1)})
+            assert (sheets[0], sheets[-1]) == (min(firsts), max(firsts) + 1)
 
     def test_presingular_vertices_take_no_note(self, monkeypatch):
         # The branch vertex 0,* of 0(1,0,3) has a realizing address on
@@ -498,11 +501,11 @@ class TestVertexFamilies:
         # beyond either end of the vertices' own does not change the tree.
         P = validate_base(addr([0], [1, 0, 3]))
         tree = build_tree(P)
-        assert _vertex_sheets(P, tree.sectors) == range(0, 5)
+        assert _vertex_sheets(P, tree.sectors) == [0, 1, 2, 3, 4]
         assert tree.notes == ()
         def wider(P, sectors):
             own = _vertex_sheets(P, sectors)
-            return range(own.start - 1, own.stop + 1)
+            return range(own[0] - 1, own[-1] + 2)
 
         monkeypatch.setattr(realization, "_vertex_sheets", wider)
         wide = build_tree(P)
@@ -510,6 +513,41 @@ class TestVertexFamilies:
         # A periodic branch vertex still notes its spare addresses.
         tree = build_tree(validate_base(addr([0, 0], [0, -2, -2])))
         assert tree.notes == ("vertex -2(0): 4 realizing addresses for 3 branches",)
+
+
+class TestLargeEntries:
+    """The sheets of ``*nu`` are those that bound the occupied sectors, so
+    the work of a build does not grow with the size of an entry."""
+
+    @pytest.mark.parametrize(
+        "base, n", [("0(0,1000000000)", 5), ("0(1000000000,0,2)", 6)]
+    )
+    def test_builds(self, base, n):
+        P = validate_base(parse_address(base))
+        tree = build_tree(P)
+        assert len(tree.vertices) == n
+        its = [v.itinerary for v in tree.vertices]
+        words, _ = realization._vertex_words(
+            P, its, tree.dynamics, tree.sectors, tree.singular_point, None
+        )
+        for it, w in zip(its, words):
+            if isinstance(it, PreSingular):
+                assert len(w) <= 2 * len(tree.sectors), f"{base}: {it}"
+
+    @pytest.mark.parametrize("base", ["0(0,40)", "0(40,0,2)", "0(1,0,6)", "0(-5,3,0,7)"])
+    def test_inner_sheets_do_not_change_the_tree(self, base, monkeypatch):
+        # Every sheet from the least to the greatest gives the same tree.
+        P = validate_base(parse_address(base))
+        tree = build_tree(P)
+        sheets = _vertex_sheets(P, tree.sectors)
+        assert len(sheets) < sheets[-1] - sheets[0] + 1
+
+        def every(P, sectors, own=_vertex_sheets):
+            return range(own(P, sectors)[0], own(P, sectors)[-1] + 1)
+
+        monkeypatch.setattr(realization, "_vertex_sheets", every)
+        full = build_tree(P)
+        assert (to_json(full), full.notes) == (to_json(tree), tree.notes)
 
 
 class TestLongMultipliers:
@@ -1045,7 +1083,7 @@ class TestAddressWords:
 
 class TestMiddleIds:
     def test_one_id_per_itinerary(self, acceptance_corpus, monkeypatch):
-        # After the closure pass every itinerary has one id, the shift and
+        # After the insertion every itinerary has one id, the shift and
         # prepend tables agree with the itineraries, and every memoized
         # state's middle id names the middle point of a fresh Triod.
         maps = []
@@ -1215,22 +1253,21 @@ class TestStarTriples:
                         f"{P.base}: {tri}"
                     )
 
-    def test_keys_are_the_star_triples(self, acceptance_corpus, monkeypatch):
-        # The vertex set asks the triod map for the middle points of
-        # exactly the vertices' star triples.
-        real, asked = _TriodMap.middle, []
+    def test_ladder_solves_few_states(self, monkeypatch):
+        # Insertion asks the triod map a few triples per orbit point, not
+        # every star triple: 7,623 states on this ladder of 124 vertices,
+        # where all star triples are 310,002.
+        maps = []
 
-        def middle(self, *ids):
-            asked.append([self.itinerary(i) for i in ids])
-            return real(self, *ids)
+        class CountingMap(_TriodMap):
+            def __init__(self, P):
+                super().__init__(P)
+                maps.append(self)
 
-        monkeypatch.setattr(_TriodMap, "middle", middle)
-        for P in acceptance_corpus.partitions:
-            asked.clear()
-            its = _vertex_set(P)[0]
-            index = {it: i for i, it in enumerate(its)}
-            got = {tuple(sorted(index[it] for it in tri)) for tri in asked}
-            assert got == _star_triple_set(its), P.base
+        monkeypatch.setattr(treebuild, "_TriodMap", CountingMap)
+        tree = build_tree(validate_base(addr([0], [1, 0, 0] * 40 + [2])))
+        assert len(tree.vertices) == 124
+        assert len(maps[0].memo) < 10_000
 
     def test_edges_match_all_triples_on_corpus(self, acceptance_corpus):
         for P, tree in zip(acceptance_corpus.partitions, acceptance_corpus.trees):
@@ -1248,33 +1285,126 @@ class TestStarTriples:
 
 
 class TestClosureViolations:
-    # In 0(0,1) the branch vertex (0) is no orbit point, so only the
-    # closure pass walks triples that hold it.
-    OUTSIDER = Plain(canonicalize([], [5]))
+    # Insertion asks the triod map one triple on 0(0,1): *nu, nu = 0(0,1)
+    # and (0,1), whose middle point is the branch point (0).  A wrong
+    # answer makes a vertex set or a tree that a check rejects.
+    ASKED = {PreSingular(()), plain([0], [0, 1]), plain([], [0, 1])}
 
-    def _rig(self, monkeypatch, members):
-        real = _TriodMap.middle
-        outsider = self.OUTSIDER
+    def _rig(self, monkeypatch, answer):
+        real, asked, members = _TriodMap.middle, [], self.ASKED
 
         def middle(self, *ids):
             if {self.itinerary(i) for i in ids} == members:
-                return self.id(outsider)
+                asked.append(ids)
+                return self.id(answer)
             return real(self, *ids)
 
         monkeypatch.setattr(_TriodMap, "middle", middle)
+        return asked
 
-    def test_same_sector_triple(self, P_b, monkeypatch):
-        self._rig(monkeypatch, {plain([], [0]), plain([0], [0, 1]), plain([], [0, 1])})
-        with pytest.raises(ClosureViolationError, match=r"= \(5\)$"):
+    def test_middle_point_off_the_shift(self, P_b, monkeypatch):
+        asked = self._rig(monkeypatch, plain([], [0, 0, 1]))
+        with pytest.raises(ClosureViolationError, match=r"not shift invariant at \(0,0,1\)$"):
             _vertex_set(P_b)
+        assert asked
 
     def test_pair_with_the_singular_point(self, P_b, monkeypatch):
-        self._rig(monkeypatch, {plain([], [0]), plain([0], [0, 1]), PreSingular(())})
-        with pytest.raises(ClosureViolationError) as err:
-            build_tree(P_b)
-        msg = str(err.value)
-        assert "(0) and 0(0,1) share sector 0" in msg
-        assert "every third vertex outside sector 0" in msg
+        for answer, message in [
+            # nu itself: (0,1) hangs below nu.
+            (plain([0], [0, 1]), "the singular value vertex is not an endpoint"),
+            # (0,1) itself: it splits the edge from *nu to nu.
+            (plain([], [0, 1]), "dynamics folds branches at (0,1)"),
+            # *nu: (0,1) hangs at *nu beside nu, in the same sector.
+            (PreSingular(()), "dynamics folds branches at *"),
+        ]:
+            asked = self._rig(monkeypatch, answer)
+            raises_exactly(ClosureViolationError, message, build_tree, P_b)
+            assert asked
+
+
+def rewired(tree, edges):
+    """``tree`` with ``edges``, and with the cyclic orders and kinds that
+    the check's bookkeeping asks for: a vertex whose neighbors change
+    takes them in sorted order."""
+    moved = dataclasses.replace(tree, edges=tuple(sorted(edges)))
+    sing, old, adj = tree.singular_point, tree.adjacency(), moved.adjacency()
+    cyclic = [
+        c if i == sing or adj[i] == old[i] else tuple(adj[i])
+        for i, c in enumerate(tree.cyclic_order)
+    ]
+    orbit, i = set(), sing
+    while i not in orbit:
+        orbit.add(i)
+        i = tree.dynamics[i]
+    vertices = tuple(
+        dataclasses.replace(v, kind=k)
+        for v, k in zip(tree.vertices, treebuild._kinds(sing, orbit, adj))
+    )
+    return dataclasses.replace(moved, vertices=vertices, cyclic_order=tuple(cyclic))
+
+
+def rewirings(tree):
+    """Every tree made from ``tree`` by moving one edge within a sector or
+    to ``*nu``: the edge ``a-b`` is cut, and ``a`` or ``b`` joined to a
+    new vertex ``c`` on the other side, of its own sector or ``*nu``."""
+    table, sing = tree._rooted, tree.singular_point
+    firsts = [v.itinerary.first_symbol() for v in tree.vertices]
+    for a, b in tree.edges:
+        child = a if table.parent[a] == b else b
+        below = set(table.branch(table.parent[child], child))
+        rest = [e for e in tree.edges if e != (a, b)]
+        for keep in (a, b):
+            for c in range(len(firsts)):
+                if c in (a, b) or (c in below) == (keep in below):
+                    continue
+                if sing in (keep, c) or firsts[keep] == firsts[c]:
+                    yield rewired(tree, rest + [(min(keep, c), max(keep, c))])
+
+
+class TestCertificate:
+    """Closure under triods is certified by local injectivity of the
+    dynamics at every vertex and by the branch points off the orbit; each
+    rule raises on a tree that passes every check before it."""
+
+    def check(self, tree, message):
+        raises_exactly(ClosureViolationError, message, check_tree_invariants, tree)
+        assert outcome(reference_check, tree) == (ClosureViolationError, message)
+
+    def test_fold_at_a_vertex_of_degree_two(self, tree_b):
+        # *-(0)-(0,1)-nu: nu and (0) map to (0,1) and (0), both reached
+        # from (1,0) through *.
+        self.check(rewired(tree_b, [(0, 1), (0, 4), (1, 3), (2, 3)]),
+                   "dynamics folds branches at (0,1)")
+
+    def test_fold_at_nu_within_a_sector(self, tree_b):
+        # (0) and (0,1) both at *: they map to nu and (1,0), both reached
+        # from the endpoint nu through (0).
+        self.check(rewired(tree_b, [(0, 1), (0, 3), (0, 4), (1, 2)]),
+                   "dynamics folds branches at *")
+
+    def test_off_orbit_vertex_of_degree_two(self, tree_b):
+        # 0,* on the edge from (0) to (0,1): it maps to *, which lies on the
+        # path from (0) to (1,0), the images of its neighbors.
+        replace = dataclasses.replace
+        extra = replace(tree_b.vertices[1], id=5, itinerary=PreSingular((0,)))
+        tree = replace(
+            tree_b,
+            vertices=tree_b.vertices + (extra,),
+            edges=((0, 1), (0, 4), (1, 2), (1, 5), (3, 5)),
+            dynamics=tree_b.dynamics + (0,),
+            sectors=((0, (1, 2, 3, 5)), (1, (4,))),
+            cyclic_order=(None, (0, 2, 5), (1,), (5,), (0,), (1, 3)),
+        )
+        self.check(tree, "vertex 0,* off the singular orbit has degree 2")
+
+    def test_every_rewiring_is_rejected(self, acceptance_corpus):
+        count = 0
+        for tree in acceptance_corpus.trees:
+            for bad in rewirings(tree):
+                with pytest.raises(ClosureViolationError):
+                    check_tree_invariants(bad)
+                count += 1
+        assert count > 700
 
 
 # The check and the tree walks as they were before the tree kept one rooted
@@ -1417,6 +1547,33 @@ def reference_check(tree):
     for i, v in enumerate(tree.vertices):
         if v.kind != reference_kind(i == sing, i in orbit, len(adj[i])):
             raise ClosureViolationError(f"vertex {its[i]} has the wrong kind {v.kind.value}")
+
+    for i in range(n):
+        if i == sing:
+            groups = [[nb for nb in adj[i] if firsts[nb] == s] for s in sorted(got)]
+        elif len(adj[i]) == 2:
+            groups = [adj[i]]
+        else:
+            continue
+        image = dyn[i]
+        label = {
+            w: nb for nb in adj[image] for w in reference_walk(adj, nb, removed=image)
+        }
+        for group in groups:
+            steps = []
+            for nb in group:
+                if dyn[nb] == image:
+                    raise ClosureViolationError(
+                        f"neighbor {its[nb]} collapses onto the image of {its[i]}"
+                    )
+                steps.append(label[dyn[nb]])
+            if len(set(steps)) != len(steps):
+                raise ClosureViolationError(f"dynamics folds branches at {its[i]}")
+    for i in range(n):
+        if len(adj[i]) < 3 and i not in orbit:
+            raise ClosureViolationError(
+                f"vertex {its[i]} off the singular orbit has degree {len(adj[i])}"
+            )
 
 
 def reference_parents(tree):
