@@ -201,6 +201,9 @@ def _integer_rows(A: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 _INDEX_BUDGET = 1 << 24  # the most indices spectral_radius_power expands
+# The entropy's stops: the most applications of A_C + I per class, and the
+# most rows that spectral_radius_exact decides once they run out.
+_MAX_ITER, _EXACT_SIZE_LIMIT = 200_000, 12
 
 
 def _check_stops(tol: float, max_iter: int) -> None:
@@ -402,8 +405,8 @@ def _bracket(
 def core_entropy(
     T: AbstractHubbardTree,
     tol: float = 1e-9,
-    max_iter: int = 200_000,
-    exact_size_limit: int = 12,
+    max_iter: int = _MAX_ITER,
+    exact_size_limit: int = _EXACT_SIZE_LIMIT,
 ) -> float:
     """Core entropy: log of the spectral radius of the transition matrix.
 
@@ -434,7 +437,7 @@ def _entropy_digits(T: AbstractHubbardTree, tol: float = 1e-9) -> tuple[float, f
     above it.  If ``b`` is in the bracket, :func:`_exceeds` decides the
     side.  At 0 places every boundary in the bracket is decided so."""
     rows = _edge_rows(T)
-    _, rho_lo, rho_hi = _bracket(rows, tol, 200_000, 12)
+    _, rho_lo, rho_hi = _bracket(rows, tol, _MAX_ITER, _EXACT_SIZE_LIMIT)
     # The margin covers log's rounding and that of the products below.
     lo = math.log(rho_lo) - 1e-13 if rho_lo > 1.0 else 0.0
     hi = math.log(rho_hi) + 1e-13 if rho_hi > 1.0 else 0.0

@@ -24,10 +24,14 @@ z)``; ``z`` passes ``c`` by when ``b`` is ``v``, descends to ``c`` when
 ``b`` is ``c``, and otherwise ``b`` splits the edge ``v-c`` and ``z``
 hangs at ``b``; a point no child takes hangs at ``v``.  Every triple
 asked is a star triple, and the edges are the pairs of a parent and a
-child.  One triod map per build answers them on integer ids of
-canonical keys, so the orbit is read off its shift table, the vertices
-are sorted by words of their keys and membership in ``S_nu`` is decided
-on ids.
+child.  A split at a vertex already in the tree would close a cycle, so
+it raises at once.  One triod map per build answers the triples on
+integer ids of canonical keys, so the orbit is read off its shift table
+and the vertices are sorted by words of their keys.  ``nu`` is an
+asymptotic value, whose one preimage is ``*nu``: in a shift-invariant
+set a vertex has a strict shift ``nu`` iff some vertex other than ``*nu``
+maps to ``nu`` (the one just before ``nu`` on its orbit), so the formal
+points ``S_nu`` are read off the dynamics.
 
 Insertion trusts that the middle points are the medians of the tree it
 grows.  :func:`check_tree_invariants` certifies that with checks on
@@ -271,9 +275,10 @@ def vertex_set(P: Partition) -> list[Itinerary]:
     of its triods, sorted deterministically (pre-singular first).
 
     The orbit is inserted into a tree one point at a time (see the module
-    docstring); a vertex off ``S_nu`` or a shift outside the result raises
-    :class:`ClosureViolationError`.  Closure under triods is what
-    :func:`build_tree` certifies when it checks the tree.
+    docstring); a split at a vertex already in the tree, a shift outside
+    the result or a vertex other than ``*nu`` that maps to ``nu`` (off
+    ``S_nu``) raises :class:`ClosureViolationError`.  Closure under triods
+    is what :func:`build_tree` certifies when it checks the tree.
     """
     return _vertex_set(P)[0]
 
@@ -289,10 +294,9 @@ def _vertex_set(P: Partition) -> tuple:
     the module docstring), walking it through its shift table; an orbit
     point that a split already made a vertex is skipped, and ``b == z``
     splits an edge with ``z`` itself.  The vertices are sorted by words
-    of their keys, and a plain vertex is a formal point unless its shift
-    ids reach the id of ``nu`` (:meth:`~exptree.triods._TriodMap.formal`);
-    the vertices are checked in their sorted order, so the first
-    violation raises.  Closure under triods is certified by
+    of their keys and checked in that order, so the first violation
+    raises: each shift must be a vertex, and only ``*nu`` may map to
+    ``nu``.  Closure under triods is certified by
     :func:`check_tree_invariants`.
     """
     triods = _TriodMap(P)
@@ -316,6 +320,11 @@ def _vertex_set(P: Partition) -> tuple:
             elif b == c:
                 v, kids, i = c, children[c], 0
             else:  # b splits the edge v-c; z hangs at b unless it is b
+                if b in children:
+                    raise ClosureViolationError(
+                        f"middle point {triods.itinerary(b)} of "
+                        f"{triods._str((v, c, z))} is a vertex off the edge it splits"
+                    )
                 kids[i] = b
                 kids = children[b] = [c]
                 break
@@ -329,14 +338,14 @@ def _vertex_set(P: Partition) -> tuple:
     ids += [v for _, v in sorted(zip(_words([keys[v] for v in plain]), plain))]
     its = [triods.itinerary(v) for v in ids]
     index = {v: i for i, v in enumerate(ids)}
+    sing, nu = index[star], index[triods.nu]
     dynamics = []
-    for it, v in zip(its, ids):
-        if not triods.formal(v):
-            raise ClosureViolationError(f"vertex {it} is not a formal point")
+    for i, (it, v) in enumerate(zip(its, ids)):
         if (d := index.get(shift(v))) is None:
             raise ClosureViolationError(f"vertex set is not shift invariant at {it}")
+        if d == nu and i != sing:
+            raise ClosureViolationError(f"vertex {it} is not a formal point")
         dynamics.append(d)
-    sing = index[star]
     groups: dict[Any, list[int]] = {}
     for i, v in enumerate(ids):
         if i != sing:
@@ -429,10 +438,6 @@ def build_tree(P: Partition, m_max: int | None = None) -> AbstractHubbardTree:
         adj[a].append(b)
         adj[b].append(a)
     table = _Rooted(adj, (sing,))
-    if len(edges) != n - 1 or len(table.order) != n:
-        raise NotATreeError(
-            f"betweenness produced {len(edges)} edges on {n} vertices"
-        )
 
     # Cyclic orders: the sorted neighbors, their least rotation, except at
     # the singular point and at the other vertices of degree 3 or more.
@@ -562,20 +567,15 @@ def check_tree_invariants(tree: AbstractHubbardTree) -> None:
                 want[s] = {i}
     if got != want:
         raise ClosureViolationError("sector labels disagree with first itinerary entries")
-    if nu_id not in got.get(0, ()):
-        raise ClosureViolationError("the singular value vertex is not in sector 0")
-    # Each branch at the singular point, the root, is a subtree; it lies
-    # in one sector, and the dynamics restricted to it is injective.
+    # Each branch at the singular point, the root, is a subtree that lies
+    # in one sector.  The dynamics is injective on it: two of its vertices
+    # with one image would share a first symbol and a shift, so an
+    # itinerary, which the check above rejects.
     for nb in adj[sing]:
-        comp = order[pos[nb] : end[nb]]
-        branch_firsts = set(map(firsts.__getitem__, comp))
+        branch_firsts = set(map(firsts.__getitem__, order[pos[nb] : end[nb]]))
         if len(branch_firsts) != 1:
             raise ClosureViolationError(
                 f"branch at the singular point mixes sectors {sorted(branch_firsts)}"
-            )
-        if len(set(map(dyn.__getitem__, comp))) != len(comp):
-            raise ClosureViolationError(
-                "dynamics folds a branch at the singular point onto itself"
             )
 
     # Cyclic order bookkeeping and preservation under the dynamics.

@@ -225,19 +225,15 @@ class _TriodMap:
     one partition without repeating work.
     """
 
-    __slots__ = (
-        "P", "ids", "keys", "firsts", "shifts", "prepends", "memo", "formals", "nu"
-    )
+    __slots__ = ("ids", "keys", "firsts", "shifts", "prepends", "memo", "nu")
 
     def __init__(self, P: Partition):
-        self.P = P
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.firsts: list = []
         self.shifts: dict[int, int] = {}
         self.prepends: dict[tuple, int] = {}
         self.memo: dict[tuple[int, int, int], int] = {}
-        self.formals: dict[int, bool] = {}
         self.nu = self.key_id((P.kneading.seq.preperiod, P.kneading.seq.period))
 
     def key_id(self, key: tuple) -> int:
@@ -286,28 +282,6 @@ class _TriodMap:
             self.shifts[j] = i
             self.prepends[vote, i] = j
         return j
-
-    def formal(self, i: int) -> bool:
-        """Whether the itinerary with id ``i`` lies in ``S_nu``
-        (:func:`~exptree.partition.is_in_S_nu`): it is pre-singular, or
-        following its shift ids never reaches the kneading sequence's id.
-        Each id on the way keeps the answer: its strict shifts are those
-        of the next id plus that id."""
-        if len(self.keys[i]) == 1:
-            return True
-        path: list[int] = []
-        while (ok := self.formals.get(i)) is None:
-            if i in path:
-                ok = True
-                break
-            path.append(i)
-            i = self._shift(i)
-            if i == self.nu:
-                ok = False
-                break
-        for j in path:
-            self.formals[j] = ok
-        return ok
 
     def _str(self, state: tuple[int, ...]) -> str:
         return _bracketed(map(self.itinerary, state))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .analysis import (
+    _EXACT_SIZE_LIMIT,
     _dense,
     _edge_rows,
     core_entropy,
@@ -573,7 +574,7 @@ def suite_entropy_agreement(corpus: Corpus, tol: float = 1e-9) -> SuiteResult:
     res = SuiteResult("entropy agreement")
     for P, tree in zip(corpus.partitions, corpus.trees):
         A = _dense(_edge_rows(tree))
-        if len(A) > 12:
+        if len(A) > _EXACT_SIZE_LIMIT:
             res.notes.append(f"{P.base}: matrix {len(A)}x{len(A)} not cross-checked")
             continue
         try:

@@ -736,13 +736,13 @@ class TestCheckGuards:
 
     On 0(0,1) the vertices are 0 ``*``, 1 ``(0)``, 2 ``0(0,1)`` (the
     singular value), 3 ``(0,1)`` and 4 ``(1,0)``; the edges are 0-1, 0-4,
-    1-2 and 1-3.  Three guards have no such fault, as the dynamics must be
-    the shift and the sectors the first symbols.  The singular value then
-    lies in sector 0, since every base is normalized to start with 0.  Two
-    vertices with one first symbol and one image share an itinerary, so
-    no branch at the singular point folds.  A neighbor of a branch vertex
+    1-2 and 1-3.  One guard has no such fault, as the dynamics must be the
+    shift and the sectors the first symbols: a neighbor of a branch vertex
     lies in its branch at the singular point or is the singular point,
-    whose image no other vertex has, so none collapses onto the image."""
+    whose image no other vertex has, so none collapses onto the image.
+    The check keeps no guard for the singular value's sector, which is 0
+    for every base, nor for a branch at the singular point that folds: two
+    of its vertices with one image would share an itinerary."""
 
     def check(self, tree, error, message):
         raises_exactly(error, message, check_tree_invariants, tree)
@@ -1287,7 +1287,8 @@ class TestStarTriples:
 class TestClosureViolations:
     # Insertion asks the triod map one triple on 0(0,1): *nu, nu = 0(0,1)
     # and (0,1), whose middle point is the branch point (0).  A wrong
-    # answer makes a vertex set or a tree that a check rejects.
+    # answer raises where insertion or the vertex table meets it, or makes
+    # a tree that the check rejects.
     ASKED = {PreSingular(()), plain([0], [0, 1]), plain([], [0, 1])}
 
     def _rig(self, monkeypatch, answer):
@@ -1320,6 +1321,45 @@ class TestClosureViolations:
             asked = self._rig(monkeypatch, answer)
             raises_exactly(ClosureViolationError, message, build_tree, P_b)
             assert asked
+
+    def test_middle_point_off_the_formal_points(self, P_b, monkeypatch):
+        # -1,0(0,1) shifts onto nu: it splits the edge from *nu to nu.
+        asked = self._rig(monkeypatch, plain([-1, 0], [0, 1]))
+        for fn in (vertex_set, _vertex_set, build_tree):
+            raises_exactly(
+                ClosureViolationError, "vertex -1,0(0,1) is not a formal point", fn, P_b
+            )
+        assert asked
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (
+                addr([0], [0, 0, 1]),
+                "middle point 0(0,0,1) of [(0), (0,0,1), (0,1,0)] "
+                "is a vertex off the edge it splits",
+            ),
+            (
+                addr([0], [1, 0, 0, 2]),
+                "middle point 0(0,0,0,2) of [(0), (0,0,0,2), (0,0,2,0)] "
+                "is a vertex off the edge it splits",
+            ),
+        ],
+    )
+    def test_split_at_a_vertex(self, base, message, monkeypatch):
+        # Every triple without *nu and nu answers nu, which is in the tree
+        # from the first insertion on: the first split it makes raises.
+        real = _TriodMap.middle
+
+        def middle(self, *ids):
+            if self.key_id(((),)) in ids or self.nu in ids:
+                return real(self, *ids)
+            return self.nu
+
+        monkeypatch.setattr(_TriodMap, "middle", middle)
+        P = validate_base(base)
+        for fn in (vertex_set, _vertex_set, build_tree):
+            raises_exactly(ClosureViolationError, message, fn, P)
 
 
 def rewired(tree, edges):
